@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Mapping
 
 from . import elliptic as el
 from . import gammakit as gk
@@ -113,7 +114,7 @@ def _emit_multipoly(f: MultiPoly, fmt: str):
         print(json.dumps(f.to_json(), sort_keys=True))
 
 
-def _emit_triangle(tri: dict, fmt: str):
+def _emit_triangle(tri: Mapping, fmt: str):
     if fmt == "csv":
         sys.stdout.write(el.triangle_to_csv(tri))
     elif fmt == "text":
@@ -203,7 +204,7 @@ def _cmd_compute(args, parser) -> int:
                 if route == "operator"
                 else el.s_triangle_recurrence(n_max)
             )
-            tri = {k: v for k, v in full.items() if k[0] in rows}
+            tri = el.Triangle({n: full.row(n) for n in rows})
         _emit_triangle(tri, fmt)
         return 0
 
@@ -214,7 +215,7 @@ def _cmd_compute(args, parser) -> int:
             fail_usage(f"route for gamma must be one of {GAMMA_ROUTES}")
         if route == "recurrence":
             full = el.gamma_triangle_recurrence(n_max)
-            tri = {k: v for k, v in full.items() if k[0] in rows}
+            tri = el.Triangle({n: full.row(n) for n in rows})
         elif route == "operator":
             s_tri = el.s_triangle_operator(n_max)
             tri = {}
@@ -329,7 +330,7 @@ def _cache_dir(args, parser) -> str:
     return path
 
 
-def _build_triangle(target: str, n_max: int, cap: int) -> dict:
+def _build_triangle(target: str, n_max: int, cap: int) -> Mapping:
     if target == "s":
         return el.s_triangle_recurrence(n_max)
     if target == "gamma":
@@ -342,7 +343,7 @@ def _build_triangle(target: str, n_max: int, cap: int) -> dict:
     return tri
 
 
-def _validate_triangle(target: str, tri: dict):
+def _validate_triangle(target: str, tri: Mapping):
     if target == "s":
         el.validate_s_triangle(tri)
     elif target == "gamma":
@@ -354,6 +355,22 @@ def _validate_triangle(target: str, tri: dict):
         rows = {k[0] for k in tri}
         if rows and rows != set(range(1, max(rows) + 1)):
             raise ValueError("missing theta rows")
+
+
+def _write_atomic(path: str, text: str):
+    """Replace path with text in one step: write a temporary file in the
+    same directory, then rename it over path, so a reader never sees a
+    partial file and a failed write leaves the old one intact."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _cmd_cache(args, parser) -> int:
@@ -377,9 +394,7 @@ def _cmd_cache(args, parser) -> int:
     if args.action == "write":
         n_max = args.max_n or CACHE_DEFAULT_ROWS[args.target]
         tri = _build_triangle(args.target, n_max, cap)
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(el.triangle_to_jsonl(tri))
+        _write_atomic(path, el.triangle_to_jsonl(tri))
         print(f"wrote {len(tri)} records to {path}")
         return 0
 
@@ -392,7 +407,10 @@ def _cmd_cache(args, parser) -> int:
         loaded = el.triangle_from_jsonl(text)
         seen_rows = el.triangle_max_row(loaded)
         _validate_triangle(args.target, loaded)
-        tri = loaded
+        if args.max_n and seen_rows < args.max_n:
+            _warn(f"rebuild: file has {seen_rows} rows, {args.max_n} requested")
+        else:
+            tri = loaded
     except FileNotFoundError:
         _warn(f"cache file {path} missing; rebuilding")
     except ValueError as exc:
@@ -400,9 +418,7 @@ def _cmd_cache(args, parser) -> int:
     if tri is None:
         n_max = args.max_n or seen_rows or CACHE_DEFAULT_ROWS[args.target]
         tri = _build_triangle(args.target, n_max, cap)
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(el.triangle_to_jsonl(tri))
+        _write_atomic(path, el.triangle_to_jsonl(tri))
     _emit_triangle(tri, args.format)
     return 0
 
@@ -429,6 +445,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # anything else: one line, no traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

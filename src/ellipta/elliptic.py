@@ -12,7 +12,8 @@ compute the same sequence:
               admissible ways, requiring agreement;
   viennot     binomial convolution of earlier J's with their reversals;
   series      integrate the defining differential system for sn, cn, dn as
-              truncated series with exact integer bookkeeping.
+              truncated exponential series: binomial convolutions, no
+              division.
 
 The module also builds the gamma and t triangles with their entrywise and
 polynomial recurrences, peels gamma rows directly out of P_n, constructs the
@@ -23,12 +24,12 @@ to arbitrary seed data (`bi_gamma_closure`).
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from math import comb, factorial
 
 from .exactpoly import (
     FormalSeries,
-    InexactDivisionError,
     MultiPoly,
     UNI_ONE,
     UNI_X,
@@ -40,7 +41,7 @@ from .exactpoly import (
     series_mul,
     uni,
     uni_add,
-    uni_divexact,
+    uni_addmul_into,
     uni_mul,
     uni_neg,
     uni_reverse,
@@ -61,12 +62,62 @@ class TriangleDefectError(ValueError):
 
 
 class SeriesIntegrationError(ValueError):
-    """The series integration hit an inexact division or a sign/parity
-    pattern violation."""
+    """The integrated series violated its sign or parity pattern, or the dn
+    reversal."""
 
 
 class RouteDisagreementError(ValueError):
     """Two routes that must agree produced different values."""
+
+
+# ---------------------------------------------------------------------------
+# the row-indexed triangle type
+
+
+class Triangle(Mapping):
+    """A number triangle held row by row: ``rows`` maps n to that row's
+    ``{(i, j): c}`` dict, so reading one row never scans the others.
+
+    It is also a read-only mapping over the flat ``(n, i, j)`` keys, with
+    ``len`` the number of entries, so ``dict(tri)``, ``tri[(n, i, j)]`` and
+    ``sorted(tri.items())`` see the classic flat triangle. No flat copy is
+    kept. Rows are shared, not copied: callers must not mutate them.
+    """
+
+    __slots__ = ("rows", "_size")
+
+    def __init__(self, rows: dict):
+        self.rows = rows
+        self._size = sum(len(r) for r in rows.values())
+
+    def row(self, n: int) -> dict:
+        """Row n as ``{(i, j): c}``; a missing row reads as empty."""
+        return self.rows.get(n, {})
+
+    def __getitem__(self, key):
+        try:
+            n, i, j = key
+            return self.rows[n][(i, j)]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        for n, r in self.rows.items():
+            for i, j in r:
+                yield (n, i, j)
+
+    def __len__(self):
+        return self._size
+
+    def items(self):
+        return _TriangleItems(self)
+
+
+class _TriangleItems(ItemsView):
+    def __iter__(self):
+        for n, r in self._mapping.rows.items():
+            for (i, j), c in r.items():
+                yield (n, i, j), c
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +128,16 @@ def _s_support(n: int, i: int, j: int) -> bool:
     return 0 <= i and 0 <= j and i + j <= n // 2
 
 
-def s_triangle_operator(n_max: int) -> dict:
+def s_triangle_operator(n_max: int) -> Triangle:
     """Read s_{n,i,j} off the exponent patterns of the operator iterates:
     even rows carry x^(2i+1) y^(2j), odd rows x^(2i) y^(2j+1)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     seed = G_SD.seed("x")
-    tri: dict = {}
+    rows: dict = {}
     for n in range(1, n_max + 1):
         f = iterate(G_SD, seed, n)
+        cur = rows[n] = {}
         for (ex, ey, ez), c in f.terms.items():
             if n % 2 == 0:
                 if ex % 2 == 0 or ey % 2 or ez % 2:
@@ -101,17 +153,17 @@ def s_triangle_operator(n_max: int) -> dict:
                 i, j = ex // 2, (ey - 1) // 2
             if c < 0 or not _s_support(n, i, j):
                 raise TriangleDefectError(f"bad entry {c} at {(n, i, j)}")
-            tri[(n, i, j)] = c
-    return tri
+            cur[(i, j)] = c
+    return Triangle(rows)
 
 
-def s_triangle_recurrence(n_max: int) -> dict:
+def s_triangle_recurrence(n_max: int) -> Triangle:
     """Dumont's entrywise recurrence, seeded by the single entry of row 1;
     out-of-range indices read 0."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    tri = {(1, 0, 0): 1}
     prev = {(0, 0): 1}
+    rows = {1: prev}
     for n in range(2, n_max + 1):
         cur: dict = {}
         even = n % 2 == 0
@@ -133,31 +185,23 @@ def s_triangle_recurrence(n_max: int) -> dict:
                     if v < 0 or not _s_support(n, i, j):
                         raise TriangleDefectError(f"bad entry {v} at {(n, i, j)}")
                     cur[(i, j)] = v
-        for (i, j), v in cur.items():
-            tri[(n, i, j)] = v
-        prev = cur
-    return tri
+        rows[n] = prev = cur
+    return Triangle(rows)
 
 
-def s_poly(n: int, triangle: dict) -> MultiPoly:
+def s_poly(n: int, triangle: Triangle) -> MultiPoly:
     """The homogeneous three-variable polynomial of total degree n // 2 whose
     coefficients are row n of the triangle."""
     half = n // 2
-    terms = {}
-    for (row, i, j), c in triangle.items():
-        if row != n:
-            continue
-        terms[(i, j, half - i - j)] = c
-    return MultiPoly(S_VARS, terms)
+    return MultiPoly(
+        S_VARS,
+        {(i, j, half - i - j): c for (i, j), c in triangle.row(n).items()},
+    )
 
 
-def p_poly(n: int, triangle: dict) -> MultiPoly:
+def p_poly(n: int, triangle: Triangle) -> MultiPoly:
     """The cycle-peak polynomial P_n, the r -> 1 specialization of s_poly."""
-    terms = {}
-    for (row, i, j), c in triangle.items():
-        if row == n:
-            terms[(i, j)] = c
-    return MultiPoly(P_VARS, terms)
+    return MultiPoly(P_VARS, triangle.row(n))
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +238,19 @@ def validate_j_sequence(seq: JSequence):
             raise ValueError(f"route {seq.route}: negative coefficient in J_{n}")
 
 
-def j_slice_from_triangle(triangle: dict, n: int) -> UniPoly:
+def j_slice_from_triangle(triangle: Triangle, n: int) -> UniPoly:
     """J_n as a slice of the s triangle: the j = 0 line for even n, the
     i = 0 line for odd n."""
     if n == 0:
         return UNI_ONE
     half = n // 2
+    row = triangle.row(n)
     if n % 2 == 0:
-        return uni(triangle.get((n, i, 0), 0) for i in range(half + 1))
-    return uni(triangle.get((n, 0, j), 0) for j in range(half + 1))
+        return uni(row.get((i, 0), 0) for i in range(half + 1))
+    return uni(row.get((0, j), 0) for j in range(half + 1))
 
 
-def j_from_p(n: int, triangle: dict) -> UniPoly:
+def j_from_p(n: int, triangle: Triangle) -> UniPoly:
     """J_n by specializing the cycle-peak polynomials; both admissible rows
     are specialized and must agree."""
     if n == 0:
@@ -272,8 +317,7 @@ class EllipticSeries:
 
     Stored coefficient m is scale * (true coefficient of u^m), with
     scale = order!; the single global factor clears every factorial
-    denominator, so the stepping below stays in exact integers and each
-    division is checked.
+    denominator, so the view stays in exact integers.
     """
 
     order: int
@@ -283,75 +327,71 @@ class EllipticSeries:
     dn: FormalSeries
 
 
-def _cauchy_at(a: list, b: list, m: int) -> UniPoly:
-    acc = UNI_ZERO
+def _binomial_convolution(a: list, b: list, m: int) -> UniPoly:
+    """Coefficient m of the product of two exponential generating functions:
+    the sum over i of C(m, i) a_i b_(m-i)."""
+    acc: list = []
     for i in range(m + 1):
         if a[i] and b[m - i]:
-            acc = uni_add(acc, uni_mul(a[i], b[m - i]))
-    return acc
+            uni_addmul_into(acc, uni_mul(a[i], b[m - i]), comb(m, i))
+    return uni(acc)
 
 
-def elliptic_series(order: int) -> EllipticSeries:
+def _elliptic_egf(order: int) -> tuple:
     """Integrate sn' = cn dn, cn' = -sn dn, dn' = -x sn cn term by term,
-    starting from sn = u, cn = dn = 1."""
+    starting from sn = u, cn = dn = 1, in exponential normalization: entry m
+    of each returned list is m! times the coefficient of u^m. There the
+    derivative is an index shift and the product a binomial convolution, so
+    every step is an exact integer sum with no division."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    scale = factorial(order)
     sn = [UNI_ZERO] * (order + 1)
     cn = [UNI_ZERO] * (order + 1)
     dn = [UNI_ZERO] * (order + 1)
-    cn[0] = (scale,)
-    dn[0] = (scale,)
+    cn[0] = dn[0] = UNI_ONE
     for m in range(order):
-        div = scale * (m + 1)
-        try:
-            sn[m + 1] = uni_divexact(_cauchy_at(cn, dn, m), div)
-            cn[m + 1] = uni_divexact(uni_neg(_cauchy_at(sn, dn, m)), div)
-            dn[m + 1] = uni_divexact(
-                uni_shift(uni_neg(_cauchy_at(sn, cn, m)), 1), div
-            )
-        except InexactDivisionError as exc:
-            raise SeriesIntegrationError(
-                f"inexact division integrating coefficient {m + 1}"
-            ) from exc
-    return EllipticSeries(
-        order=order,
-        scale=scale,
-        sn=FormalSeries(order, tuple(sn)),
-        cn=FormalSeries(order, tuple(cn)),
-        dn=FormalSeries(order, tuple(dn)),
+        sn[m + 1] = _binomial_convolution(cn, dn, m)
+        cn[m + 1] = uni_neg(_binomial_convolution(sn, dn, m))
+        dn[m + 1] = uni_shift(uni_neg(_binomial_convolution(sn, cn, m)), 1)
+    return sn, cn, dn
+
+
+def elliptic_series(order: int) -> EllipticSeries:
+    """The integrated sn, cn, dn in the scaled view: the exponential
+    coefficients a_m are converted once to scale * a_m / m!."""
+    egf = _elliptic_egf(order)
+    scale = factorial(order)
+    factors = [scale]
+    for m in range(1, order + 1):
+        factors.append(factors[-1] // m)
+    sn, cn, dn = (
+        FormalSeries(
+            order, tuple(uni_scale(a, f) for a, f in zip(coeffs, factors))
+        )
+        for coeffs in egf
     )
+    return EllipticSeries(order=order, scale=scale, sn=sn, cn=cn, dn=dn)
 
 
 def j_series(n_max: int) -> JSequence:
-    """Extract J_n from the integrated series: multiply the stored
-    coefficient back by n!, clear the global scale, strip the sign
-    (-1)^(n//2), and cross-check the dn expansion against the reversal of
-    the even J's."""
-    es = elliptic_series(max(1, n_max))
-    for m in range(es.order + 1):
-        if m % 2 == 0 and es.sn.coeffs[m]:
+    """Read J_n off the exponential coefficients of the integrated series:
+    strip the sign (-1)^(n//2), and cross-check the dn expansion against the
+    reversal of the even J's."""
+    sn, cn, dn = _elliptic_egf(max(1, n_max))
+    for m in range(len(sn)):
+        if m % 2 == 0 and sn[m]:
             raise SeriesIntegrationError(f"sn has an even-order term u^{m}")
-        if m % 2 and (es.cn.coeffs[m] or es.dn.coeffs[m]):
+        if m % 2 and (cn[m] or dn[m]):
             raise SeriesIntegrationError(f"cn or dn has an odd-order term u^{m}")
     js = [UNI_ONE]
     for n in range(1, n_max + 1):
-        stored = es.sn.coeffs[n] if n % 2 else es.cn.coeffs[n]
-        sign = -1 if (n // 2) % 2 else 1
-        try:
-            val = uni_divexact(uni_scale(stored, sign * factorial(n)), es.scale)
-        except InexactDivisionError as exc:
-            raise SeriesIntegrationError(
-                f"extraction of J_{n} is not integral"
-            ) from exc
+        a = sn[n] if n % 2 else cn[n]
+        val = uni_neg(a) if (n // 2) % 2 else a
         if any(c < 0 for c in val):
             raise SeriesIntegrationError(f"sign pattern violated at J_{n}")
         js.append(val)
     for k in range(1, n_max // 2 + 1):
-        sign = -1 if k % 2 else 1
-        got = uni_divexact(
-            uni_scale(es.dn.coeffs[2 * k], sign * factorial(2 * k)), es.scale
-        )
+        got = uni_neg(dn[2 * k]) if k % 2 else dn[2 * k]
         if got != uni_reverse(js[2 * k], k):
             raise SeriesIntegrationError(
                 f"dn coefficient at u^{2 * k} is not the reversal of J_{2 * k}"
@@ -429,14 +469,14 @@ def _gamma_support(n: int, i: int, j: int) -> bool:
     return 0 <= i <= (n - 1) // 2 and 0 <= j <= (n - 2 * i) // 4
 
 
-def _gamma_like_recurrence(n_max: int, third_scale: int, check) -> dict:
+def _gamma_like_recurrence(n_max: int, third_scale: int, check) -> Triangle:
     """Shared driver for the gamma (scale 4) and t (scale 1) entrywise
     recurrences; rows are checked against support, sign, and the caller's
     extra predicate, with one margin cell verified zero on every side."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    tri = {(1, 0, 0): 1}
     prev = {(0, 0): 1}
+    rows = {1: prev}
     for n in range(2, n_max + 1):
         cur: dict = {}
         even = n % 2 == 0
@@ -464,15 +504,13 @@ def _gamma_like_recurrence(n_max: int, third_scale: int, check) -> dict:
                         raise TriangleDefectError(f"bad entry {v} at {(n, i, j)}")
                     check(n, i, j, v)
                     cur[(i, j)] = v
-        for (i, j), v in cur.items():
-            tri[(n, i, j)] = v
-        prev = cur
-    if n_max >= 2 and tri.get((2, 0, 0)) != 1:
+        rows[n] = prev = cur
+    if n_max >= 2 and rows[2].get((0, 0)) != 1:
         raise TriangleDefectError("row 2 does not reduce to the stated seed")
-    return tri
+    return Triangle(rows)
 
 
-def gamma_triangle_recurrence(n_max: int) -> dict:
+def gamma_triangle_recurrence(n_max: int) -> Triangle:
     """Gamma triangle with seed rows 1 and 2 equal to 1; every entry must be
     divisible by 4^(i+j)."""
 
@@ -485,13 +523,13 @@ def gamma_triangle_recurrence(n_max: int) -> dict:
     return _gamma_like_recurrence(n_max, 4, check)
 
 
-def t_triangle_recurrence(n_max: int) -> dict:
+def t_triangle_recurrence(n_max: int) -> Triangle:
     """The gamma triangle with powers of 4 divided out, built from its own
     recurrence (integrality of which is rechecked against gamma)."""
     return _gamma_like_recurrence(n_max, 1, lambda *a: None)
 
 
-def gamma_equals_scaled_t(gamma_tri: dict, t_tri: dict, n_max: int):
+def gamma_equals_scaled_t(gamma_tri: Mapping, t_tri: Mapping, n_max: int):
     """First discrepancy between gamma and 4^(i+j) t, or None."""
     keys = {k for k in gamma_tri if k[0] <= n_max} | {
         k for k in t_tri if k[0] <= n_max
@@ -535,12 +573,8 @@ def t_polys_recurrence(n_max: int) -> list:
     return out
 
 
-def t_poly_from_triangle(t_tri: dict, n: int) -> MultiPoly:
-    terms = {}
-    for (row, i, j), c in t_tri.items():
-        if row == n:
-            terms[(i, j)] = c
-    return MultiPoly(T_VARS, terms)
+def t_poly_from_triangle(t_tri: Triangle, n: int) -> MultiPoly:
+    return MultiPoly(T_VARS, t_tri.row(n))
 
 
 def t_poly(n: int, route: str = "recurrence") -> MultiPoly:
@@ -583,7 +617,7 @@ def gamma_from_p(n: int, pn: MultiPoly) -> dict:
     return row
 
 
-def gamma_operator_expansion(gamma_tri: dict, n: int) -> MultiPoly:
+def gamma_operator_expansion(gamma_tri: Triangle, n: int) -> MultiPoly:
     """Reassemble the operator iterate over {x, a, b, c} from gamma row n:
     x (even n) or c (odd n) times the sum of gamma * x^2i c^2j (a+b)^rest."""
     vs = G1.variables
@@ -592,9 +626,7 @@ def gamma_operator_expansion(gamma_tri: dict, n: int) -> MultiPoly:
     pow_cache = {}
     acc = MultiPoly.zero(vs)
     x_off, c_off = (1, 0) if n % 2 == 0 else (0, 1)
-    for (row, i, j), g in gamma_tri.items():
-        if row != n:
-            continue
+    for (i, j), g in gamma_tri.row(n).items():
         k = half - i - 2 * j
         if k not in pow_cache:
             pow_cache[k] = apb**k
@@ -607,12 +639,11 @@ def gamma_operator_expansion(gamma_tri: dict, n: int) -> MultiPoly:
 # gamma certificates for J
 
 
-def j_odd_gamma(n: int, gamma_tri: dict) -> GammaVector:
+def j_odd_gamma(n: int, gamma_tri: Triangle) -> GammaVector:
     """Gamma vector of J_{2n+1} (center n), read from the i = 0 line of the
     gamma triangle row 2n+1."""
-    return GammaVector(
-        n, tuple(gamma_tri.get((2 * n + 1, 0, j), 0) for j in range(n // 2 + 1))
-    )
+    row = gamma_tri.row(2 * n + 1)
+    return GammaVector(n, tuple(row.get((0, j), 0) for j in range(n // 2 + 1)))
 
 
 def _bi_gamma_step(n: int, gvecs, alphas, betas, weight) -> tuple:
@@ -674,7 +705,7 @@ class EvenDecomposition:
         }
 
 
-def j_even_decompositions(m_max: int, gamma_tri: dict | None = None) -> list:
+def j_even_decompositions(m_max: int, gamma_tri: Triangle | None = None) -> list:
     """Certificates for J_2, J_4, ..., J_{2m_max+2}, built recursively by
     gamma-vector convolutions with binomial weights."""
     if gamma_tri is None:
@@ -706,7 +737,9 @@ def j_even_decompositions(m_max: int, gamma_tri: dict | None = None) -> list:
     return out
 
 
-def j_even_decomposition(m: int, gamma_tri: dict | None = None) -> EvenDecomposition:
+def j_even_decomposition(
+    m: int, gamma_tri: Triangle | None = None
+) -> EvenDecomposition:
     return j_even_decompositions(m, gamma_tri)[m]
 
 
@@ -826,7 +859,7 @@ def bi_gamma_closure(g_gammas, weights, n_max: int) -> list:
 # triangle serialization (JSON-lines cache format, CSV)
 
 
-def triangle_to_jsonl(tri: dict) -> str:
+def triangle_to_jsonl(tri: Mapping) -> str:
     lines = [
         '{"n":%d,"i":%d,"j":%d,"coeff":"%d"}' % (n, i, j, c)
         for (n, i, j), c in sorted(tri.items())
@@ -834,26 +867,30 @@ def triangle_to_jsonl(tri: dict) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def triangle_from_jsonl(text: str) -> dict:
+def triangle_from_jsonl(text: str) -> Triangle:
     import json
 
-    tri: dict = {}
+    rows: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            key = (int(obj["n"]), int(obj["i"]), int(obj["j"]))
+            n = int(obj["n"])
+            ij = (int(obj["i"]), int(obj["j"]))
             val = int(obj["coeff"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"bad triangle record on line {lineno}") from exc
-        if key in tri:
-            raise ValueError(f"duplicate triangle key {key} on line {lineno}")
-        tri[key] = val
-    return tri
+        row = rows.setdefault(n, {})
+        if ij in row:
+            raise ValueError(
+                f"duplicate triangle key {(n, *ij)} on line {lineno}"
+            )
+        row[ij] = val
+    return Triangle(rows)
 
 
-def triangle_to_csv(tri: dict) -> str:
+def triangle_to_csv(tri: Mapping) -> str:
     lines = ["n,i,j,value"]
     lines += [
         f"{n},{i},{j},{c}" for (n, i, j), c in sorted(tri.items())
@@ -861,11 +898,11 @@ def triangle_to_csv(tri: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def triangle_max_row(tri: dict) -> int:
+def triangle_max_row(tri: Mapping) -> int:
     return max((k[0] for k in tri), default=0)
 
 
-def validate_s_triangle(tri: dict):
+def validate_s_triangle(tri: Mapping):
     """Rows must be contiguous from 1, nonnegative, inside support, and sum
     to n factorial."""
     n_max = triangle_max_row(tri)
@@ -881,7 +918,7 @@ def validate_s_triangle(tri: dict):
             raise ValueError(f"row {n} does not sum to {n}!")
 
 
-def validate_gamma_triangle(tri: dict):
+def validate_gamma_triangle(tri: Mapping):
     n_max = triangle_max_row(tri)
     if n_max < 1:
         raise ValueError("empty triangle")
@@ -896,7 +933,7 @@ def validate_gamma_triangle(tri: dict):
         raise ValueError("missing rows")
 
 
-def validate_t_triangle(tri: dict):
+def validate_t_triangle(tri: Mapping):
     n_max = triangle_max_row(tri)
     if n_max < 1:
         raise ValueError("empty triangle")
@@ -909,7 +946,7 @@ def validate_t_triangle(tri: dict):
         raise ValueError("missing rows")
 
 
-def validate_theta_table(tri: dict):
+def validate_theta_table(tri: Mapping):
     """Orbit sizes force every present row n to satisfy
     sum of theta * 2^j = n factorial."""
     sums: dict = {}

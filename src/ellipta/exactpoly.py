@@ -90,6 +90,15 @@ def uni_add(f: UniPoly, g: UniPoly) -> UniPoly:
     return uni(out)
 
 
+def uni_addmul_into(acc: list, f: UniPoly, c: int = 1):
+    """Add c * f into the dense coefficient list acc in place, growing it as
+    needed; the running-sum counterpart of uni_add for long sums."""
+    if len(f) > len(acc):
+        acc.extend([0] * (len(f) - len(acc)))
+    for i, a in enumerate(f):
+        acc[i] += c * a
+
+
 def uni_neg(f: UniPoly) -> UniPoly:
     return tuple(-a for a in f)
 
@@ -381,6 +390,7 @@ class MultiPoly:
             if isinstance(val, int):
                 val = (val,) if val else UNI_ZERO
             values.append(uni(val))
+        zeros = [idx for idx, val in enumerate(values) if not val]
         pow_cache: dict = {}
 
         def power(idx, e):
@@ -389,14 +399,16 @@ class MultiPoly:
                 pow_cache[key] = uni_pow(values[idx], e)
             return pow_cache[key]
 
-        total = UNI_ZERO
+        total: list = []
         for exps, c in self.terms.items():
+            if any(exps[idx] for idx in zeros):
+                continue  # a letter set to 0 kills the whole term
             term = (c,)
             for idx, e in enumerate(exps):
                 if e:
                     term = uni_mul(term, power(idx, e))
-            total = uni_add(total, term)
-        return total
+            uni_addmul_into(total, term)
+        return uni(total)
 
     def compose(self, mapping: dict, variables) -> "MultiPoly":
         """Substitute every letter by a MultiPoly (or int) over a new

@@ -14,8 +14,8 @@ integer coefficients and ^ for powers).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exactpoly import AlphabetMismatchError, MultiPoly
 
@@ -73,22 +73,25 @@ def derive_once(grammar: Grammar, f: MultiPoly) -> MultiPoly:
     return MultiPoly(grammar.variables, acc)
 
 
-@lru_cache(maxsize=None)
-def _iterate_cached(grammar: Grammar, seed: MultiPoly, n: int) -> MultiPoly:
-    if n == 0:
-        return seed
-    return derive_once(grammar, _iterate_cached(grammar, seed, n - 1))
+# (grammar, seed) -> [seed, D seed, D^2 seed, ...], extended on demand
+_ITERATES: dict = {}
+_ITERATES_LOCK = threading.Lock()
 
 
 def iterate(grammar: Grammar, seed: MultiPoly, n: int) -> MultiPoly:
     """n-fold application of the formal derivative; n = 0 returns the seed.
 
-    Results are memoized per (grammar, seed, n); the cache only ever stores
+    Iterates are memoized in one list per (grammar, seed), extended by a
+    loop, so any n works without recursion; the list only ever stores
     immutable values, so it cannot change results.
     """
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
-    return _iterate_cached(grammar, seed, n)
+    with _ITERATES_LOCK:
+        chain = _ITERATES.setdefault((grammar, seed), [seed])
+        while len(chain) <= n:
+            chain.append(derive_once(grammar, chain[-1]))
+        return chain[n]
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def suite_theorem13(max_n: int = 8, jobs: int = 1, seed: int = 0) -> SuiteResult
     checks = []
     for n in range(1, max_n + 1):
         row = to.s_from_trees(n, cap=max(n, to.DEFAULT_TREE_CAP), jobs=jobs)
-        ref = {k: v for k, v in tri.items() if k[0] == n}
+        ref = {(n, i, j): c for (i, j), c in tri.row(n).items()}
         ok = row == ref
         detail = ""
         if not ok:
@@ -211,7 +211,7 @@ def suite_corollary15(max_n: int = 8, jobs: int = 1, seed: int = 0) -> SuiteResu
             )
         )
         half = n // 2
-        gamma_row = {k: v for k, v in gtri.items() if k[0] == n}
+        gamma_row = {(n, i, j): c for (i, j), c in gtri.row(n).items()}
         mapped = {}
         for (row, i, j), c in theta.items():
             if n % 2 == 0:

@@ -187,6 +187,54 @@ def test_cache_corruption_rebuilds_with_warning(tmp_path, capsys):
     assert path.read_text() == good
 
 
+def test_cache_short_file_rebuilds_to_requested_rows(tmp_path, capsys):
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "6",
+        "--cache-dir", cache_dir)
+    code, out, err = run(capsys, "cache", "read", "--target", "s",
+                         "--max-n", "10", "--cache-dir", cache_dir)
+    assert code == 0
+    assert "rebuild: file has 6 rows, 10 requested" in err
+    rows = {json.loads(line)["n"] for line in out.splitlines()}
+    assert rows == set(range(1, 11))
+    assert (tmp_path / "s.jsonl").read_text() == out
+    # the rebuilt file now holds enough rows: a second read is silent
+    code, again, err = run(capsys, "cache", "read", "--target", "s",
+                           "--max-n", "10", "--cache-dir", cache_dir)
+    assert code == 0 and err == "" and again == out
+
+
+def test_cache_failed_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
+    from ellipta import elliptic as el
+
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "4",
+        "--cache-dir", cache_dir)
+    path = tmp_path / "s.jsonl"
+    before = path.read_bytes()
+    # a serialized text that cannot be encoded fails inside the write
+    real = el.triangle_to_jsonl
+    monkeypatch.setattr(el, "triangle_to_jsonl", lambda tri: real(tri) + "\u00e9\n")
+    code, _, err = run(capsys, "cache", "write", "--target", "s", "--max-n", "6",
+                       "--cache-dir", cache_dir)
+    assert code == 1 and err.startswith("error: ")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
+
+
+def test_unexpected_error_is_one_line_exit_1(capsys, monkeypatch):
+    from ellipta import cli
+
+    def boom(args, parser):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_compute", boom)
+    code, out, err = run(capsys, "compute", "j", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: RuntimeError: boom\n"
+
+
 def test_cache_env_var_and_flag_priority(tmp_path, capsys, monkeypatch):
     env_dir = tmp_path / "env"
     flag_dir = tmp_path / "flag"

@@ -82,6 +82,59 @@ def test_s_triangle_operator_equals_recurrence(s_rec, s_op):
     assert s_op == s_rec
 
 
+# rows 1..4 of the s triangle, flat, read off the known P_1 .. P_4
+S_ROWS_1_TO_4 = {
+    (1, 0, 0): 1,
+    (2, 0, 0): 1, (2, 0, 1): 1,
+    (3, 0, 0): 1, (3, 0, 1): 1, (3, 1, 0): 4,
+    (4, 0, 0): 1, (4, 0, 1): 14, (4, 0, 2): 1, (4, 1, 0): 4, (4, 1, 1): 4,
+}
+
+
+@pytest.mark.parametrize(
+    "build", [el.s_triangle_recurrence, el.s_triangle_operator]
+)
+def test_triangle_flat_view_equals_flat_dict(build):
+    tri = build(4)
+    assert isinstance(tri, el.Triangle)
+    assert dict(tri) == S_ROWS_1_TO_4
+    assert tri == S_ROWS_1_TO_4
+    assert len(tri) == len(S_ROWS_1_TO_4) == 11
+    assert sorted(tri) == sorted(S_ROWS_1_TO_4)
+    assert sorted(tri.items()) == sorted(S_ROWS_1_TO_4.items())
+    for key, c in S_ROWS_1_TO_4.items():
+        assert key in tri and tri[key] == c and tri.get(key) == c
+    assert (4, 2, 0) not in tri and tri.get((4, 2, 0), 0) == 0
+    assert tri.get((9, 0, 0)) is None
+    with pytest.raises(KeyError):
+        tri[(4, 2, 0)]
+    with pytest.raises(KeyError):
+        tri["not a key"]
+
+
+def test_triangle_rows_and_missing_rows(s_rec):
+    assert s_rec.row(3) == {(0, 0): 1, (0, 1): 1, (1, 0): 4}
+    assert s_rec.row(0) == {}
+    assert s_rec.row(25) == {}
+    assert len(s_rec) == sum(len(s_rec.row(n)) for n in range(1, 25))
+
+
+def test_triangle_is_read_only(s_rec):
+    with pytest.raises(TypeError):
+        s_rec[(1, 0, 0)] = 2
+
+
+def test_triangle_dict_round_trip(s_rec, gamma_tri):
+    for tri in (s_rec, gamma_tri):
+        flat = dict(tri)
+        assert len(flat) == len(tri)
+        assert flat == tri
+        assert el.triangle_to_jsonl(flat) == el.triangle_to_jsonl(tri)
+        assert el.triangle_to_csv(flat) == el.triangle_to_csv(tri)
+        back = el.triangle_from_jsonl(el.triangle_to_jsonl(flat))
+        assert isinstance(back, el.Triangle) and back == tri
+
+
 def test_s_row_8_j0_slice_is_j8(s_rec):
     assert tuple(s_rec.get((8, i, 0), 0) for i in range(4)) == J_KNOWN[8]
 
@@ -204,6 +257,20 @@ def test_series_coefficients_match_signs():
     assert es.sn.coeffs[3] == uni_scale((1, 1), -es.scale // fact(3))
     assert es.cn.coeffs[2] == uni_scale((1,), -es.scale // fact(2))
     assert es.dn.coeffs[2] == uni_scale((0, 1), -es.scale // fact(2))
+
+
+def test_series_route_equals_viennot_through_60():
+    series = el.j_series(60)
+    viennot = el.j_viennot(60)
+    assert series.polys == viennot.polys
+
+
+@pytest.mark.slow
+def test_four_routes_agree_at_200():
+    seqs = [el.j_sequence(200, route) for route in el.J_ROUTES]
+    for seq in seqs:
+        el.validate_j_sequence(seq)
+    assert el.first_route_mismatch(seqs) is None
 
 
 def test_series_identities_through_26():

@@ -142,3 +142,43 @@ def test_iterate_memo_is_pure():
     a = iterate(G1, X1, 6)
     b = iterate(G1, X1, 6)
     assert a == b and a is b  # cached value, still immutable
+
+
+def test_iterate_deep_cold_chain_does_not_recurse():
+    # a fresh grammar, so nothing is memoized yet; D(x) = x for x -> x
+    g = parse_grammar("x -> x")
+    seed = g.seed("x")
+    assert iterate(g, seed, 5000) == seed
+    assert iterate(g, seed, 4999) == seed
+
+
+def test_iterate_memo_is_consistent_under_threads():
+    import sys
+    import threading
+
+    # a grammar no other test uses, so the memo starts cold
+    g = parse_grammar("x -> xy\ny -> x + y")
+    seed = g.seed("x")
+    expected = [seed]
+    for _ in range(40):
+        expected.append(derive_once(g, expected[-1]))
+    results = {}
+
+    def work(k):
+        for n in range(k % 5, 41, 3):
+            results[(k, n)] = iterate(g, seed, n)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == sum(len(range(k % 5, 41, 3)) for k in range(8))
+    for (_, n), value in results.items():
+        assert value == expected[n]

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Mapping
 
 from . import elliptic as el
 from . import gammakit as gk
@@ -64,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--route", default=None)
     comp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     comp.add_argument("--seed", type=int, default=0)
-    comp.add_argument("--jobs", type=int, default=1)
     comp.add_argument("--cap", type=int, default=None,
                       help="raise the enumeration cap (warns above 10)")
 
@@ -72,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=tuple(vsuites.SUITES) + ("all",))
     ver.add_argument("--max-n", type=int, default=None)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--jobs", type=int, default=1)
 
     cache = sub.add_parser("cache", help="persist or load triangle files")
     cache.add_argument("action", choices=("write", "read", "clear"))
@@ -114,7 +111,7 @@ def _emit_multipoly(f: MultiPoly, fmt: str):
         print(json.dumps(f.to_json(), sort_keys=True))
 
 
-def _emit_triangle(tri: Mapping, fmt: str):
+def _emit_triangle(tri: el.Triangle, fmt: str):
     if fmt == "csv":
         sys.stdout.write(el.triangle_to_csv(tri))
     elif fmt == "text":
@@ -131,31 +128,13 @@ def _rows_requested(args, parser_error) -> tuple:
         if args.n < 1:
             parser_error("--n must be at least 1")
         return args.n, (args.n,)
-    if args.max_n < 1:
-        parser_error("--max-n must be at least 1")
+    _check_max_n(args, parser_error)
     return args.max_n, tuple(range(1, args.max_n + 1))
 
 
-def _gamma_rows_from_trees(rows, cap: int, jobs: int) -> dict:
-    out: dict = {}
-    for n in rows:
-        theta = to.theta_table(n, cap=cap, jobs=jobs)
-        half = n // 2
-        for (_, i, j), c in theta.items():
-            if n % 2 == 0:
-                if i % 2:
-                    continue
-                gi, gj = half - j - i, i // 2
-            else:
-                if i % 2 == 0:
-                    continue
-                gi, gj = half - j - (i - 1), (i - 1) // 2
-            if gi < 0:
-                raise el.TriangleDefectError(
-                    f"theta cell {(n, i, j)} maps outside the gamma support"
-                )
-            out[(n, gi, gj)] = c
-    return out
+def _check_max_n(args, parser_error):
+    if args.max_n is not None and args.max_n < 1:
+        parser_error("--max-n must be at least 1")
 
 
 def _cmd_compute(args, parser) -> int:
@@ -195,9 +174,9 @@ def _cmd_compute(args, parser) -> int:
             fail_usage(f"route for s must be one of {S_ROUTES}")
         if route == "trees":
             cap = _enum_cap(args, to.DEFAULT_TREE_CAP)
-            tri: dict = {}
-            for n in rows:
-                tri.update(to.s_from_trees(n, cap=cap, jobs=args.jobs))
+            tri = el.Triangle(
+                {n: to.s_from_trees(n, cap=cap).row(n) for n in rows}
+            )
         else:
             full = (
                 el.s_triangle_operator(n_max)
@@ -218,12 +197,17 @@ def _cmd_compute(args, parser) -> int:
             tri = el.Triangle({n: full.row(n) for n in rows})
         elif route == "operator":
             s_tri = el.s_triangle_operator(n_max)
-            tri = {}
-            for n in rows:
-                tri.update(el.gamma_from_p(n, el.p_poly(n, s_tri)))
+            tri = el.Triangle(
+                {n: el.gamma_from_p(n, el.p_poly(n, s_tri)).row(n) for n in rows}
+            )
         else:
             cap = _enum_cap(args, to.DEFAULT_TREE_CAP)
-            tri = _gamma_rows_from_trees(rows, cap, args.jobs)
+            tri = el.Triangle(
+                {
+                    n: to.gamma_row_from_theta(n, to.theta_table(n, cap=cap).row(n))
+                    for n in rows
+                }
+            )
         _emit_triangle(tri, fmt)
         return 0
 
@@ -242,7 +226,7 @@ def _cmd_compute(args, parser) -> int:
         if args.route not in (None, "trees"):
             fail_usage("theta is computed from trees only")
         cap = _enum_cap(args, to.DEFAULT_TREE_CAP)
-        _emit_triangle(to.theta_table(args.n, cap=cap, jobs=args.jobs), fmt)
+        _emit_triangle(to.theta_table(args.n, cap=cap), fmt)
         return 0
 
     if args.target == "decompose":
@@ -295,7 +279,8 @@ def _cmd_compute(args, parser) -> int:
 ENUMERATION_SUITES = {"dumont", "lemma5", "theorem13", "corollary15", "lemma9"}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser) -> int:
+    _check_max_n(args, parser.error)
     if (
         args.max_n is not None
         and args.max_n > 10
@@ -305,9 +290,7 @@ def _cmd_verify(args) -> int:
             f"suite {args.suite} enumerates all objects up to n={args.max_n}; "
             "expect long runtimes"
         )
-    results = vsuites.run_suite(
-        args.suite, max_n=args.max_n, jobs=args.jobs, seed=args.seed
-    )
+    results = vsuites.run_suite(args.suite, max_n=args.max_n, seed=args.seed)
     failed = 0
     for result in results:
         print(f"suite {result.name} ({result.scope})")
@@ -330,26 +313,25 @@ def _cache_dir(args, parser) -> str:
     return path
 
 
-def _build_triangle(target: str, n_max: int, cap: int) -> Mapping:
+def _build_triangle(target: str, n_max: int, cap: int) -> el.Triangle:
     if target == "s":
         return el.s_triangle_recurrence(n_max)
     if target == "gamma":
         return el.gamma_triangle_recurrence(n_max)
     if target == "t":
         return el.t_triangle_recurrence(n_max)
-    tri: dict = {}
-    for n in range(1, n_max + 1):
-        tri.update(to.theta_table(n, cap=cap))
-    return tri
+    return el.Triangle(
+        {n: to.theta_table(n, cap=cap).row(n) for n in range(1, n_max + 1)}
+    )
 
 
-def _validate_triangle(target: str, tri: Mapping):
+def _validate_triangle(target: str, tri: el.Triangle):
     if target == "s":
         el.validate_s_triangle(tri)
     elif target == "gamma":
         el.validate_gamma_triangle(tri)
     elif target == "t":
-        el.validate_t_triangle(tri)
+        el.validate_gamma_triangle(tri, scale=1)
     else:
         el.validate_theta_table(tri)
         rows = {k[0] for k in tri}
@@ -374,6 +356,7 @@ def _write_atomic(path: str, text: str):
 
 
 def _cmd_cache(args, parser) -> int:
+    _check_max_n(args, parser.error)
     directory = _cache_dir(args, parser)
     if args.action == "clear":
         targets = (args.target,) if args.target else CACHE_TARGETS
@@ -433,7 +416,7 @@ def main(argv=None) -> int:
         if args.verb == "compute":
             return _cmd_compute(args, parser)
         if args.verb == "verify":
-            return _cmd_verify(args)
+            return _cmd_verify(args, parser)
         return _cmd_cache(args, parser)
     except SystemExit as exc:  # parser.error inside handlers
         return exc.code if isinstance(exc.code, int) else 2

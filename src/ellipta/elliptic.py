@@ -469,10 +469,20 @@ def _gamma_support(n: int, i: int, j: int) -> bool:
     return 0 <= i <= (n - 1) // 2 and 0 <= j <= (n - 2 * i) // 4
 
 
-def _gamma_like_recurrence(n_max: int, third_scale: int, check) -> Triangle:
+def _check_scaled(n: int, i: int, j: int, c: int, scale: int):
+    """Gamma entries carry the factor 4^(i+j) that the t triangle divides
+    out: entry (n, i, j) must be divisible by scale^(i+j), with scale 4 for
+    gamma and 1 (no condition) for t."""
+    if c % scale ** (i + j):
+        raise TriangleDefectError(
+            f"entry {c} at {(n, i, j)} not divisible by {scale}^{i + j}"
+        )
+
+
+def _gamma_like_recurrence(n_max: int, scale: int) -> Triangle:
     """Shared driver for the gamma (scale 4) and t (scale 1) entrywise
-    recurrences; rows are checked against support, sign, and the caller's
-    extra predicate, with one margin cell verified zero on every side."""
+    recurrences; rows are checked against support, sign, and divisibility
+    by scale^(i+j), with one margin cell verified zero on every side."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     prev = {(0, 0): 1}
@@ -487,7 +497,7 @@ def _gamma_like_recurrence(n_max: int, third_scale: int, check) -> Triangle:
                     v = (
                         2 * (i + 1) * prev.get((i + 1, j - 1), 0)
                         + (2 * j + 1) * prev.get((i, j), 0)
-                        + third_scale
+                        + scale
                         * (half - i - 2 * j + 1)
                         * prev.get((i, j - 1), 0)
                     )
@@ -495,14 +505,14 @@ def _gamma_like_recurrence(n_max: int, third_scale: int, check) -> Triangle:
                     v = (
                         (2 * i + 1) * prev.get((i, j), 0)
                         + 2 * (j + 1) * prev.get((i - 1, j + 1), 0)
-                        + third_scale
+                        + scale
                         * (half - i - 2 * j + 1)
                         * prev.get((i - 1, j), 0)
                     )
                 if v:
                     if v < 0 or not _gamma_support(n, i, j):
                         raise TriangleDefectError(f"bad entry {v} at {(n, i, j)}")
-                    check(n, i, j, v)
+                    _check_scaled(n, i, j, v, scale)
                     cur[(i, j)] = v
         rows[n] = prev = cur
     if n_max >= 2 and rows[2].get((0, 0)) != 1:
@@ -513,20 +523,13 @@ def _gamma_like_recurrence(n_max: int, third_scale: int, check) -> Triangle:
 def gamma_triangle_recurrence(n_max: int) -> Triangle:
     """Gamma triangle with seed rows 1 and 2 equal to 1; every entry must be
     divisible by 4^(i+j)."""
-
-    def check(n, i, j, v):
-        if v % 4 ** (i + j):
-            raise TriangleDefectError(
-                f"entry {v} at {(n, i, j)} not divisible by 4^{i + j}"
-            )
-
-    return _gamma_like_recurrence(n_max, 4, check)
+    return _gamma_like_recurrence(n_max, 4)
 
 
 def t_triangle_recurrence(n_max: int) -> Triangle:
     """The gamma triangle with powers of 4 divided out, built from its own
     recurrence (integrality of which is rechecked against gamma)."""
-    return _gamma_like_recurrence(n_max, 1, lambda *a: None)
+    return _gamma_like_recurrence(n_max, 1)
 
 
 def gamma_equals_scaled_t(gamma_tri: Mapping, t_tri: Mapping, n_max: int):
@@ -587,7 +590,7 @@ def t_poly(n: int, route: str = "recurrence") -> MultiPoly:
     raise ValueError(f"unknown t route {route!r}")
 
 
-def gamma_from_p(n: int, pn: MultiPoly) -> dict:
+def gamma_from_p(n: int, pn: MultiPoly) -> Triangle:
     """Peel row n of the gamma triangle out of P_n: for every power i of p
     the q-coefficient polynomial must be symmetric about n//2 - i, and its
     gamma vector gives the j line."""
@@ -613,8 +616,8 @@ def gamma_from_p(n: int, pn: MultiPoly) -> dict:
             if g < 0:
                 raise TriangleDefectError(f"negative gamma at {(n, i, j)}")
             if g:
-                row[(n, i, j)] = g
-    return row
+                row[(i, j)] = g
+    return Triangle({n: row})
 
 
 def gamma_operator_expansion(gamma_tri: Triangle, n: int) -> MultiPoly:
@@ -918,7 +921,9 @@ def validate_s_triangle(tri: Mapping):
             raise ValueError(f"row {n} does not sum to {n}!")
 
 
-def validate_gamma_triangle(tri: Mapping):
+def validate_gamma_triangle(tri: Mapping, scale: int = 4):
+    """Rows must be contiguous from 1, nonnegative, inside the gamma
+    support, and divisible by scale^(i+j): 4 for gamma, 1 for t."""
     n_max = triangle_max_row(tri)
     if n_max < 1:
         raise ValueError("empty triangle")
@@ -927,21 +932,7 @@ def validate_gamma_triangle(tri: Mapping):
         rows.add(n)
         if c < 0 or not _gamma_support(n, i, j):
             raise ValueError(f"bad entry {c} at {(n, i, j)}")
-        if c % 4 ** (i + j):
-            raise ValueError(f"entry at {(n, i, j)} not divisible by 4^{i + j}")
-    if rows != set(range(1, n_max + 1)):
-        raise ValueError("missing rows")
-
-
-def validate_t_triangle(tri: Mapping):
-    n_max = triangle_max_row(tri)
-    if n_max < 1:
-        raise ValueError("empty triangle")
-    rows = set()
-    for (n, i, j), c in tri.items():
-        rows.add(n)
-        if c < 0 or not _gamma_support(n, i, j):
-            raise ValueError(f"bad entry {c} at {(n, i, j)}")
+        _check_scaled(n, i, j, c, scale)
     if rows != set(range(1, n_max + 1)):
         raise ValueError("missing rows")
 

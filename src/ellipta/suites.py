@@ -39,7 +39,18 @@ def _result(name, scope, checks) -> SuiteResult:
     return SuiteResult(name=name, scope=scope, checks=tuple(checks))
 
 
-def suite_routes(max_n: int = 24, jobs: int = 1, seed: int = 0) -> SuiteResult:
+def _compare_rows(n: int, got: dict, ref: dict, got_name: str, ref_name: str):
+    """(ok, detail) for two rows of triangle n; the detail names the first
+    differing cell."""
+    if got == ref:
+        return True, ""
+    bad = min(k for k in set(got) | set(ref) if got.get(k) != ref.get(k))
+    return False, (
+        f"{(n, *bad)}: {got_name} {got.get(bad, 0)} vs {ref_name} {ref.get(bad, 0)}"
+    )
+
+
+def suite_routes(max_n: int = 24, seed: int = 0) -> SuiteResult:
     """All four J routes agree coefficient for coefficient."""
     checks = []
     seqs = []
@@ -66,12 +77,12 @@ def suite_routes(max_n: int = 24, jobs: int = 1, seed: int = 0) -> SuiteResult:
     return _result("routes", f"n <= {max_n}", checks)
 
 
-def suite_dumont(max_n: int = 9, jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_dumont(max_n: int = 9, seed: int = 0) -> SuiteResult:
     """Permutation brute force equals the triangle-backed P_n."""
     tri = el.s_triangle_recurrence(max_n)
     checks = []
     for n in range(1, max_n + 1):
-        brute = to.p_bruteforce(n, cap=max_n, jobs=jobs)
+        brute = to.p_bruteforce(n, cap=max_n)
         table = el.p_poly(n, tri)
         ok = brute == table
         detail = "" if ok else f"P_{n}: perms {brute.to_text()} vs {table.to_text()}"
@@ -79,9 +90,7 @@ def suite_dumont(max_n: int = 9, jobs: int = 1, seed: int = 0) -> SuiteResult:
     return _result("dumont", f"n <= {max_n}", checks)
 
 
-def suite_viennot_symmetry(
-    max_n: int = 60, jobs: int = 1, seed: int = 0
-) -> SuiteResult:
+def suite_viennot_symmetry(max_n: int = 60, seed: int = 0) -> SuiteResult:
     """Odd-index J's are symmetric about their degree."""
     js = el.j_viennot(2 * max_n + 1)
     checks = []
@@ -98,7 +107,7 @@ def suite_viennot_symmetry(
     return _result("viennot-symmetry", f"n <= {max_n}", checks)
 
 
-def suite_thm1(max_n: int = 60, jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_thm1(max_n: int = 60, seed: int = 0) -> SuiteResult:
     """Odd-index J's carry nonnegative gamma vectors that reconstruct them."""
     gtri = el.gamma_triangle_recurrence(2 * max_n + 1)
     js = el.j_viennot(2 * max_n + 1)
@@ -118,7 +127,7 @@ def suite_thm1(max_n: int = 60, jobs: int = 1, seed: int = 0) -> SuiteResult:
     return _result("thm1", f"n <= {max_n}", checks)
 
 
-def suite_thm2(max_n: int = 60, jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_thm2(max_n: int = 60, seed: int = 0) -> SuiteResult:
     """Even-index J's split into two gamma-positive symmetric parts that
     coincide with the unique symmetric decomposition."""
     m_max = max(0, max_n - 1)
@@ -149,12 +158,12 @@ def suite_thm2(max_n: int = 60, jobs: int = 1, seed: int = 0) -> SuiteResult:
     return _result("thm2", f"n <= {max_n}", checks)
 
 
-def suite_lemma5(max_n: int = 8, jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_lemma5(max_n: int = 8, seed: int = 0) -> SuiteResult:
     """Tree-statistics distribution equals the six-letter grammar iterate."""
     seed_x = gc.G2.seed("x")
     checks = []
     for n in range(max_n + 1):
-        dist = to.g2_distribution(n, cap=max(n, to.DEFAULT_TREE_CAP), jobs=jobs)
+        dist = to.g2_distribution(n, cap=max(n, to.DEFAULT_TREE_CAP))
         it = gc.iterate(gc.G2, seed_x, n)
         ok = dist == it
         checks.append(
@@ -167,24 +176,18 @@ def suite_lemma5(max_n: int = 8, jobs: int = 1, seed: int = 0) -> SuiteResult:
     return _result("lemma5", f"n <= {max_n}", checks)
 
 
-def suite_theorem13(max_n: int = 8, jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_theorem13(max_n: int = 8, seed: int = 0) -> SuiteResult:
     """Singleton/even-pair statistics on trees reproduce the s triangle."""
     tri = el.s_triangle_recurrence(max_n)
     checks = []
     for n in range(1, max_n + 1):
-        row = to.s_from_trees(n, cap=max(n, to.DEFAULT_TREE_CAP), jobs=jobs)
-        ref = {(n, i, j): c for (i, j), c in tri.row(n).items()}
-        ok = row == ref
-        detail = ""
-        if not ok:
-            keys = sorted(set(row) | set(ref))
-            bad = next(k for k in keys if row.get(k) != ref.get(k))
-            detail = f"{bad}: trees {row.get(bad, 0)} vs triangle {ref.get(bad, 0)}"
+        row = to.s_from_trees(n, cap=max(n, to.DEFAULT_TREE_CAP)).row(n)
+        ok, detail = _compare_rows(n, row, tri.row(n), "trees", "triangle")
         checks.append(Check(f"s row {n} from trees", ok, detail))
     return _result("theorem13", f"n <= {max_n}", checks)
 
 
-def suite_corollary15(max_n: int = 8, jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_corollary15(max_n: int = 8, seed: int = 0) -> SuiteResult:
     """Theta counts assemble the four-letter iterate and match the gamma
     triangle through the index change."""
     gtri = el.gamma_triangle_recurrence(max_n)
@@ -193,14 +196,14 @@ def suite_corollary15(max_n: int = 8, jobs: int = 1, seed: int = 0) -> SuiteResu
     seed_x = gc.G1.seed("x")
     checks = []
     for n in range(1, max_n + 1):
-        theta = to.theta_table(n, cap=max(n, to.DEFAULT_TREE_CAP), jobs=jobs)
+        theta = to.theta_table(n, cap=max(n, to.DEFAULT_TREE_CAP))
         try:
             el.validate_theta_table(theta)
             checks.append(Check(f"theta row {n} orbit-weighted sum", True))
         except ValueError as exc:
             checks.append(Check(f"theta row {n} orbit-weighted sum", False, str(exc)))
         acc = MultiPoly.zero(vs)
-        for (row, i, j), c in theta.items():
+        for (i, j), c in theta.row(n).items():
             acc = acc + MultiPoly.monomial(vs, (n + 1 - 2 * (i + j), 0, 0, i), c) * apb**j
         it = gc.iterate(gc.G1, seed_x, n)
         checks.append(
@@ -210,31 +213,17 @@ def suite_corollary15(max_n: int = 8, jobs: int = 1, seed: int = 0) -> SuiteResu
                 "" if acc == it else f"{acc.to_text()} vs {it.to_text()}",
             )
         )
-        half = n // 2
-        gamma_row = {(n, i, j): c for (i, j), c in gtri.row(n).items()}
-        mapped = {}
-        for (row, i, j), c in theta.items():
-            if n % 2 == 0:
-                if i % 2:
-                    continue
-                gi, gj = half - j - i, i // 2
-            else:
-                if i % 2 == 0:
-                    continue
-                gi, gj = half - j - (i - 1), (i - 1) // 2
-            if gi >= 0:
-                mapped[(n, gi, gj)] = c
-        ok = mapped == gamma_row
-        detail = ""
-        if not ok:
-            keys = sorted(set(mapped) | set(gamma_row))
-            bad = next(k for k in keys if mapped.get(k) != gamma_row.get(k))
-            detail = f"{bad}: theta {mapped.get(bad, 0)} vs gamma {gamma_row.get(bad, 0)}"
+        try:
+            mapped = to.gamma_row_from_theta(n, theta.row(n))
+        except to.StatisticsDefectError as exc:
+            checks.append(Check(f"gamma row {n} from theta", False, str(exc)))
+            continue
+        ok, detail = _compare_rows(n, mapped, gtri.row(n), "theta", "gamma")
         checks.append(Check(f"gamma row {n} from theta", ok, detail))
     return _result("corollary15", f"n <= {max_n}", checks)
 
 
-def suite_lemma9(max_n: int = 7, jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_lemma9(max_n: int = 7, seed: int = 0) -> SuiteResult:
     """Pair involutions: involutive, commuting, matching-preserving; orbits
     of the odd-pair subgroup have one ascent-free representative each and
     size 2^(odd pairs); statistic transport matches the predicted values."""
@@ -318,7 +307,7 @@ def random_closure_instance(rng: random.Random, n_max: int):
 
 
 def suite_closure(
-    max_n: int = 6, jobs: int = 1, seed: int = 0, instances: int = 100
+    max_n: int = 6, seed: int = 0, instances: int = 100
 ) -> SuiteResult:
     """Randomized closure sweep: every constructed polynomial must be
     alternatingly increasing with certificates equal to the unique
@@ -381,15 +370,11 @@ SUITE_DEFAULT_RANGE = {
 }
 
 
-def run_suite(
-    name: str, max_n: int | None = None, jobs: int = 1, seed: int = 0
-) -> list:
+def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list:
     """Run one suite (or every suite for "all"); returns SuiteResult list."""
     if name == "all":
-        return [
-            run_suite(key, max_n=None, jobs=jobs, seed=seed)[0] for key in SUITES
-        ]
+        return [run_suite(key, seed=seed)[0] for key in SUITES]
     if name not in SUITES:
         raise KeyError(name)
     effective = SUITE_DEFAULT_RANGE[name] if max_n is None else max_n
-    return [SUITES[name](effective, jobs=jobs, seed=seed)]
+    return [SUITES[name](effective, seed=seed)]

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .elliptic import Triangle
 from .exactpoly import MultiPoly
 
 DEFAULT_PERM_CAP = 9
@@ -74,27 +74,13 @@ def _check_cap(n: int, cap: int, what: str):
         raise CapExceededError(f"{what} enumeration capped at {cap}, got {n}")
 
 
-def p_bruteforce(n: int, cap: int = DEFAULT_PERM_CAP, jobs: int = 1) -> MultiPoly:
+def p_bruteforce(n: int, cap: int = DEFAULT_PERM_CAP) -> MultiPoly:
     """Sum p^(odd peaks) q^(even peaks) over all n! permutations."""
     _check_cap(n, cap, "permutation")
     counts: Counter = Counter()
-    if n == 0:
-        counts[(0, 0)] = 1
-    elif jobs <= 1 or n < 2:
-        for perm in itertools.permutations(range(1, n + 1)):
-            counts[cpk_stats(perm)] += 1
-    else:
-        def fold_first(v):
-            c: Counter = Counter()
-            rest = [w for w in range(1, n + 1) if w != v]
-            for tail in itertools.permutations(rest):
-                c[cpk_stats((v,) + tail)] += 1
-            return c
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for c in pool.map(fold_first, range(1, n + 1)):
-                counts.update(c)
-    return MultiPoly(P_VARS, {k: v for k, v in counts.items()})
+    for perm in itertools.permutations(range(1, n + 1)):
+        counts[cpk_stats(perm)] += 1
+    return MultiPoly(P_VARS, dict(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -223,42 +209,20 @@ def tree_stats(parents) -> TreeStats:
     )
 
 
-def _tree_slices(n: int):
-    """Partition enumeration by the parent of the largest vertex."""
-    if n == 0:
-        return [iter([()])]
-    head = [range(v) for v in range(1, n)]
-    return [
-        itertools.product(*head, (last,)) for last in range(n)
-    ]
-
-
-def _fold_trees(n: int, keyfn, cap: int, jobs: int) -> Counter:
-    """Fold keyfn over the pair profile of every tree in T_n."""
-    _check_cap(n, cap, "tree")
-
-    def fold(trees):
-        c: Counter = Counter()
-        for parents in trees:
-            children = children_table(parents)
-            pairs = _matching(parents, children) if parents else ()
-            key = keyfn(_pair_profile(parents, children, pairs))
-            if key is not None:
-                c[key] += 1
-        return c
-
-    if jobs <= 1 or n < 2:
-        return fold(tree_enumerate(n, cap))
+def _fold_trees(n: int, keyfn, cap: int) -> Counter:
+    """Fold keyfn over the pair profile of every tree in T_n; a None key
+    leaves the tree uncounted."""
     counts: Counter = Counter()
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for c in pool.map(fold, _tree_slices(n)):
-            counts.update(c)
+    for parents in tree_enumerate(n, cap):
+        children = children_table(parents)
+        pairs = _matching(parents, children) if parents else ()
+        key = keyfn(_pair_profile(parents, children, pairs))
+        if key is not None:
+            counts[key] += 1
     return counts
 
 
-def g2_distribution(
-    n: int, cap: int = DEFAULT_TREE_CAP, jobs: int = 1
-) -> MultiPoly:
+def g2_distribution(n: int, cap: int = DEFAULT_TREE_CAP) -> MultiPoly:
     """Sum over T_n of x^singleton c^zerop a^des_o b^asc_o g^des_e h^asc_e,
     over the alphabet (x, a, b, c, g, h)."""
 
@@ -266,13 +230,11 @@ def g2_distribution(
         singleton, zerop, des_o, des_e, asc_o, asc_e = profile
         return (singleton, des_o, asc_o, zerop, des_e, asc_e)
 
-    counts = _fold_trees(n, key, cap, jobs)
+    counts = _fold_trees(n, key, cap)
     return MultiPoly(G2_VARS, dict(counts))
 
 
-def g1_distribution(
-    n: int, cap: int = DEFAULT_TREE_CAP, jobs: int = 1
-) -> MultiPoly:
+def g1_distribution(n: int, cap: int = DEFAULT_TREE_CAP) -> MultiPoly:
     """Sum over T_n of x^singleton c^evenp a^des_o b^asc_o, over the
     alphabet (x, a, b, c)."""
 
@@ -280,12 +242,12 @@ def g1_distribution(
         singleton, zerop, des_o, des_e, asc_o, asc_e = profile
         return (singleton, des_o, asc_o, zerop + des_e + asc_e)
 
-    counts = _fold_trees(n, key, cap, jobs)
+    counts = _fold_trees(n, key, cap)
     return MultiPoly(G1_VARS, dict(counts))
 
 
-def theta_table(n: int, cap: int = DEFAULT_TREE_CAP, jobs: int = 1) -> dict:
-    """Counts (n, evenp, des_o) -> #trees with no odd ascent pair."""
+def theta_table(n: int, cap: int = DEFAULT_TREE_CAP) -> Triangle:
+    """Row n of theta: (evenp, des_o) -> #trees with no odd ascent pair."""
 
     def key(profile):
         singleton, zerop, des_o, des_e, asc_o, asc_e = profile
@@ -293,12 +255,11 @@ def theta_table(n: int, cap: int = DEFAULT_TREE_CAP, jobs: int = 1) -> dict:
             return None
         return zerop + des_e + asc_e, des_o
 
-    counts = _fold_trees(n, key, cap, jobs)
-    return {(n, i, j): v for (i, j), v in sorted(counts.items())}
+    return Triangle({n: dict(sorted(_fold_trees(n, key, cap).items()))})
 
 
-def s_from_trees(n: int, cap: int = DEFAULT_TREE_CAP, jobs: int = 1) -> dict:
-    """Triangle row (n, i, j) read off tree statistics: the singleton count
+def s_from_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> Triangle:
+    """Row n of the s triangle read off tree statistics: the singleton count
     carries i and evenp + 2*des_o carries j, with parities fixed by n."""
 
     def key(profile):
@@ -317,8 +278,24 @@ def s_from_trees(n: int, cap: int = DEFAULT_TREE_CAP, jobs: int = 1) -> dict:
             )
         return singleton // 2, (w - 1) // 2
 
-    counts = _fold_trees(n, key, cap, jobs)
-    return {(n, i, j): v for (i, j), v in sorted(counts.items())}
+    return Triangle({n: dict(sorted(_fold_trees(n, key, cap).items()))})
+
+
+def gamma_row_from_theta(n: int, theta_row: dict) -> dict:
+    """Row n of the gamma triangle from row n of theta (Corollary 15):
+    gamma(n, i, j) = theta(n, 2j + r, n//2 - i - 2j) with r = n mod 2, so
+    theta cell (i, j) lands on gamma cell (n//2 - j - (i - r), i//2). A
+    theta cell of the wrong parity or with no gamma cell is a defect."""
+    r = n % 2
+    row = {}
+    for (i, j), c in theta_row.items():
+        gi = n // 2 - j - (i - r)
+        if i % 2 != r or gi < 0:
+            raise StatisticsDefectError(
+                f"theta cell {(n, i, j)} maps outside the gamma support"
+            )
+        row[(gi, i // 2)] = c
+    return row
 
 
 # ---------------------------------------------------------------------------

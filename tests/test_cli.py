@@ -116,11 +116,18 @@ def test_byte_identical_invocations(capsys):
     assert first == second
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "compute", "j")[0] == 2  # missing --n
     assert run(capsys, "compute", "j", "--n", "3", "--route", "nope")[0] == 2
     assert run(capsys, "verify", "unknown-suite")[0] == 2
     assert run(capsys, "compute", "s", "--n", "2", "--max-n", "3")[0] == 2
+    assert run(capsys, "compute", "s", "--max-n", "3", "--jobs", "2")[0] == 2
+    assert run(capsys, "verify", "lemma9", "--max-n", "-2")[0] == 2
+    assert run(capsys, "verify", "routes", "--max-n", "-1")[0] == 2
+    code, out, err = run(capsys, "cache", "write", "--target", "s", "--max-n", "0",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == "" and "--max-n" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cap_exceeded_exit_2(capsys):
@@ -158,14 +165,15 @@ def test_verify_warns_on_large_enumeration_range(capsys, monkeypatch):
     assert "long runtimes" in err
 
 
-def test_cache_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize("target", ["s", "gamma", "t", "theta"])
+def test_cache_roundtrip(tmp_path, capsys, target):
     cache_dir = str(tmp_path)
-    code, out, _ = run(capsys, "cache", "write", "--target", "s", "--max-n", "6",
+    code, out, _ = run(capsys, "cache", "write", "--target", target, "--max-n", "6",
                        "--cache-dir", cache_dir)
     assert code == 0
-    path = tmp_path / "s.jsonl"
+    path = tmp_path / f"{target}.jsonl"
     first = path.read_bytes()
-    code, out, err = run(capsys, "cache", "read", "--target", "s",
+    code, out, err = run(capsys, "cache", "read", "--target", target,
                          "--cache-dir", cache_dir)
     assert code == 0 and err == ""
     assert path.read_bytes() == first

@@ -326,7 +326,8 @@ def test_gamma_711_value(gamma_tri):
 
 def test_gamma_from_p_rows(gamma_tri, s_rec):
     row4 = el.gamma_from_p(4, el.p_poly(4, s_rec))
-    assert row4 == {(4, 0, 0): 1, (4, 0, 1): 12, (4, 1, 0): 4}
+    assert isinstance(row4, el.Triangle)
+    assert row4.row(4) == {(0, 0): 1, (0, 1): 12, (1, 0): 4}
     row6 = el.gamma_from_p(6, el.p_poly(6, s_rec))
     assert row6[(6, 1, 0)] == 44 and row6[(6, 1, 1)] == 240
     row1 = el.gamma_from_p(1, el.p_poly(1, s_rec))
@@ -490,7 +491,7 @@ def test_triangle_csv(s_rec):
 def test_validators_accept_good_tables(s_rec, gamma_tri):
     el.validate_s_triangle(s_rec)
     el.validate_gamma_triangle(gamma_tri)
-    el.validate_t_triangle(el.t_triangle_recurrence(10))
+    el.validate_gamma_triangle(el.t_triangle_recurrence(10), scale=1)
 
 
 def test_validators_reject_bad_tables(s_rec):
@@ -500,3 +501,5 @@ def test_validators_reject_bad_tables(s_rec):
         el.validate_s_triangle(broken)
     with pytest.raises(ValueError):
         el.validate_gamma_triangle({(1, 0, 0): 1, (3, 1, 0): 3})
+    with pytest.raises(ValueError):
+        el.validate_gamma_triangle(el.t_triangle_recurrence(10))

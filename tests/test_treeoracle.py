@@ -1,14 +1,17 @@
 import pytest
 
 from ellipta import elliptic as el
+from ellipta import suites, treeoracle
 from ellipta.exactpoly import MultiPoly
 from ellipta.grammarcalc import G1, G2, iterate, parse_multipoly
 from ellipta.treeoracle import (
     CapExceededError,
     MatchingMismatchError,
+    StatisticsDefectError,
     cpk_stats,
     g1_distribution,
     g2_distribution,
+    gamma_row_from_theta,
     p_bruteforce,
     pair_parities,
     phi_apply,
@@ -60,10 +63,6 @@ def test_p_bruteforce_cap():
     with pytest.raises(CapExceededError):
         p_bruteforce(10)
     assert p_bruteforce(4, cap=4).substitute({"p": 1, "q": 1}) == (24,)
-
-
-def test_p_bruteforce_jobs_deterministic():
-    assert p_bruteforce(6, jobs=3) == p_bruteforce(6)
 
 
 # ---------------------------------------------------------------------------
@@ -148,30 +147,55 @@ def test_distributions_match_iterates():
         assert g1_distribution(n) == iterate(G1, G1.seed("x"), n)
 
 
-def test_g2_distribution_jobs_deterministic():
-    assert g2_distribution(5, jobs=2) == g2_distribution(5)
-
-
 def test_theta_examples():
     assert theta_table(3) == {(3, 1, 0): 4, (3, 1, 1): 1}
     assert theta_table(1) == {(1, 1, 0): 1}
 
 
 def test_theta_cross_checks_gamma_triangle():
-    gtri = el.gamma_triangle_recurrence(5)
+    gtri = el.gamma_triangle_recurrence(8)
     theta5 = theta_table(5)
+    assert isinstance(theta5, el.Triangle) and list(theta5.rows) == [5]
     for (n, i, j), g in ((k, v) for k, v in gtri.items() if k[0] == 5):
         assert theta5[(5, 2 * j + 1, 2 - i - 2 * j)] == g
+    assert gamma_row_from_theta(5, theta5.row(5)) == gtri.row(5)
+    assert gamma_row_from_theta(8, theta_table(8).row(8)) == gtri.row(8)
 
 
 def test_s_from_trees_matches_triangle():
     tri = el.s_triangle_recurrence(6)
     for n in range(1, 7):
-        assert s_from_trees(n) == {k: v for k, v in tri.items() if k[0] == n}
+        row = s_from_trees(n)
+        assert isinstance(row, el.Triangle) and list(row.rows) == [n]
+        assert row.row(n) == tri.row(n)
 
 
-def test_s_from_trees_jobs_deterministic():
-    assert s_from_trees(5, jobs=4) == s_from_trees(5)
+def test_gamma_row_from_theta_rejects_stray_cells(monkeypatch):
+    good = theta_table(4).row(4)
+    # row 4 needs even i; (1, 0) has the wrong parity
+    with pytest.raises(StatisticsDefectError):
+        gamma_row_from_theta(4, {**good, (1, 0): 1})
+    # (2, 2) has the right parity but gamma index 4//2 - 2 - 2 < 0
+    with pytest.raises(StatisticsDefectError):
+        gamma_row_from_theta(4, {**good, (2, 2): 1})
+
+    real = treeoracle.theta_table
+
+    def planted(n, cap=treeoracle.DEFAULT_TREE_CAP):
+        tri = real(n, cap)
+        if n != 3:
+            return tri
+        return el.Triangle({3: {**tri.row(3), (0, 0): 1}})
+
+    monkeypatch.setattr(treeoracle, "theta_table", planted)
+    result = suites.suite_corollary15(4)
+    failed = [c for c in result.checks if not c.ok]
+    assert not result.ok
+    assert any(
+        c.label == "gamma row 3 from theta" and "(3, 0, 0)" in c.detail
+        for c in failed
+    )
+    assert [c.label for c in result.checks][-1] == "gamma row 4 from theta"
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,13 @@ CACHE_ENV = "ELLIPTA_CACHE_DIR"
 CACHE_TARGETS = ("s", "gamma", "t", "theta")
 CACHE_DEFAULT_ROWS = {"s": 12, "gamma": 12, "t": 12, "theta": 7}
 
-J_ROUTES = ("operator", "recurrence", "viennot", "series")
-P_ROUTES = ("operator", "recurrence")
-S_ROUTES = ("operator", "recurrence", "trees")
+J_ROUTES = tuple(el.J_ROUTES)
+S_BUILDERS = {
+    "operator": el.s_triangle_operator,
+    "recurrence": el.s_triangle_recurrence,
+}
+P_ROUTES = tuple(S_BUILDERS)
+S_ROUTES = P_ROUTES + ("trees",)
 GAMMA_ROUTES = ("recurrence", "operator", "trees")
 T_ROUTES = ("recurrence", "poly")
 
@@ -115,8 +119,8 @@ def _emit_triangle(tri: el.Triangle, fmt: str):
     if fmt == "csv":
         sys.stdout.write(el.triangle_to_csv(tri))
     elif fmt == "text":
-        for (n, i, j), c in sorted(tri.items()):
-            print(f"({n},{i},{j}) {c}")
+        for entry in el.triangle_entries(tri):
+            print("(%d,%d,%d) %d" % entry)
     else:
         sys.stdout.write(el.triangle_to_jsonl(tri))
 
@@ -159,11 +163,7 @@ def _cmd_compute(args, parser) -> int:
         route = args.route or "recurrence"
         if route not in P_ROUTES:
             fail_usage(f"route for p must be one of {P_ROUTES}")
-        tri = (
-            el.s_triangle_operator(args.n)
-            if route == "operator"
-            else el.s_triangle_recurrence(args.n)
-        )
+        tri = S_BUILDERS[route](args.n)
         _emit_multipoly(el.p_poly(args.n, tri), fmt)
         return 0
 
@@ -178,11 +178,7 @@ def _cmd_compute(args, parser) -> int:
                 {n: to.s_from_trees(n, cap=cap).row(n) for n in rows}
             )
         else:
-            full = (
-                el.s_triangle_operator(n_max)
-                if route == "operator"
-                else el.s_triangle_recurrence(n_max)
-            )
+            full = S_BUILDERS[route](n_max)
             tri = el.Triangle({n: full.row(n) for n in rows})
         _emit_triangle(tri, fmt)
         return 0
@@ -334,9 +330,7 @@ def _validate_triangle(target: str, tri: el.Triangle):
         el.validate_gamma_triangle(tri, scale=1)
     else:
         el.validate_theta_table(tri)
-        rows = {k[0] for k in tri}
-        if rows and rows != set(range(1, max(rows) + 1)):
-            raise ValueError("missing theta rows")
+        el.validate_row_range(tri)
 
 
 def _write_atomic(path: str, text: str):

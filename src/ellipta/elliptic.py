@@ -24,7 +24,6 @@ to arbitrary seed data (`bi_gamma_closure`).
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -35,10 +34,6 @@ from .exactpoly import (
     UNI_X,
     UNI_ZERO,
     UniPoly,
-    series_add,
-    series_const,
-    series_map,
-    series_mul,
     uni,
     uni_add,
     uni_addmul_into,
@@ -49,7 +44,7 @@ from .exactpoly import (
     uni_shift,
 )
 from .gammakit import GammaVector, SymDecomp, is_alternatingly_increasing
-from .grammarcalc import G1, G_SD, iterate
+from .grammarcalc import G1, G_SD, derive_once
 
 P_VARS = ("p", "q")
 S_VARS = ("p", "q", "r")
@@ -74,14 +69,13 @@ class RouteDisagreementError(ValueError):
 # the row-indexed triangle type
 
 
-class Triangle(Mapping):
+class Triangle:
     """A number triangle held row by row: ``rows`` maps n to that row's
     ``{(i, j): c}`` dict, so reading one row never scans the others.
 
-    It is also a read-only mapping over the flat ``(n, i, j)`` keys, with
-    ``len`` the number of entries, so ``dict(tri)``, ``tri[(n, i, j)]`` and
-    ``sorted(tri.items())`` see the classic flat triangle. No flat copy is
-    kept. Rows are shared, not copied: callers must not mutate them.
+    ``len`` is the number of entries; an empty row reads as absent, also
+    in ``==``. Rows are shared, not copied: callers must not mutate them.
+    ``triangle_entries`` walks the entries in serialization order.
     """
 
     __slots__ = ("rows", "_size")
@@ -94,30 +88,25 @@ class Triangle(Mapping):
         """Row n as ``{(i, j): c}``; a missing row reads as empty."""
         return self.rows.get(n, {})
 
-    def __getitem__(self, key):
-        try:
-            n, i, j = key
-            return self.rows[n][(i, j)]
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        for n, r in self.rows.items():
-            for i, j in r:
-                yield (n, i, j)
-
     def __len__(self):
         return self._size
 
-    def items(self):
-        return _TriangleItems(self)
+    def __eq__(self, other):
+        if not isinstance(other, Triangle):
+            return NotImplemented
+        return _nonempty_rows(self) == _nonempty_rows(other)
 
 
-class _TriangleItems(ItemsView):
-    def __iter__(self):
-        for n, r in self._mapping.rows.items():
-            for (i, j), c in r.items():
-                yield (n, i, j), c
+def _nonempty_rows(tri: Triangle) -> dict:
+    return {n: r for n, r in tri.rows.items() if r}
+
+
+def triangle_entries(tri: Triangle):
+    """Every entry as (n, i, j, c), sorted by (n, i, j)."""
+    for n in sorted(tri.rows):
+        row = tri.rows[n]
+        for ij in sorted(row):
+            yield (n, *ij, row[ij])
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +122,10 @@ def s_triangle_operator(n_max: int) -> Triangle:
     even rows carry x^(2i+1) y^(2j), odd rows x^(2i) y^(2j+1)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    seed = G_SD.seed("x")
+    f = G_SD.seed("x")
     rows: dict = {}
     for n in range(1, n_max + 1):
-        f = iterate(G_SD, seed, n)
+        f = derive_once(G_SD, f)
         cur = rows[n] = {}
         for (ex, ey, ez), c in f.terms.items():
             if n % 2 == 0:
@@ -411,11 +400,18 @@ class SeriesIdentityReport:
 
 
 def series_identity_checks(order: int) -> SeriesIdentityReport:
-    es = elliptic_series(order)
-    one = series_const(order, (es.scale * es.scale,))
-    pyth = series_add(series_mul(es.sn, es.sn), series_mul(es.cn, es.cn)) == one
-    x_sn2 = series_map(series_mul(es.sn, es.sn), lambda f: uni_shift(f, 1))
-    modulus = series_add(series_mul(es.dn, es.dn), x_sn2) == one
+    """Check the identities on the exponential coefficients, where the
+    coefficient m of a product is a binomial convolution and 1 has the
+    coefficients 1, 0, 0, ..."""
+    sn, cn, dn = _elliptic_egf(order)
+    pyth = modulus = True
+    for m in range(order + 1):
+        one = UNI_ONE if m == 0 else UNI_ZERO
+        sn2 = _binomial_convolution(sn, sn, m)
+        pyth = pyth and uni_add(sn2, _binomial_convolution(cn, cn, m)) == one
+        modulus = modulus and (
+            uni_add(_binomial_convolution(dn, dn, m), uni_shift(sn2, 1)) == one
+        )
     try:
         j_series(order)
         dn_rev = True
@@ -532,15 +528,13 @@ def t_triangle_recurrence(n_max: int) -> Triangle:
     return _gamma_like_recurrence(n_max, 1)
 
 
-def gamma_equals_scaled_t(gamma_tri: Mapping, t_tri: Mapping, n_max: int):
-    """First discrepancy between gamma and 4^(i+j) t, or None."""
-    keys = {k for k in gamma_tri if k[0] <= n_max} | {
-        k for k in t_tri if k[0] <= n_max
-    }
-    for key in sorted(keys):
-        n, i, j = key
-        if gamma_tri.get(key, 0) != 4 ** (i + j) * t_tri.get(key, 0):
-            return key
+def gamma_equals_scaled_t(gamma_tri: Triangle, t_tri: Triangle, n_max: int):
+    """First discrepancy (n, i, j) between gamma and 4^(i+j) t, or None."""
+    for n in sorted(n for n in set(gamma_tri.rows) | set(t_tri.rows) if n <= n_max):
+        g, t = gamma_tri.row(n), t_tri.row(n)
+        for i, j in sorted(set(g) | set(t)):
+            if g.get((i, j), 0) != 4 ** (i + j) * t.get((i, j), 0):
+                return (n, i, j)
     return None
 
 
@@ -862,10 +856,10 @@ def bi_gamma_closure(g_gammas, weights, n_max: int) -> list:
 # triangle serialization (JSON-lines cache format, CSV)
 
 
-def triangle_to_jsonl(tri: Mapping) -> str:
+def triangle_to_jsonl(tri: Triangle) -> str:
     lines = [
-        '{"n":%d,"i":%d,"j":%d,"coeff":"%d"}' % (n, i, j, c)
-        for (n, i, j), c in sorted(tri.items())
+        '{"n":%d,"i":%d,"j":%d,"coeff":"%d"}' % entry
+        for entry in triangle_entries(tri)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -893,58 +887,57 @@ def triangle_from_jsonl(text: str) -> Triangle:
     return Triangle(rows)
 
 
-def triangle_to_csv(tri: Mapping) -> str:
+def triangle_to_csv(tri: Triangle) -> str:
     lines = ["n,i,j,value"]
-    lines += [
-        f"{n},{i},{j},{c}" for (n, i, j), c in sorted(tri.items())
-    ]
+    lines += ["%d,%d,%d,%d" % entry for entry in triangle_entries(tri)]
     return "\n".join(lines) + "\n"
 
 
-def triangle_max_row(tri: Mapping) -> int:
-    return max((k[0] for k in tri), default=0)
+def triangle_max_row(tri: Triangle) -> int:
+    """The last nonempty row, or 0 for an empty triangle."""
+    return max(_nonempty_rows(tri), default=0)
 
 
-def validate_s_triangle(tri: Mapping):
-    """Rows must be contiguous from 1, nonnegative, inside support, and sum
-    to n factorial."""
-    n_max = triangle_max_row(tri)
-    if n_max < 1:
+def validate_row_range(tri: Triangle):
+    """The nonempty rows must be exactly 1 .. n_max, for some n_max >= 1."""
+    present = sorted(_nonempty_rows(tri))
+    if not present:
         raise ValueError("empty triangle")
-    sums: dict = {}
-    for (n, i, j), c in tri.items():
-        if c < 0 or not _s_support(n, i, j):
-            raise ValueError(f"bad entry {c} at {(n, i, j)}")
-        sums[n] = sums.get(n, 0) + c
-    for n in range(1, n_max + 1):
-        if sums.get(n) != factorial(n):
+    if present != list(range(1, present[-1] + 1)):
+        raise ValueError(f"rows are not exactly 1 .. {present[-1]}")
+
+
+def validate_s_triangle(tri: Triangle):
+    """Rows must be exactly 1 .. n_max, nonnegative, inside support, and
+    sum to n factorial."""
+    validate_row_range(tri)
+    for n, row in tri.rows.items():
+        for (i, j), c in row.items():
+            if c < 0 or not _s_support(n, i, j):
+                raise ValueError(f"bad entry {c} at {(n, i, j)}")
+        if row and sum(row.values()) != factorial(n):
             raise ValueError(f"row {n} does not sum to {n}!")
 
 
-def validate_gamma_triangle(tri: Mapping, scale: int = 4):
-    """Rows must be contiguous from 1, nonnegative, inside the gamma
+def validate_gamma_triangle(tri: Triangle, scale: int = 4):
+    """Rows must be exactly 1 .. n_max, nonnegative, inside the gamma
     support, and divisible by scale^(i+j): 4 for gamma, 1 for t."""
-    n_max = triangle_max_row(tri)
-    if n_max < 1:
-        raise ValueError("empty triangle")
-    rows = set()
-    for (n, i, j), c in tri.items():
-        rows.add(n)
-        if c < 0 or not _gamma_support(n, i, j):
-            raise ValueError(f"bad entry {c} at {(n, i, j)}")
-        _check_scaled(n, i, j, c, scale)
-    if rows != set(range(1, n_max + 1)):
-        raise ValueError("missing rows")
+    validate_row_range(tri)
+    for n, row in tri.rows.items():
+        for (i, j), c in row.items():
+            if c < 0 or not _gamma_support(n, i, j):
+                raise ValueError(f"bad entry {c} at {(n, i, j)}")
+            _check_scaled(n, i, j, c, scale)
 
 
-def validate_theta_table(tri: Mapping):
+def validate_theta_table(tri: Triangle):
     """Orbit sizes force every present row n to satisfy
     sum of theta * 2^j = n factorial."""
-    sums: dict = {}
-    for (n, i, j), c in tri.items():
-        if c < 0 or i < 0 or j < 0:
-            raise ValueError(f"bad entry {c} at {(n, i, j)}")
-        sums[n] = sums.get(n, 0) + c * 2**j
-    for n, total in sums.items():
-        if total != factorial(n):
+    for n, row in tri.rows.items():
+        total = 0
+        for (i, j), c in row.items():
+            if c < 0 or i < 0 or j < 0:
+                raise ValueError(f"bad entry {c} at {(n, i, j)}")
+            total += c * 2**j
+        if row and total != factorial(n):
             raise ValueError(f"theta row {n} weighted sum is not {n}!")

@@ -43,10 +43,6 @@ class UnassignedVariableError(ExactPolyError):
     pass
 
 
-class OrderMismatchError(ExactPolyError):
-    pass
-
-
 class ExponentOverflowError(ExactPolyError):
     pass
 
@@ -529,38 +525,3 @@ class FormalSeries:
             raise ExactPolyError(
                 f"expected {self.order + 1} coefficients, got {len(self.coeffs)}"
             )
-
-
-def series(order: int, coeffs) -> FormalSeries:
-    return FormalSeries(order, tuple(uni(c) for c in coeffs))
-
-
-def series_const(order: int, f: UniPoly) -> FormalSeries:
-    return FormalSeries(order, (uni(f),) + (UNI_ZERO,) * order)
-
-
-def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    if a.order != b.order:
-        raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
-    return FormalSeries(
-        a.order, tuple(uni_add(x, y) for x, y in zip(a.coeffs, b.coeffs))
-    )
-
-
-def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    """Truncated Cauchy product; coefficient m is the sum of products of
-    coefficients with indices summing to m."""
-    if a.order != b.order:
-        raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
-    out = []
-    for m in range(a.order + 1):
-        acc = UNI_ZERO
-        for i in range(m + 1):
-            if a.coeffs[i] and b.coeffs[m - i]:
-                acc = uni_add(acc, uni_mul(a.coeffs[i], b.coeffs[m - i]))
-        out.append(acc)
-    return FormalSeries(a.order, tuple(out))
-
-
-def series_map(a: FormalSeries, fn) -> FormalSeries:
-    return FormalSeries(a.order, tuple(fn(c) for c in a.coeffs))

@@ -14,7 +14,6 @@ integer coefficients and ^ for powers).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .exactpoly import AlphabetMismatchError, MultiPoly
@@ -73,25 +72,15 @@ def derive_once(grammar: Grammar, f: MultiPoly) -> MultiPoly:
     return MultiPoly(grammar.variables, acc)
 
 
-# (grammar, seed) -> [seed, D seed, D^2 seed, ...], extended on demand
-_ITERATES: dict = {}
-_ITERATES_LOCK = threading.Lock()
-
-
 def iterate(grammar: Grammar, seed: MultiPoly, n: int) -> MultiPoly:
     """n-fold application of the formal derivative; n = 0 returns the seed.
-
-    Iterates are memoized in one list per (grammar, seed), extended by a
-    loop, so any n works without recursion; the list only ever stores
-    immutable values, so it cannot change results.
-    """
+    A plain loop, so any n works without recursion."""
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
-    with _ITERATES_LOCK:
-        chain = _ITERATES.setdefault((grammar, seed), [seed])
-        while len(chain) <= n:
-            chain.append(derive_once(grammar, chain[-1]))
-        return chain[n]
+    f = seed
+    for _ in range(n):
+        f = derive_once(grammar, f)
+    return f
 
 
 # ---------------------------------------------------------------------------

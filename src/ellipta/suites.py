@@ -54,7 +54,7 @@ def suite_routes(max_n: int = 24, seed: int = 0) -> SuiteResult:
     """All four J routes agree coefficient for coefficient."""
     checks = []
     seqs = []
-    for route in ("operator", "recurrence", "viennot", "series"):
+    for route in el.J_ROUTES:
         seq = el.j_sequence(max_n, route)
         try:
             el.validate_j_sequence(seq)

@@ -118,7 +118,7 @@ def test_criterion_05_combinatorial_oracles():
             assert to.p_bruteforce(n) == el.p_poly(n, tri), f"P_{n}"
         for n in range(1, 9):
             row = to.s_from_trees(n)
-            assert row == {k: v for k, v in tri.items() if k[0] == n}, f"s row {n}"
+            assert row == el.Triangle({n: tri.row(n)}), f"s row {n}"
 
 
 def test_criterion_06_tree_distribution_and_theta_identities():
@@ -132,17 +132,17 @@ def test_criterion_06_tree_distribution_and_theta_identities():
             theta = to.theta_table(n)
             el.validate_theta_table(theta)
             acc = MultiPoly.zero(vs)
-            for (_, i, j), c in theta.items():
+            for (i, j), c in theta.row(n).items():
                 acc = acc + MultiPoly.monomial(
                     vs, (n + 1 - 2 * (i + j), 0, 0, i), c
                 ) * apb**j
             assert acc == gc.iterate(gc.G1, gc.G1.seed("x"), n)
             half = n // 2
-            for (_, i, j), g in ((k, v) for k, v in gtri.items() if k[0] == n):
+            for (i, j), g in gtri.row(n).items():
                 if n % 2 == 0:
-                    assert theta[(n, 2 * j, half - i - 2 * j)] == g
+                    assert theta.row(n)[(2 * j, half - i - 2 * j)] == g
                 else:
-                    assert theta[(n, 2 * j + 1, half - i - 2 * j)] == g
+                    assert theta.row(n)[(2 * j + 1, half - i - 2 * j)] == g
 
 
 def test_criterion_07_theorem_certificates_to_60():
@@ -171,11 +171,11 @@ def test_criterion_08_consistency_triad():
         assert el.gamma_equals_scaled_t(gtri, ttri, 40) is None
         s16 = el.s_triangle_recurrence(16)
         for n in range(1, 17):
-            assert el.gamma_from_p(n, el.p_poly(n, s16)) == {
-                k: v for k, v in gtri.items() if k[0] == n
-            }
+            assert el.gamma_from_p(n, el.p_poly(n, s16)) == el.Triangle(
+                {n: gtri.row(n)}
+            )
         for n in range(1, 13):
-            row_sum = sum(v for (r, _, _), v in s16.items() if r == n)
+            row_sum = sum(s16.row(n).values())
             assert row_sum == math.factorial(n)
             assert el.p_poly(n, s16).substitute({"p": 1, "q": 1}) == (
                 math.factorial(n),

@@ -186,13 +186,21 @@ def test_cache_corruption_rebuilds_with_warning(tmp_path, capsys):
         "--cache-dir", cache_dir)
     path = tmp_path / "s.jsonl"
     good = path.read_text()
-    path.write_text(good.replace('{"n":3,"i":1,"j":0,"coeff":"4"}',
-                                 '{"n":3,"i":1,"j":0,"coeff":"5"}'))
-    code, out, err = run(capsys, "cache", "read", "--target", "s",
-                         "--cache-dir", cache_dir)
-    assert code == 0
-    assert "rebuilding" in err
-    assert path.read_text() == good
+    corrupted = (
+        # a wrong entry breaks the row sum
+        good.replace('{"n":3,"i":1,"j":0,"coeff":"4"}',
+                     '{"n":3,"i":1,"j":0,"coeff":"5"}'),
+        # a row 0 inside the s support: rows must be exactly 1 .. n_max
+        '{"n":0,"i":0,"j":0,"coeff":"5"}\n' + good,
+    )
+    for text in corrupted:
+        path.write_text(text)
+        code, out, err = run(capsys, "cache", "read", "--target", "s",
+                             "--cache-dir", cache_dir)
+        assert code == 0
+        assert "rebuilding" in err
+        assert path.read_text() == good
+        assert out == good
 
 
 def test_cache_short_file_rebuilds_to_requested_rows(tmp_path, capsys):

@@ -8,6 +8,7 @@ from ellipta.exactpoly import (
     MultiPoly,
     UNI_ONE,
     UNI_ZERO,
+    uni_add,
     uni_reverse,
     uni_scale,
     uni_shift,
@@ -67,15 +68,14 @@ def gamma_tri():
 
 
 def test_s_triangle_seed_and_small_rows(s_rec):
-    assert s_rec[(1, 0, 0)] == 1
-    assert s_rec[(2, 0, 0)] == 1 and s_rec[(2, 0, 1)] == 1
-    assert s_rec[(3, 1, 0)] == 4
+    assert s_rec.row(1)[(0, 0)] == 1
+    assert s_rec.row(2)[(0, 0)] == 1 and s_rec.row(2)[(0, 1)] == 1
+    assert s_rec.row(3)[(1, 0)] == 4
 
 
 def test_s_triangle_row_sums(s_rec):
     for n in range(1, 13):
-        total = sum(v for (row, _, _), v in s_rec.items() if row == n)
-        assert total == math.factorial(n)
+        assert sum(s_rec.row(n).values()) == math.factorial(n)
 
 
 def test_s_triangle_operator_equals_recurrence(s_rec, s_op):
@@ -95,21 +95,21 @@ S_ROWS_1_TO_4 = {
     "build", [el.s_triangle_recurrence, el.s_triangle_operator]
 )
 def test_triangle_flat_view_equals_flat_dict(build):
+    # the flat (n, i, j) view is triangle_entries, in sorted order
     tri = build(4)
     assert isinstance(tri, el.Triangle)
-    assert dict(tri) == S_ROWS_1_TO_4
-    assert tri == S_ROWS_1_TO_4
-    assert len(tri) == len(S_ROWS_1_TO_4) == 11
-    assert sorted(tri) == sorted(S_ROWS_1_TO_4)
-    assert sorted(tri.items()) == sorted(S_ROWS_1_TO_4.items())
-    for key, c in S_ROWS_1_TO_4.items():
-        assert key in tri and tri[key] == c and tri.get(key) == c
-    assert (4, 2, 0) not in tri and tri.get((4, 2, 0), 0) == 0
-    assert tri.get((9, 0, 0)) is None
+    entries = list(el.triangle_entries(tri))
+    assert {(n, i, j): c for n, i, j, c in entries} == S_ROWS_1_TO_4
+    assert [e[:3] for e in entries] == sorted(S_ROWS_1_TO_4)
+    assert len(tri) == len(entries) == len(S_ROWS_1_TO_4) == 11
+    for (n, i, j), c in S_ROWS_1_TO_4.items():
+        assert tri.row(n)[(i, j)] == c and tri.row(n).get((i, j)) == c
+    assert (2, 0) not in tri.row(4) and tri.row(4).get((2, 0), 0) == 0
+    assert tri.row(9) == {}
     with pytest.raises(KeyError):
-        tri[(4, 2, 0)]
-    with pytest.raises(KeyError):
-        tri["not a key"]
+        tri.row(4)[(2, 0)]
+    with pytest.raises(TypeError):
+        tri[(4, 2, 0)]  # rows only: no flat key lookup
 
 
 def test_triangle_rows_and_missing_rows(s_rec):
@@ -126,26 +126,37 @@ def test_triangle_is_read_only(s_rec):
 
 def test_triangle_dict_round_trip(s_rec, gamma_tri):
     for tri in (s_rec, gamma_tri):
-        flat = dict(tri)
+        flat = {(n, i, j): c for n, i, j, c in el.triangle_entries(tri)}
         assert len(flat) == len(tri)
-        assert flat == tri
-        assert el.triangle_to_jsonl(flat) == el.triangle_to_jsonl(tri)
-        assert el.triangle_to_csv(flat) == el.triangle_to_csv(tri)
-        back = el.triangle_from_jsonl(el.triangle_to_jsonl(flat))
+        rows: dict = {}
+        for (n, i, j), c in flat.items():
+            rows.setdefault(n, {})[(i, j)] = c
+        rebuilt = el.Triangle(rows)
+        assert rebuilt == tri
+        assert el.triangle_to_jsonl(rebuilt) == el.triangle_to_jsonl(tri)
+        assert el.triangle_to_csv(rebuilt) == el.triangle_to_csv(tri)
+        back = el.triangle_from_jsonl(el.triangle_to_jsonl(rebuilt))
         assert isinstance(back, el.Triangle) and back == tri
 
 
+def test_triangle_equality_reads_empty_rows_as_absent(s_rec):
+    assert el.Triangle({**s_rec.rows, 0: {}, 99: {}}) == s_rec
+    assert el.Triangle({1: s_rec.row(1)}) != s_rec
+    assert s_rec != dict(s_rec.rows)
+    assert el.triangle_max_row(el.Triangle({**s_rec.rows, 99: {}})) == 24
+
+
 def test_s_row_8_j0_slice_is_j8(s_rec):
-    assert tuple(s_rec.get((8, i, 0), 0) for i in range(4)) == J_KNOWN[8]
+    assert tuple(s_rec.row(8).get((i, 0), 0) for i in range(4)) == J_KNOWN[8]
 
 
 def test_s_row_4_sum_is_24(s_rec):
-    assert sum(v for (row, _, _), v in s_rec.items() if row == 4) == 24
+    assert sum(s_rec.row(4).values()) == 24
 
 
 def test_out_of_range_reads_are_zero(s_rec):
-    assert s_rec.get((3, -1, 0), 0) == 0
-    assert s_rec.get((2, 5, 5), 0) == 0
+    assert s_rec.row(3).get((-1, 0), 0) == 0
+    assert s_rec.row(2).get((5, 5), 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +245,7 @@ def test_odd_j_symmetric_through_60():
 
 
 def test_every_j_decomposes_cleanly_through_60():
-    from ellipta.exactpoly import uni_add, uni_degree
+    from ellipta.exactpoly import uni_degree
 
     js = el.j_viennot(60)
     for n in range(61):
@@ -278,6 +289,20 @@ def test_series_identities_through_26():
     assert rep.all_ok()
 
 
+def test_series_identities_detect_a_perturbed_coefficient(monkeypatch):
+    real = el._elliptic_egf
+
+    def perturbed(order):
+        sn, cn, dn = real(order)
+        cn[4] = uni_add(cn[4], (0, 1))
+        return sn, cn, dn
+
+    monkeypatch.setattr(el, "_elliptic_egf", perturbed)
+    rep = el.series_identity_checks(26)
+    assert not rep.pythagorean and not rep.all_ok()
+    assert rep.modulus  # sn and dn are untouched
+
+
 def test_series_dn_matches_reversed_even_j():
     es = el.elliptic_series(12)
     js = el.j_series(12)
@@ -295,9 +320,9 @@ def test_series_dn_matches_reversed_even_j():
 
 
 def test_gamma_seed_rows(gamma_tri):
-    assert gamma_tri[(1, 0, 0)] == 1
-    assert gamma_tri[(2, 0, 0)] == 1
-    assert gamma_tri[(3, 1, 0)] == 4
+    assert gamma_tri.row(1)[(0, 0)] == 1
+    assert gamma_tri.row(2)[(0, 0)] == 1
+    assert gamma_tri.row(3)[(1, 0)] == 4
 
 
 def test_t_known_list():
@@ -321,7 +346,7 @@ def test_gamma_equals_scaled_t_through_40(gamma_tri):
 
 
 def test_gamma_711_value(gamma_tri):
-    assert gamma_tri[(7, 1, 1)] == 16 * 78
+    assert gamma_tri.row(7)[(1, 1)] == 16 * 78
 
 
 def test_gamma_from_p_rows(gamma_tri, s_rec):
@@ -329,15 +354,15 @@ def test_gamma_from_p_rows(gamma_tri, s_rec):
     assert isinstance(row4, el.Triangle)
     assert row4.row(4) == {(0, 0): 1, (0, 1): 12, (1, 0): 4}
     row6 = el.gamma_from_p(6, el.p_poly(6, s_rec))
-    assert row6[(6, 1, 0)] == 44 and row6[(6, 1, 1)] == 240
+    assert row6.row(6)[(1, 0)] == 44 and row6.row(6)[(1, 1)] == 240
     row1 = el.gamma_from_p(1, el.p_poly(1, s_rec))
-    assert row1 == {(1, 0, 0): 1}
+    assert row1 == el.Triangle({1: {(0, 0): 1}})
 
 
 def test_gamma_from_p_matches_recurrence_through_16(gamma_tri, s_rec):
     for n in range(1, 17):
         peeled = el.gamma_from_p(n, el.p_poly(n, s_rec))
-        assert peeled == {k: v for k, v in gamma_tri.items() if k[0] == n}
+        assert peeled == el.Triangle({n: gamma_tri.row(n)})
 
 
 def test_gamma_operator_expansion_matches_iterates(gamma_tri):
@@ -351,7 +376,7 @@ def test_even_j_from_gamma_slice(gamma_tri):
     js = el.j_viennot(20)
     for m in range(1, 11):
         slice_poly = tuple(
-            gamma_tri.get((2 * m, i, 0), 0) for i in range(m)
+            gamma_tri.row(2 * m).get((i, 0), 0) for i in range(m)
         )
         assert slice_poly == js[2 * m]
 
@@ -484,7 +509,7 @@ def test_triangle_jsonl_rejects_corruption():
 
 
 def test_triangle_csv(s_rec):
-    lines = el.triangle_to_csv({k: v for k, v in s_rec.items() if k[0] == 1})
+    lines = el.triangle_to_csv(el.Triangle({1: s_rec.row(1)}))
     assert lines == "n,i,j,value\n1,0,0,1\n"
 
 
@@ -494,12 +519,25 @@ def test_validators_accept_good_tables(s_rec, gamma_tri):
     el.validate_gamma_triangle(el.t_triangle_recurrence(10), scale=1)
 
 
-def test_validators_reject_bad_tables(s_rec):
-    broken = dict(s_rec)
-    broken[(3, 0, 0)] += 1
+def test_validators_reject_bad_tables(s_rec, gamma_tri):
+    broken = el.Triangle({n: dict(row) for n, row in s_rec.rows.items()})
+    broken.rows[3][(0, 0)] += 1
     with pytest.raises(ValueError):
         el.validate_s_triangle(broken)
     with pytest.raises(ValueError):
-        el.validate_gamma_triangle({(1, 0, 0): 1, (3, 1, 0): 3})
+        el.validate_gamma_triangle(el.Triangle({1: {(0, 0): 1}, 3: {(1, 0): 3}}))
     with pytest.raises(ValueError):
         el.validate_gamma_triangle(el.t_triangle_recurrence(10))
+    cases = ((el.validate_s_triangle, s_rec), (el.validate_gamma_triangle, gamma_tri))
+    for validate, tri in cases:
+        # the nonempty rows must be exactly 1 .. n_max; a stray row 0 inside
+        # the s support used to pass the s validator
+        for stray in (0, -1):
+            with pytest.raises(ValueError, match="rows are not exactly"):
+                validate(el.Triangle({stray: {(0, 0): 1}, **tri.rows}))
+        gap = {n: row for n, row in tri.rows.items() if n != 5}
+        with pytest.raises(ValueError, match="rows are not exactly"):
+            validate(el.Triangle(gap))
+        with pytest.raises(ValueError, match="empty triangle"):
+            validate(el.Triangle({1: {}}))
+        validate(el.Triangle({**tri.rows, 0: {}}))  # an empty row is absent

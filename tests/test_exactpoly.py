@@ -11,7 +11,6 @@ from ellipta.exactpoly import (
     FormalSeries,
     InexactDivisionError,
     MultiPoly,
-    OrderMismatchError,
     UnassignedVariableError,
     UnknownVariableError,
     UNI_ONE,
@@ -20,10 +19,6 @@ from ellipta.exactpoly import (
     multi_mul,
     multi_partial,
     multi_substitute,
-    series,
-    series_add,
-    series_const,
-    series_mul,
     uni,
     uni_add,
     uni_degree,
@@ -261,43 +256,7 @@ def test_multi_hashable_and_usable_as_key():
 # truncated series
 
 
-def test_series_mul_u_squared():
-    u = series(4, [(), (1,), (), (), ()])
-    prod = series_mul(u, u)
-    assert prod.coeffs == ((), (), (1,), (), ())
-
-
-def test_series_mul_identity():
-    a = series(3, [(1, 2), (3,), (), (5,)])
-    one = series_const(3, (1,))
-    assert series_mul(a, one) == a
-
-
-def test_series_mul_difference_of_squares():
-    minus = series(4, [(1,), (), (0, -1), (), ()])
-    plus = series(4, [(1,), (), (0, 1), (), ()])
-    prod = series_mul(minus, plus)
-    assert prod.coeffs == ((1,), (), (), (), (0, 0, -1))
-
-
-def test_series_order_mismatch():
-    with pytest.raises(OrderMismatchError):
-        series_mul(series_const(3, (1,)), series_const(4, (1,)))
-
-
-@given(unipolys, unipolys)
-def test_series_mul_matches_uni_mul_on_constants(f, g):
-    a = series_const(3, f)
-    b = series_const(3, g)
-    assert series_mul(a, b) == series_const(3, uni_mul(f, g))
-
-
 def test_series_shape_invariant():
     with pytest.raises(Exception):
         FormalSeries(2, ((1,),))
 
-
-def test_series_add():
-    a = series(2, [(1,), (2,), ()])
-    b = series(2, [(), (-2,), (7,)])
-    assert series_add(a, b).coeffs == ((1,), (), (7,))

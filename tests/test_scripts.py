@@ -1,0 +1,34 @@
+"""The helper scripts under scripts/ run end to end and report agreement."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_reproduce_tables():
+    # the script asserts that the four routes agree on every J it prints
+    out = run_script("reproduce_tables.py")
+    assert "  J_8 = 1 + 408x + 912x^2 + 64x^3\n" in out
+    assert "  P_3 = 1 + q + 4p\n" in out
+    assert "  t_4 = 1 + 3y + x\n" in out
+    assert "  b = 63 + 567x + 63x^2  gammas (63, 441)\n" in out
+
+
+def test_route_timings_agree():
+    out = run_script("route_timings.py", "12")
+    assert "all routes agree through n = 12" in out
+    for route in ("operator", "recurrence", "viennot", "series"):
+        assert f"{route}:" in out

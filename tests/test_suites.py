@@ -49,3 +49,11 @@ def test_closure_suite_is_seed_deterministic():
 def test_suite_results_carry_scope():
     (result,) = suites.run_suite("dumont", max_n=4)
     assert result.scope == "n <= 4"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["thm1", "thm2"])
+def test_certificate_suites_pass_through_150(name):
+    (result,) = suites.run_suite(name, max_n=150)
+    assert result.ok, [c for c in result.checks if not c.ok]
+    assert len(result.checks) >= 150

@@ -148,16 +148,16 @@ def test_distributions_match_iterates():
 
 
 def test_theta_examples():
-    assert theta_table(3) == {(3, 1, 0): 4, (3, 1, 1): 1}
-    assert theta_table(1) == {(1, 1, 0): 1}
+    assert theta_table(3) == el.Triangle({3: {(1, 0): 4, (1, 1): 1}})
+    assert theta_table(1) == el.Triangle({1: {(1, 0): 1}})
 
 
 def test_theta_cross_checks_gamma_triangle():
     gtri = el.gamma_triangle_recurrence(8)
     theta5 = theta_table(5)
     assert isinstance(theta5, el.Triangle) and list(theta5.rows) == [5]
-    for (n, i, j), g in ((k, v) for k, v in gtri.items() if k[0] == 5):
-        assert theta5[(5, 2 * j + 1, 2 - i - 2 * j)] == g
+    for (i, j), g in gtri.row(5).items():
+        assert theta5.row(5)[(2 * j + 1, 2 - i - 2 * j)] == g
     assert gamma_row_from_theta(5, theta5.row(5)) == gtri.row(5)
     assert gamma_row_from_theta(8, theta_table(8).row(8)) == gtri.row(8)
 

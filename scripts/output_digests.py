@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Print the sha256 of the stdout of a fixed list of CLI invocations, and of
+every cache file they write, one `digest  invocation` line each.
+
+Run it on two checkouts and `diff` the outputs: equal lines mean
+byte-identical output. The cache commands run in a temporary directory,
+shown as DIR.
+
+Usage: python scripts/output_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ellipta.cli import main as cli_main
+
+FORMATS = ("json", "csv", "text")
+COMPUTE = (
+    [("s", "--max-n", "30", r) for r in ("recurrence", "operator")]
+    + [("s", "--max-n", "7", "trees")]
+    + [("gamma", "--max-n", "30", r) for r in ("recurrence", "operator")]
+    + [("gamma", "--max-n", "7", "trees")]
+    + [("t", "--n", "30", r) for r in ("recurrence", "poly")]
+    + [("p", "--n", "30", r) for r in ("recurrence", "operator")]
+    + [("theta", "--n", "7", "trees")]
+)
+CACHE_TARGETS = ("s", "gamma", "t", "theta")
+
+
+def invocations():
+    for target, flag, n, route in COMPUTE:
+        for fmt in FORMATS:
+            yield ["compute", target, flag, n, "--route", route, "--format", fmt]
+    for route in ("operator", "recurrence", "viennot", "series"):
+        yield ["compute", "j", "--n", "120", "--route", route]
+    yield ["compute", "decompose", "--n", "100"]
+    for suite in ("all", "thm1", "thm2"):
+        yield ["verify", suite]
+    for target in CACHE_TARGETS:
+        for action in ("write", "read"):
+            yield ["cache", action, "--target", target, "--cache-dir", "DIR"]
+    for target in ("s", "gamma", "t"):
+        for action in ("write", "read"):
+            yield ["cache", action, "--target", target, "--max-n", "40",
+                   "--cache-dir", "DIR"]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for argv in invocations():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main([cache_dir if a == "DIR" else a for a in argv])
+            # the cache write message names the file, so compare it with DIR
+            text = out.getvalue().replace(cache_dir, "DIR")
+            line = f"{sha256(text.encode('ascii'))}  {' '.join(argv)}"
+            print(line if code == 0 else f"{line}  (exit {code})")
+            if argv[0] == "cache":
+                name = f"{argv[3]}.jsonl"
+                data = Path(cache_dir, name).read_bytes()
+                print(f"{sha256(data)}  DIR/{name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -382,7 +382,7 @@ def _cmd_cache(args, parser) -> int:
         with open(path, encoding="ascii") as fh:
             text = fh.read()
         loaded = el.triangle_from_jsonl(text)
-        seen_rows = el.triangle_max_row(loaded)
+        seen_rows = el.triangle_row_run(loaded)
         _validate_triangle(args.target, loaded)
         if args.max_n and seen_rows < args.max_n:
             _warn(f"rebuild: file has {seen_rows} rows, {args.max_n} requested")

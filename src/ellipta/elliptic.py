@@ -113,8 +113,66 @@ def triangle_entries(tri: Triangle):
 # the s triangle (two constructions) and the polynomials S_n, P_n
 
 
-def _s_support(n: int, i: int, j: int) -> bool:
-    return 0 <= i and 0 <= j and i + j <= n // 2
+def _s_bounds(n: int) -> tuple:
+    """Row n of s holds the cells 0 <= i, 0 <= j, i + j <= n // 2."""
+    return n // 2, n // 2, 1
+
+
+def _check_entry(n: int, i: int, j: int, c: int, bounds: tuple, scale: int):
+    """Entry c at (n, i, j) must be nonnegative, divisible by scale^(i+j) and
+    inside row n's support. ``bounds`` is (i_max, half, step): the support is
+    0 <= i <= i_max, 0 <= j and i + step * j <= half."""
+    i_max, half, step = bounds
+    if (
+        c < 0
+        or not (0 <= i <= i_max and 0 <= j and i + step * j <= half)
+        or (scale != 1 and c % scale ** (i + j))
+    ):
+        raise TriangleDefectError(f"bad entry {c} at {(n, i, j)}")
+
+
+def _stencil_triangle(n_max: int, bounds_of, weight_of, scale: int) -> Triangle:
+    """The entrywise recurrence shared by the s, gamma and t triangles,
+    seeded by the single entry of row 1. With P the previous row,
+
+      even n:  (2j+1) P(i, j) + (2i+2) P(i+1, j-1) + w P(i, j-1)
+      odd n:   (2i+1) P(i, j) + (2j+2) P(i-1, j+1) + w P(i-1, j)
+
+    where w = w0 - wi * i - wj * j for (w0, wi, wj) = weight_of(n);
+    out-of-range indices read 0. Each row is scanned over its support
+    (``bounds_of(n)``, see ``_check_entry``) plus one margin cell beyond
+    every upper bound, and every nonzero entry is checked, so an entry that
+    leaks out of the support raises."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    prev = {(0, 0): 1}
+    rows = {1: prev}
+    for n in range(2, n_max + 1):
+        cur: dict = {}
+        even = n % 2 == 0
+        bounds = i_max, half, step = bounds_of(n)
+        w0, wi, wj = weight_of(n)
+        for i in range(i_max + 2):
+            w_line = w0 - wi * i
+            for j in range(max(0, half - i) // step + 2):
+                w = w_line - wj * j
+                if even:
+                    v = (
+                        (2 * j + 1) * prev.get((i, j), 0)
+                        + (2 * i + 2) * prev.get((i + 1, j - 1), 0)
+                        + w * prev.get((i, j - 1), 0)
+                    )
+                else:
+                    v = (
+                        (2 * i + 1) * prev.get((i, j), 0)
+                        + (2 * j + 2) * prev.get((i - 1, j + 1), 0)
+                        + w * prev.get((i - 1, j), 0)
+                    )
+                if v:
+                    _check_entry(n, i, j, v, bounds, scale)
+                    cur[(i, j)] = v
+        rows[n] = prev = cur
+    return Triangle(rows)
 
 
 def s_triangle_operator(n_max: int) -> Triangle:
@@ -127,6 +185,7 @@ def s_triangle_operator(n_max: int) -> Triangle:
     for n in range(1, n_max + 1):
         f = derive_once(G_SD, f)
         cur = rows[n] = {}
+        bounds = _s_bounds(n)
         for (ex, ey, ez), c in f.terms.items():
             if n % 2 == 0:
                 if ex % 2 == 0 or ey % 2 or ez % 2:
@@ -140,42 +199,14 @@ def s_triangle_operator(n_max: int) -> Triangle:
                         f"row {n}: monomial x^{ex} y^{ey} z^{ez} off pattern"
                     )
                 i, j = ex // 2, (ey - 1) // 2
-            if c < 0 or not _s_support(n, i, j):
-                raise TriangleDefectError(f"bad entry {c} at {(n, i, j)}")
+            _check_entry(n, i, j, c, bounds, 1)
             cur[(i, j)] = c
     return Triangle(rows)
 
 
 def s_triangle_recurrence(n_max: int) -> Triangle:
-    """Dumont's entrywise recurrence, seeded by the single entry of row 1;
-    out-of-range indices read 0."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    prev = {(0, 0): 1}
-    rows = {1: prev}
-    for n in range(2, n_max + 1):
-        cur: dict = {}
-        even = n % 2 == 0
-        for i in range(n // 2 + 2):
-            for j in range(n // 2 - i + 2):
-                if even:
-                    v = (
-                        (2 * j + 1) * prev.get((i, j), 0)
-                        + (2 * i + 2) * prev.get((i + 1, j - 1), 0)
-                        + (n - 2 * i - 2 * j + 1) * prev.get((i, j - 1), 0)
-                    )
-                else:
-                    v = (
-                        (2 * i + 1) * prev.get((i, j), 0)
-                        + (2 * j + 2) * prev.get((i - 1, j + 1), 0)
-                        + (n - 2 * i - 2 * j + 1) * prev.get((i - 1, j), 0)
-                    )
-                if v:
-                    if v < 0 or not _s_support(n, i, j):
-                        raise TriangleDefectError(f"bad entry {v} at {(n, i, j)}")
-                    cur[(i, j)] = v
-        rows[n] = prev = cur
-    return Triangle(rows)
+    """Dumont's entrywise recurrence: the stencil with w = n + 1 - 2i - 2j."""
+    return _stencil_triangle(n_max, _s_bounds, lambda n: (n + 1, 2, 2), 1)
 
 
 def s_poly(n: int, triangle: Triangle) -> MultiPoly:
@@ -461,59 +492,25 @@ def first_route_mismatch(seqs):
 # gamma and t triangles
 
 
-def _gamma_support(n: int, i: int, j: int) -> bool:
-    return 0 <= i <= (n - 1) // 2 and 0 <= j <= (n - 2 * i) // 4
-
-
-def _check_scaled(n: int, i: int, j: int, c: int, scale: int):
-    """Gamma entries carry the factor 4^(i+j) that the t triangle divides
-    out: entry (n, i, j) must be divisible by scale^(i+j), with scale 4 for
-    gamma and 1 (no condition) for t."""
-    if c % scale ** (i + j):
-        raise TriangleDefectError(
-            f"entry {c} at {(n, i, j)} not divisible by {scale}^{i + j}"
-        )
+def _gamma_bounds(n: int) -> tuple:
+    """Row n of gamma and t holds the cells 0 <= i <= (n - 1) // 2, 0 <= j,
+    i + 2j <= n // 2, that is j <= (n - 2i) // 4."""
+    return (n - 1) // 2, n // 2, 2
 
 
 def _gamma_like_recurrence(n_max: int, scale: int) -> Triangle:
-    """Shared driver for the gamma (scale 4) and t (scale 1) entrywise
-    recurrences; rows are checked against support, sign, and divisibility
-    by scale^(i+j), with one margin cell verified zero on every side."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    prev = {(0, 0): 1}
-    rows = {1: prev}
-    for n in range(2, n_max + 1):
-        cur: dict = {}
-        even = n % 2 == 0
-        half = n // 2
-        for i in range((n - 1) // 2 + 2):
-            for j in range(max(0, n - 2 * i) // 4 + 2):
-                if even:
-                    v = (
-                        2 * (i + 1) * prev.get((i + 1, j - 1), 0)
-                        + (2 * j + 1) * prev.get((i, j), 0)
-                        + scale
-                        * (half - i - 2 * j + 1)
-                        * prev.get((i, j - 1), 0)
-                    )
-                else:
-                    v = (
-                        (2 * i + 1) * prev.get((i, j), 0)
-                        + 2 * (j + 1) * prev.get((i - 1, j + 1), 0)
-                        + scale
-                        * (half - i - 2 * j + 1)
-                        * prev.get((i - 1, j), 0)
-                    )
-                if v:
-                    if v < 0 or not _gamma_support(n, i, j):
-                        raise TriangleDefectError(f"bad entry {v} at {(n, i, j)}")
-                    _check_scaled(n, i, j, v, scale)
-                    cur[(i, j)] = v
-        rows[n] = prev = cur
-    if n_max >= 2 and rows[2].get((0, 0)) != 1:
+    """The gamma (scale 4) and t (scale 1) recurrences: the stencil with
+    w = scale * (n // 2 + 1 - i - 2j), every entry divisible by
+    scale^(i+j)."""
+    tri = _stencil_triangle(
+        n_max,
+        _gamma_bounds,
+        lambda n: (scale * (n // 2 + 1), scale, 2 * scale),
+        scale,
+    )
+    if n_max >= 2 and tri.row(2).get((0, 0)) != 1:
         raise TriangleDefectError("row 2 does not reduce to the stated seed")
-    return Triangle(rows)
+    return tri
 
 
 def gamma_triangle_recurrence(n_max: int) -> Triangle:
@@ -692,14 +689,6 @@ class EvenDecomposition:
 
     def poly(self) -> UniPoly:
         return self.decomposition.source()
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "gamma_a": self.gamma_a.to_json(),
-            "gamma_b": self.gamma_b.to_json(),
-            "decomposition": self.decomposition.to_json(),
-        }
 
 
 def j_even_decompositions(m_max: int, gamma_tri: Triangle | None = None) -> list:
@@ -893,9 +882,13 @@ def triangle_to_csv(tri: Triangle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def triangle_max_row(tri: Triangle) -> int:
-    """The last nonempty row, or 0 for an empty triangle."""
-    return max(_nonempty_rows(tri), default=0)
+def triangle_row_run(tri: Triangle) -> int:
+    """The largest k with rows 1 .. k all nonempty, or 0 when row 1 is
+    empty; a stray row past a gap does not count."""
+    k = 0
+    while tri.row(k + 1):
+        k += 1
+    return k
 
 
 def validate_row_range(tri: Triangle):
@@ -912,9 +905,9 @@ def validate_s_triangle(tri: Triangle):
     sum to n factorial."""
     validate_row_range(tri)
     for n, row in tri.rows.items():
+        bounds = _s_bounds(n)
         for (i, j), c in row.items():
-            if c < 0 or not _s_support(n, i, j):
-                raise ValueError(f"bad entry {c} at {(n, i, j)}")
+            _check_entry(n, i, j, c, bounds, 1)
         if row and sum(row.values()) != factorial(n):
             raise ValueError(f"row {n} does not sum to {n}!")
 
@@ -924,10 +917,9 @@ def validate_gamma_triangle(tri: Triangle, scale: int = 4):
     support, and divisible by scale^(i+j): 4 for gamma, 1 for t."""
     validate_row_range(tri)
     for n, row in tri.rows.items():
+        bounds = _gamma_bounds(n)
         for (i, j), c in row.items():
-            if c < 0 or not _gamma_support(n, i, j):
-                raise ValueError(f"bad entry {c} at {(n, i, j)}")
-            _check_scaled(n, i, j, c, scale)
+            _check_entry(n, i, j, c, bounds, scale)
 
 
 def validate_theta_table(tri: Triangle):

@@ -10,8 +10,8 @@ in one formal variable, truncated at a fixed order, whose coefficients are
 univariate polynomials; entries beyond the stored order are unknown rather
 than zero.
 
-All values are immutable (tuples, or instances never mutated after
-construction), so they can be shared freely across threads.
+All values are immutable: tuples, or instances never mutated after
+construction.
 """
 
 from __future__ import annotations

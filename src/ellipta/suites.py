@@ -50,7 +50,7 @@ def _compare_rows(n: int, got: dict, ref: dict, got_name: str, ref_name: str):
     )
 
 
-def suite_routes(max_n: int = 24, seed: int = 0) -> SuiteResult:
+def suite_routes(max_n: int, seed: int = 0) -> SuiteResult:
     """All four J routes agree coefficient for coefficient."""
     checks = []
     seqs = []
@@ -77,7 +77,7 @@ def suite_routes(max_n: int = 24, seed: int = 0) -> SuiteResult:
     return _result("routes", f"n <= {max_n}", checks)
 
 
-def suite_dumont(max_n: int = 9, seed: int = 0) -> SuiteResult:
+def suite_dumont(max_n: int, seed: int = 0) -> SuiteResult:
     """Permutation brute force equals the triangle-backed P_n."""
     tri = el.s_triangle_recurrence(max_n)
     checks = []
@@ -90,7 +90,7 @@ def suite_dumont(max_n: int = 9, seed: int = 0) -> SuiteResult:
     return _result("dumont", f"n <= {max_n}", checks)
 
 
-def suite_viennot_symmetry(max_n: int = 60, seed: int = 0) -> SuiteResult:
+def suite_viennot_symmetry(max_n: int, seed: int = 0) -> SuiteResult:
     """Odd-index J's are symmetric about their degree."""
     js = el.j_viennot(2 * max_n + 1)
     checks = []
@@ -107,7 +107,7 @@ def suite_viennot_symmetry(max_n: int = 60, seed: int = 0) -> SuiteResult:
     return _result("viennot-symmetry", f"n <= {max_n}", checks)
 
 
-def suite_thm1(max_n: int = 60, seed: int = 0) -> SuiteResult:
+def suite_thm1(max_n: int, seed: int = 0) -> SuiteResult:
     """Odd-index J's carry nonnegative gamma vectors that reconstruct them."""
     gtri = el.gamma_triangle_recurrence(2 * max_n + 1)
     js = el.j_viennot(2 * max_n + 1)
@@ -127,7 +127,7 @@ def suite_thm1(max_n: int = 60, seed: int = 0) -> SuiteResult:
     return _result("thm1", f"n <= {max_n}", checks)
 
 
-def suite_thm2(max_n: int = 60, seed: int = 0) -> SuiteResult:
+def suite_thm2(max_n: int, seed: int = 0) -> SuiteResult:
     """Even-index J's split into two gamma-positive symmetric parts that
     coincide with the unique symmetric decomposition."""
     m_max = max(0, max_n - 1)
@@ -158,7 +158,7 @@ def suite_thm2(max_n: int = 60, seed: int = 0) -> SuiteResult:
     return _result("thm2", f"n <= {max_n}", checks)
 
 
-def suite_lemma5(max_n: int = 8, seed: int = 0) -> SuiteResult:
+def suite_lemma5(max_n: int, seed: int = 0) -> SuiteResult:
     """Tree-statistics distribution equals the six-letter grammar iterate."""
     seed_x = gc.G2.seed("x")
     checks = []
@@ -176,7 +176,7 @@ def suite_lemma5(max_n: int = 8, seed: int = 0) -> SuiteResult:
     return _result("lemma5", f"n <= {max_n}", checks)
 
 
-def suite_theorem13(max_n: int = 8, seed: int = 0) -> SuiteResult:
+def suite_theorem13(max_n: int, seed: int = 0) -> SuiteResult:
     """Singleton/even-pair statistics on trees reproduce the s triangle."""
     tri = el.s_triangle_recurrence(max_n)
     checks = []
@@ -187,7 +187,7 @@ def suite_theorem13(max_n: int = 8, seed: int = 0) -> SuiteResult:
     return _result("theorem13", f"n <= {max_n}", checks)
 
 
-def suite_corollary15(max_n: int = 8, seed: int = 0) -> SuiteResult:
+def suite_corollary15(max_n: int, seed: int = 0) -> SuiteResult:
     """Theta counts assemble the four-letter iterate and match the gamma
     triangle through the index change."""
     gtri = el.gamma_triangle_recurrence(max_n)
@@ -223,7 +223,7 @@ def suite_corollary15(max_n: int = 8, seed: int = 0) -> SuiteResult:
     return _result("corollary15", f"n <= {max_n}", checks)
 
 
-def suite_lemma9(max_n: int = 7, seed: int = 0) -> SuiteResult:
+def suite_lemma9(max_n: int, seed: int = 0) -> SuiteResult:
     """Pair involutions: involutive, commuting, matching-preserving; orbits
     of the odd-pair subgroup have one ascent-free representative each and
     size 2^(odd pairs); statistic transport matches the predicted values."""
@@ -306,15 +306,16 @@ def random_closure_instance(rng: random.Random, n_max: int):
     return gammas, weights
 
 
-def suite_closure(
-    max_n: int = 6, seed: int = 0, instances: int = 100
-) -> SuiteResult:
+CLOSURE_INSTANCES = 100
+
+
+def suite_closure(max_n: int, seed: int = 0) -> SuiteResult:
     """Randomized closure sweep: every constructed polynomial must be
     alternatingly increasing with certificates equal to the unique
     symmetric decomposition."""
     rng = random.Random(seed)
     checks = []
-    for trial in range(instances):
+    for trial in range(CLOSURE_INSTANCES):
         gammas, weights = random_closure_instance(rng, max_n)
         ok = True
         detail = ""
@@ -339,7 +340,9 @@ def suite_closure(
                 break
         checks.append(Check(f"instance {trial}", ok, detail))
     return _result(
-        "closure", f"n_max = {max_n}, {instances} instances, seed {seed}", checks
+        "closure",
+        f"n_max = {max_n}, {CLOSURE_INSTANCES} instances, seed {seed}",
+        checks,
     )
 
 

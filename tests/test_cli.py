@@ -192,6 +192,8 @@ def test_cache_corruption_rebuilds_with_warning(tmp_path, capsys):
                      '{"n":3,"i":1,"j":0,"coeff":"5"}'),
         # a row 0 inside the s support: rows must be exactly 1 .. n_max
         '{"n":0,"i":0,"j":0,"coeff":"5"}\n' + good,
+        # a stray row far past the last one must not set the rebuild size
+        good + '{"n":40,"i":0,"j":0,"coeff":"1"}\n',
     )
     for text in corrupted:
         path.write_text(text)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -143,7 +144,9 @@ def test_triangle_equality_reads_empty_rows_as_absent(s_rec):
     assert el.Triangle({**s_rec.rows, 0: {}, 99: {}}) == s_rec
     assert el.Triangle({1: s_rec.row(1)}) != s_rec
     assert s_rec != dict(s_rec.rows)
-    assert el.triangle_max_row(el.Triangle({**s_rec.rows, 99: {}})) == 24
+    assert el.triangle_row_run(el.Triangle({**s_rec.rows, 99: {}})) == 24
+    assert el.triangle_row_run(el.Triangle({**s_rec.rows, 99: {(0, 0): 1}})) == 24
+    assert el.triangle_row_run(el.Triangle({2: s_rec.row(2)})) == 0
 
 
 def test_s_row_8_j0_slice_is_j8(s_rec):
@@ -343,6 +346,48 @@ def test_t_poly_route_dispatch():
 def test_gamma_equals_scaled_t_through_40(gamma_tri):
     t_tri = el.t_triangle_recurrence(40)
     assert el.gamma_equals_scaled_t(gamma_tri, t_tri, 40) is None
+
+
+@pytest.mark.parametrize(
+    "build, n, digest",
+    [
+        (el.s_triangle_recurrence, 120,
+         "6ac85d0b9d552ba267739075531e47f0fb885bbec0a582af0220807533e6012b"),
+        (el.gamma_triangle_recurrence, 160,
+         "8400c75c5414207c82ce5eefc5079d01550cd058a522236cc22c0e4feefd7934"),
+        (el.t_triangle_recurrence, 160,
+         "9c962661de45e1a251b11bac7ba819ae71e2f9152d3579c0447a3b726a8a0932"),
+    ],
+    ids=["s", "gamma", "t"],
+)
+def test_triangle_recurrences_match_pinned_digests(build, n, digest):
+    # sha256 of the JSON-lines text; the s and gamma values are also the
+    # benchmark's reference cache digests (perfbench/workloads.py)
+    text = el.triangle_to_jsonl(build(n))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "build, bounds_name",
+    [
+        (el.s_triangle_recurrence, "_s_bounds"),
+        (el.gamma_triangle_recurrence, "_gamma_bounds"),
+    ],
+    ids=["s", "gamma"],
+)
+def test_recurrence_rejects_entry_outside_narrowed_support(
+    monkeypatch, build, bounds_name
+):
+    true_bounds = getattr(el, bounds_name)
+
+    def narrowed(n):
+        i_max, half, step = true_bounds(n)
+        return i_max, half - 1, step
+
+    monkeypatch.setattr(el, bounds_name, narrowed)
+    cell = r"bad entry \d+ at \(\d+, \d+, \d+\)"
+    with pytest.raises(el.TriangleDefectError, match=cell):
+        build(12)
 
 
 def test_gamma_711_value(gamma_tri):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -32,3 +34,17 @@ def test_route_timings_agree():
     assert "all routes agree through n = 12" in out
     for route in ("operator", "recurrence", "viennot", "series"):
         assert f"{route}:" in out
+
+
+@pytest.mark.slow
+def test_output_digests_are_stable():
+    first = run_script("output_digests.py")
+    lines = first.splitlines()
+    assert len(lines) > 60
+    for line in lines:
+        digest, invocation = line.split("  ", 1)
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert "(exit" not in invocation
+    assert "DIR/s.jsonl" in first and "compute j --n 120 --route series" in first
+    # no temporary path or timing leaks into the digests
+    assert run_script("output_digests.py") == first

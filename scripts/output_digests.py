@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print the sha256 of the stdout of a fixed list of CLI invocations, and of
-every cache file they write, one `digest  invocation` line each.
+every cache file they write or read, one `digest  invocation` line each.
 
 Run it on two checkouts and `diff` the outputs: equal lines mean
 byte-identical output. The cache commands run in a temporary directory,
@@ -42,12 +42,14 @@ def invocations():
     yield ["compute", "decompose", "--n", "100"]
     for suite in ("all", "thm1", "thm2"):
         yield ["verify", suite]
-    for target in CACHE_TARGETS:
-        for action in ("write", "read"):
-            yield ["cache", action, "--target", target, "--cache-dir", "DIR"]
-    for target in ("s", "gamma", "t"):
-        for action in ("write", "read"):
-            yield ["cache", action, "--target", target, "--max-n", "40",
+    # each write is followed by reads of the file it wrote, in all formats
+    sized = [(t, ()) for t in CACHE_TARGETS]
+    sized += [(t, ("--max-n", "40")) for t in ("s", "gamma", "t")]
+    for target, rows in sized:
+        for action, fmt in (("write", ()), ("read", ()),
+                            ("read", ("--format", "csv")),
+                            ("read", ("--format", "text"))):
+            yield ["cache", action, "--target", target, *rows, *fmt,
                    "--cache-dir", "DIR"]
 
 

@@ -321,16 +321,40 @@ def _build_triangle(target: str, n_max: int, cap: int) -> el.Triangle:
     )
 
 
-def _validate_triangle(target: str, tri: el.Triangle):
-    if target == "s":
-        el.validate_s_triangle(tri)
-    elif target == "gamma":
-        el.validate_gamma_triangle(tri)
-    elif target == "t":
-        el.validate_gamma_triangle(tri, scale=1)
-    else:
-        el.validate_theta_table(tri)
-        el.validate_row_range(tri)
+def _verified_cache(target: str, text: str) -> el.Triangle:
+    """The rows of a cache file that holds exactly what a rebuild would
+    write; raises ValueError at the first difference.
+
+    s, gamma and t are matched byte for byte, row by row, with the output of
+    their recurrence, with no JSON parse. Theta is parsed, and each row must
+    map under Corollary 15 onto the gamma recurrence's row; the file must
+    also be in the cache format, byte for byte."""
+    if target != "theta":
+        tri, complete = el.jsonl_prefix_rows(text, el.RECURRENCE_ROWS[target]())
+        if not complete:
+            raise ValueError(
+                f"row {len(tri.rows) + 1} differs from the recurrence"
+            )
+        return tri
+    tri = el.triangle_from_jsonl(text)
+    el.validate_theta_table(tri)
+    el.validate_row_range(tri)
+    gamma_rows = el.RECURRENCE_ROWS["gamma"]()
+    for (n, row), (_, gamma_row) in zip(sorted(tri.rows.items()), gamma_rows):
+        if to.gamma_row_from_theta(n, row) != gamma_row:
+            raise ValueError(f"theta row {n} does not give gamma row {n}")
+    if el.triangle_to_jsonl(tri) != text:
+        raise ValueError("not in the cache format")
+    return tri
+
+
+def _row_run(text: str) -> int:
+    """The unbroken run of rows 1 .. k in a cache file, or 0 when it does
+    not parse."""
+    try:
+        return el.triangle_row_run(el.triangle_from_jsonl(text))
+    except ValueError:
+        return 0
 
 
 def _write_atomic(path: str, text: str):
@@ -378,25 +402,32 @@ def _cmd_cache(args, parser) -> int:
     # read
     tri = None
     seen_rows = 0
+    text = ""
     try:
         with open(path, encoding="ascii") as fh:
             text = fh.read()
-        loaded = el.triangle_from_jsonl(text)
-        seen_rows = el.triangle_row_run(loaded)
-        _validate_triangle(args.target, loaded)
-        if args.max_n and seen_rows < args.max_n:
-            _warn(f"rebuild: file has {seen_rows} rows, {args.max_n} requested")
-        else:
-            tri = loaded
+        tri = _verified_cache(args.target, text)
+        held = el.triangle_row_run(tri)
+        if args.max_n and held < args.max_n:
+            _warn(f"rebuild: file has {held} rows, {args.max_n} requested")
+            tri = None
     except FileNotFoundError:
         _warn(f"cache file {path} missing; rebuilding")
     except ValueError as exc:
+        seen_rows = _row_run(text)
         _warn(f"cache file {path} corrupted ({exc}); rebuilding")
     if tri is None:
         n_max = args.max_n or seen_rows or CACHE_DEFAULT_ROWS[args.target]
         tri = _build_triangle(args.target, n_max, cap)
-        _write_atomic(path, el.triangle_to_jsonl(tri))
-    _emit_triangle(tri, args.format)
+        text = el.triangle_to_jsonl(tri)
+        _write_atomic(path, text)
+    if args.target == "s":
+        el.validate_s_triangle(tri)
+    if args.format == "json":
+        sys.stdout.write(text)
+    else:
+        text = None  # release the file text before the output is built
+        _emit_triangle(tri, args.format)
     return 0
 
 

@@ -25,6 +25,7 @@ to arbitrary seed data (`bi_gamma_closure`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, factorial
 
 from .exactpoly import (
@@ -131,9 +132,10 @@ def _check_entry(n: int, i: int, j: int, c: int, bounds: tuple, scale: int):
         raise TriangleDefectError(f"bad entry {c} at {(n, i, j)}")
 
 
-def _stencil_triangle(n_max: int, bounds_of, weight_of, scale: int) -> Triangle:
-    """The entrywise recurrence shared by the s, gamma and t triangles,
-    seeded by the single entry of row 1. With P the previous row,
+def _stencil_rows(bounds_of, weight_of, scale: int):
+    """The entrywise recurrence shared by the s, gamma and t triangles, as an
+    endless generator of (n, row) from the single entry of row 1 on; each row
+    is built only when the caller asks for it. With P the previous row,
 
       even n:  (2j+1) P(i, j) + (2i+2) P(i+1, j-1) + w P(i, j-1)
       odd n:   (2i+1) P(i, j) + (2j+2) P(i-1, j+1) + w P(i-1, j)
@@ -143,11 +145,11 @@ def _stencil_triangle(n_max: int, bounds_of, weight_of, scale: int) -> Triangle:
     (``bounds_of(n)``, see ``_check_entry``) plus one margin cell beyond
     every upper bound, and every nonzero entry is checked, so an entry that
     leaks out of the support raises."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
     prev = {(0, 0): 1}
-    rows = {1: prev}
-    for n in range(2, n_max + 1):
+    yield 1, prev
+    n = 1
+    while True:
+        n += 1
         cur: dict = {}
         even = n % 2 == 0
         bounds = i_max, half, step = bounds_of(n)
@@ -171,8 +173,15 @@ def _stencil_triangle(n_max: int, bounds_of, weight_of, scale: int) -> Triangle:
                 if v:
                     _check_entry(n, i, j, v, bounds, scale)
                     cur[(i, j)] = v
-        rows[n] = prev = cur
-    return Triangle(rows)
+        prev = cur
+        yield n, cur
+
+
+def _collect_rows(rows, n_max: int) -> Triangle:
+    """Rows 1 .. n_max of a row generator, as a Triangle."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    return Triangle(dict(islice(rows, n_max)))
 
 
 def s_triangle_operator(n_max: int) -> Triangle:
@@ -204,9 +213,14 @@ def s_triangle_operator(n_max: int) -> Triangle:
     return Triangle(rows)
 
 
-def s_triangle_recurrence(n_max: int) -> Triangle:
+def _s_rows():
     """Dumont's entrywise recurrence: the stencil with w = n + 1 - 2i - 2j."""
-    return _stencil_triangle(n_max, _s_bounds, lambda n: (n + 1, 2, 2), 1)
+    return _stencil_rows(_s_bounds, lambda n: (n + 1, 2, 2), 1)
+
+
+def s_triangle_recurrence(n_max: int) -> Triangle:
+    """Rows 1 .. n_max of s by Dumont's entrywise recurrence."""
+    return _collect_rows(_s_rows(), n_max)
 
 
 def s_poly(n: int, triangle: Triangle) -> MultiPoly:
@@ -498,31 +512,41 @@ def _gamma_bounds(n: int) -> tuple:
     return (n - 1) // 2, n // 2, 2
 
 
-def _gamma_like_recurrence(n_max: int, scale: int) -> Triangle:
+def _gamma_like_rows(scale: int):
     """The gamma (scale 4) and t (scale 1) recurrences: the stencil with
     w = scale * (n // 2 + 1 - i - 2j), every entry divisible by
-    scale^(i+j)."""
-    tri = _stencil_triangle(
-        n_max,
+    scale^(i+j), and row 2 reducing to the seed 1."""
+    rows = _stencil_rows(
         _gamma_bounds,
         lambda n: (scale * (n // 2 + 1), scale, 2 * scale),
         scale,
     )
-    if n_max >= 2 and tri.row(2).get((0, 0)) != 1:
+    yield next(rows)
+    n, row = next(rows)
+    if row.get((0, 0)) != 1:
         raise TriangleDefectError("row 2 does not reduce to the stated seed")
-    return tri
+    yield n, row
+    yield from rows
 
 
 def gamma_triangle_recurrence(n_max: int) -> Triangle:
     """Gamma triangle with seed rows 1 and 2 equal to 1; every entry must be
     divisible by 4^(i+j)."""
-    return _gamma_like_recurrence(n_max, 4)
+    return _collect_rows(_gamma_like_rows(4), n_max)
 
 
 def t_triangle_recurrence(n_max: int) -> Triangle:
     """The gamma triangle with powers of 4 divided out, built from its own
     recurrence (integrality of which is rechecked against gamma)."""
-    return _gamma_like_recurrence(n_max, 1)
+    return _collect_rows(_gamma_like_rows(1), n_max)
+
+
+# The s, gamma and t recurrences as endless row generators, by cache target.
+RECURRENCE_ROWS = {
+    "s": _s_rows,
+    "gamma": lambda: _gamma_like_rows(4),
+    "t": lambda: _gamma_like_rows(1),
+}
 
 
 def gamma_equals_scaled_t(gamma_tri: Triangle, t_tri: Triangle, n_max: int):
@@ -845,12 +869,36 @@ def bi_gamma_closure(g_gammas, weights, n_max: int) -> list:
 # triangle serialization (JSON-lines cache format, CSV)
 
 
+def row_to_jsonl(n: int, row: dict) -> str:
+    """Row n in the cache format: one JSON record per entry, sorted by
+    (i, j), each ending in a newline."""
+    return "".join(
+        ['{"n":%d,"i":%d,"j":%d,"coeff":"%d"}\n' % (n, i, j, row[i, j])
+         for i, j in sorted(row)]
+    )
+
+
 def triangle_to_jsonl(tri: Triangle) -> str:
-    lines = [
-        '{"n":%d,"i":%d,"j":%d,"coeff":"%d"}' % entry
-        for entry in triangle_entries(tri)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join([row_to_jsonl(n, tri.rows[n]) for n in sorted(tri.rows)])
+
+
+def jsonl_prefix_rows(text: str, rows) -> tuple:
+    """Match text with the cache format of the rows that ``rows`` yields
+    from row 1 on, one row at a time and in place. Returns (tri, complete):
+    tri holds the rows that matched, and complete is true when they cover
+    the whole text. Stops at the first row that does not match, so at most
+    one row more than matched is taken from ``rows``."""
+    matched: dict = {}
+    pos, end = 0, len(text)
+    for n, row in rows:
+        chunk = row_to_jsonl(n, row)
+        if not chunk or not text.startswith(chunk, pos):
+            break
+        matched[n] = row
+        pos += len(chunk)
+        if pos == end:
+            return Triangle(matched), True
+    return Triangle(matched), False
 
 
 def triangle_from_jsonl(text: str) -> Triangle:

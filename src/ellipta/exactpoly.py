@@ -86,12 +86,14 @@ def uni_add(f: UniPoly, g: UniPoly) -> UniPoly:
     return uni(out)
 
 
-def uni_addmul_into(acc: list, f: UniPoly, c: int = 1):
-    """Add c * f into the dense coefficient list acc in place, growing it as
-    needed; the running-sum counterpart of uni_add for long sums."""
-    if len(f) > len(acc):
-        acc.extend([0] * (len(f) - len(acc)))
-    for i, a in enumerate(f):
+def uni_addmul_into(acc: list, f: UniPoly, c: int = 1, shift: int = 0):
+    """Add c * x**shift * f into the dense coefficient list acc in place,
+    growing it as needed; the running-sum counterpart of uni_add for long
+    sums."""
+    end = shift + len(f)
+    if end > len(acc):
+        acc.extend([0] * (end - len(acc)))
+    for i, a in enumerate(f, shift):
         acc[i] += c * a
 
 
@@ -156,14 +158,6 @@ def uni_reverse(f: UniPoly, n: int) -> UniPoly:
     return uni(uni_coeff(f, n - e) for e in range(n + 1))
 
 
-def uni_eval_int(f: UniPoly, v: int) -> int:
-    """Exact Horner evaluation at an integer point."""
-    acc = 0
-    for a in reversed(f):
-        acc = acc * v + a
-    return acc
-
-
 def uni_divexact(f: UniPoly, d: int) -> UniPoly:
     """Divide every coefficient by d, requiring exactness."""
     if d == 0:
@@ -201,10 +195,6 @@ def binomial_poly(n: int) -> UniPoly:
 
 def uni_to_json(f: UniPoly, var: str = "x") -> dict:
     return {"var": var, "coeffs": [str(c) for c in f] or ["0"]}
-
-
-def uni_from_json(obj: dict) -> UniPoly:
-    return uni(int(c) for c in obj["coeffs"])
 
 
 def uni_to_text(f: UniPoly, var: str = "x") -> str:
@@ -377,7 +367,9 @@ class MultiPoly:
 
     def substitute(self, assignment: dict) -> UniPoly:
         """Substitute every letter by an int or a UniPoly in one shared output
-        variable; collect the result as a UniPoly."""
+        variable; collect the result as a UniPoly. A letter whose value is a
+        monomial a x^d scales a term by a^e and shifts it by d e; only the
+        other letters cost a polynomial product."""
         values = []
         for v in self.vars:
             if v not in assignment:
@@ -387,6 +379,11 @@ class MultiPoly:
                 val = (val,) if val else UNI_ZERO
             values.append(uni(val))
         zeros = [idx for idx, val in enumerate(values) if not val]
+        # letter index -> (a, d) for a value a x^d, None for a general value
+        monos = [
+            (val[-1], len(val) - 1) if val and not any(val[:-1]) else None
+            for val in values
+        ]
         pow_cache: dict = {}
 
         def power(idx, e):
@@ -399,11 +396,18 @@ class MultiPoly:
         for exps, c in self.terms.items():
             if any(exps[idx] for idx in zeros):
                 continue  # a letter set to 0 kills the whole term
-            term = (c,)
+            term = None
+            shift = 0
             for idx, e in enumerate(exps):
                 if e:
-                    term = uni_mul(term, power(idx, e))
-            uni_addmul_into(total, term)
+                    mono = monos[idx]
+                    if mono is None:
+                        p = power(idx, e)
+                        term = p if term is None else uni_mul(term, p)
+                    else:
+                        c *= mono[0] ** e
+                        shift += mono[1] * e
+            uni_addmul_into(total, UNI_ONE if term is None else term, c, shift)
         return uni(total)
 
     def compose(self, mapping: dict, variables) -> "MultiPoly":
@@ -489,21 +493,6 @@ class MultiPoly:
         for neg, body in parts[1:]:
             text += (" - " if neg else " + ") + body
         return text
-
-
-def multi_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact product of two MultiPoly values over the same alphabet."""
-    return f * g
-
-
-def multi_partial(f: MultiPoly, var: str) -> MultiPoly:
-    """Formal partial derivative of f with respect to var."""
-    return f.partial(var)
-
-
-def multi_substitute(f: MultiPoly, assignment: dict) -> UniPoly:
-    """Collect f under a total assignment of letters to ints or UniPolys."""
-    return f.substitute(assignment)
 
 
 # ---------------------------------------------------------------------------

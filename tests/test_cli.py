@@ -205,6 +205,114 @@ def test_cache_corruption_rebuilds_with_warning(tmp_path, capsys):
         assert out == good
 
 
+def _edit_record(text, cell, coeff=None):
+    """Delete the record of cell (n, i, j), or set its coeff."""
+    head = '{"n":%d,"i":%d,"j":%d,' % cell
+    lines = text.splitlines(keepends=True)
+    (k,) = [k for k, line in enumerate(lines) if line.startswith(head)]
+    if coeff is None:
+        del lines[k]
+    else:
+        lines[k] = head + '"coeff":"%d"}\n' % coeff
+    return "".join(lines)
+
+
+def _swap_theta_cells(text):
+    # 64 and 1248 trade places: both cells have j = 0, so the weighted sum
+    # of row 7 is unchanged
+    assert '{"n":7,"i":1,"j":0,"coeff":"64"}' in text
+    assert '{"n":7,"i":3,"j":0,"coeff":"1248"}' in text
+    return _edit_record(_edit_record(text, (7, 1, 0), 1248), (7, 3, 0), 64)
+
+
+@pytest.mark.parametrize(
+    "target, max_n, corrupt",
+    [
+        # an entry deleted from inside a row: every record left is valid
+        ("gamma", "9", lambda text: _edit_record(text, (9, 1, 1))),
+        # a wrong value with the right sign, support and 4^(i+j) divisibility
+        ("gamma", "9", lambda text: _edit_record(text, (9, 0, 1), 4)),
+        ("t", "9", lambda text: _edit_record(text, (8, 1, 0))),
+        ("theta", "7", _swap_theta_cells),
+    ],
+    ids=["gamma-deleted-entry", "gamma-divisible-value", "t-deleted-entry",
+         "theta-swapped-cells"],
+)
+def test_cache_file_unlike_its_recurrence_is_rebuilt(tmp_path, capsys, target,
+                                                     max_n, corrupt):
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", target, "--max-n", max_n,
+        "--cache-dir", cache_dir)
+    path = tmp_path / f"{target}.jsonl"
+    good = path.read_text()
+    bad = corrupt(good)
+    assert bad != good
+    path.write_text(bad)
+    code, out, err = run(capsys, "cache", "read", "--target", target,
+                         "--cache-dir", cache_dir)
+    assert code == 0
+    assert "corrupted" in err and "rebuilding" in err
+    assert out == good and path.read_text() == good
+
+
+@pytest.mark.parametrize("target", ["s", "gamma", "t"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_cache_hit_is_served_without_a_parse(tmp_path, capsys, monkeypatch,
+                                             target, fmt):
+    from ellipta import elliptic as el
+
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", target, "--max-n", "12",
+        "--cache-dir", cache_dir)
+    build = {"s": el.s_triangle_recurrence, "gamma": el.gamma_triangle_recurrence,
+             "t": el.t_triangle_recurrence}[target]
+    tri = build(12)
+    want = {
+        "json": el.triangle_to_jsonl(tri),
+        "csv": el.triangle_to_csv(tri),
+        "text": "".join("(%d,%d,%d) %d\n" % e for e in el.triangle_entries(tri)),
+    }[fmt]
+
+    def no_parse(text):
+        raise AssertionError("a verified hit must not parse the file")
+
+    monkeypatch.setattr(el, "triangle_from_jsonl", no_parse)
+    code, out, err = run(capsys, "cache", "read", "--target", target,
+                         "--format", fmt, "--cache-dir", cache_dir)
+    assert code == 0 and err == ""
+    assert out == want
+
+
+def test_cache_verifier_builds_one_row_past_the_match(tmp_path, capsys,
+                                                      monkeypatch):
+    from ellipta import elliptic as el
+
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", "gamma", "--max-n", "5",
+        "--cache-dir", cache_dir)
+    path = tmp_path / "gamma.jsonl"
+    good = path.read_text()
+    path.write_text(good + '{"n":100000,"i":0,"j":0,"coeff":"1"}\n')
+    real = el._stencil_rows
+    taken = []  # rows taken from each generator the read starts
+
+    def counting(*args):
+        taken.append(0)
+        k = len(taken) - 1
+        for item in real(*args):
+            taken[k] += 1
+            yield item
+
+    monkeypatch.setattr(el, "_stencil_rows", counting)
+    code, out, err = run(capsys, "cache", "read", "--target", "gamma",
+                         "--cache-dir", cache_dir)
+    assert code == 0 and "corrupted (row 6 differs" in err
+    assert out == good and path.read_text() == good
+    verifier, *rebuild = taken
+    assert verifier <= 6
+    assert rebuild == [5]
+
+
 def test_cache_short_file_rebuilds_to_requested_rows(tmp_path, capsys):
     cache_dir = str(tmp_path)
     run(capsys, "cache", "write", "--target", "s", "--max-n", "6",

@@ -21,13 +21,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ellipta.cli import main as cli_main
 
 FORMATS = ("json", "csv", "text")
+# s and gamma by both flags: --max-n takes rows 1 .. n of a row stream,
+# --n picks row n alone out of it
 COMPUTE = (
-    [("s", "--max-n", "30", r) for r in ("recurrence", "operator")]
-    + [("s", "--max-n", "7", "trees")]
-    + [("gamma", "--max-n", "30", r) for r in ("recurrence", "operator")]
-    + [("gamma", "--max-n", "7", "trees")]
+    [(t, flag, "30", r)
+     for t in ("s", "gamma")
+     for flag in ("--max-n", "--n")
+     for r in ("recurrence", "operator")]
+    + [(t, flag, "7", "trees") for t in ("s", "gamma") for flag in ("--max-n", "--n")]
     + [("t", "--n", "30", r) for r in ("recurrence", "poly")]
-    + [("p", "--n", "30", r) for r in ("recurrence", "operator")]
+    + [("p", "--n", n, r) for n in ("30", "120") for r in ("recurrence", "operator")]
     + [("theta", "--n", "7", "trees")]
 )
 CACHE_TARGETS = ("s", "gamma", "t", "theta")

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import count, islice
 
 from . import elliptic as el
 from . import gammakit as gk
@@ -28,18 +29,46 @@ from .exactpoly import (
 )
 
 CACHE_ENV = "ELLIPTA_CACHE_DIR"
-CACHE_TARGETS = ("s", "gamma", "t", "theta")
 CACHE_DEFAULT_ROWS = {"s": 12, "gamma": 12, "t": 12, "theta": 7}
 
 J_ROUTES = tuple(el.J_ROUTES)
-S_BUILDERS = {
-    "operator": el.s_triangle_operator,
-    "recurrence": el.s_triangle_recurrence,
-}
-P_ROUTES = tuple(S_BUILDERS)
-S_ROUTES = P_ROUTES + ("trees",)
-GAMMA_ROUTES = ("recurrence", "operator", "trees")
+P_ROUTES = ("operator", "recurrence")
 T_ROUTES = ("recurrence", "poly")
+
+
+def _stream(rows):
+    """A row generator from row 1 on as a row source; skips rows < first."""
+    return lambda first, cap: islice(rows(), first - 1, None)
+
+
+def _enumerated(row_of):
+    """A tree enumeration as a row source; only the rows taken are built."""
+    return lambda first, cap: ((n, row_of(n, cap)) for n in count(first))
+
+
+def _gamma_rows_operator():
+    """Gamma rows peeled out of P_n, row n of the operator's s triangle."""
+    for n, row in el.s_rows_operator():
+        yield n, el.gamma_from_p(n, el.p_poly(n, el.Triangle({n: row}))).row(n)
+
+
+# (target, route) -> source(first, cap), an endless (n, row) iterator from `first`
+ROW_SOURCES = {
+    ("s", "operator"): _stream(el.s_rows_operator),
+    ("s", "recurrence"): _stream(el.s_rows_recurrence),
+    ("s", "trees"): _enumerated(lambda n, cap: to.s_from_trees(n, cap=cap).row(n)),
+    ("gamma", "recurrence"): _stream(el.gamma_rows_recurrence),
+    ("gamma", "operator"): _stream(_gamma_rows_operator),
+    ("gamma", "trees"): _enumerated(
+        lambda n, cap: to.gamma_row_from_theta(n, to.theta_table(n, cap=cap).row(n))
+    ),
+    ("t", "recurrence"): _stream(el.t_rows_recurrence),
+    ("theta", "trees"): _enumerated(lambda n, cap: to.theta_table(n, cap=cap).row(n)),
+}
+# The route of each triangle target when none is named, and of its cache file
+DEFAULT_ROUTES = {"s": "recurrence", "gamma": "recurrence", "t": "recurrence",
+                  "theta": "trees"}
+CACHE_TARGETS = tuple(DEFAULT_ROUTES)
 
 
 def _warn(msg: str):
@@ -115,14 +144,12 @@ def _emit_multipoly(f: MultiPoly, fmt: str):
         print(json.dumps(f.to_json(), sort_keys=True))
 
 
-def _emit_triangle(tri: el.Triangle, fmt: str):
+def _emit_rows(rows, fmt: str):
+    """Write each (n, row) as it arrives, in the row format of fmt."""
     if fmt == "csv":
-        sys.stdout.write(el.triangle_to_csv(tri))
-    elif fmt == "text":
-        for entry in el.triangle_entries(tri):
-            print("(%d,%d,%d) %d" % entry)
-    else:
-        sys.stdout.write(el.triangle_to_jsonl(tri))
+        sys.stdout.write(el.CSV_HEADER)
+    for n, row in rows:
+        sys.stdout.write(el.format_row(n, row, fmt))
 
 
 def _rows_requested(args, parser_error) -> tuple:
@@ -131,14 +158,22 @@ def _rows_requested(args, parser_error) -> tuple:
     if args.n is not None:
         if args.n < 1:
             parser_error("--n must be at least 1")
-        return args.n, (args.n,)
+        return args.n, args.n
     _check_max_n(args, parser_error)
-    return args.max_n, tuple(range(1, args.max_n + 1))
+    return 1, args.max_n
 
 
 def _check_max_n(args, parser_error):
     if args.max_n is not None and args.max_n < 1:
         parser_error("--max-n must be at least 1")
+
+
+def _take_rows(args, target: str, route: str, first: int, last: int):
+    """Rows first .. last of target by route. Enumerated rows are all built
+    before any is returned, so an exceeded cap fails with no output."""
+    cap = _enum_cap(args, to.DEFAULT_TREE_CAP) if route == "trees" else None
+    rows = islice(ROW_SOURCES[target, route](first, cap), last + 1 - first)
+    return list(rows) if route == "trees" else rows
 
 
 def _cmd_compute(args, parser) -> int:
@@ -163,48 +198,17 @@ def _cmd_compute(args, parser) -> int:
         route = args.route or "recurrence"
         if route not in P_ROUTES:
             fail_usage(f"route for p must be one of {P_ROUTES}")
-        tri = S_BUILDERS[route](args.n)
-        _emit_multipoly(el.p_poly(args.n, tri), fmt)
+        ((n, row),) = _take_rows(args, "s", route, args.n, args.n)
+        _emit_multipoly(el.p_poly(n, el.Triangle({n: row})), fmt)
         return 0
 
-    if args.target == "s":
-        n_max, rows = _rows_requested(args, fail_usage)
-        route = args.route or "recurrence"
-        if route not in S_ROUTES:
-            fail_usage(f"route for s must be one of {S_ROUTES}")
-        if route == "trees":
-            cap = _enum_cap(args, to.DEFAULT_TREE_CAP)
-            tri = el.Triangle(
-                {n: to.s_from_trees(n, cap=cap).row(n) for n in rows}
-            )
-        else:
-            full = S_BUILDERS[route](n_max)
-            tri = el.Triangle({n: full.row(n) for n in rows})
-        _emit_triangle(tri, fmt)
-        return 0
-
-    if args.target == "gamma":
-        n_max, rows = _rows_requested(args, fail_usage)
-        route = args.route or "recurrence"
-        if route not in GAMMA_ROUTES:
-            fail_usage(f"route for gamma must be one of {GAMMA_ROUTES}")
-        if route == "recurrence":
-            full = el.gamma_triangle_recurrence(n_max)
-            tri = el.Triangle({n: full.row(n) for n in rows})
-        elif route == "operator":
-            s_tri = el.s_triangle_operator(n_max)
-            tri = el.Triangle(
-                {n: el.gamma_from_p(n, el.p_poly(n, s_tri)).row(n) for n in rows}
-            )
-        else:
-            cap = _enum_cap(args, to.DEFAULT_TREE_CAP)
-            tri = el.Triangle(
-                {
-                    n: to.gamma_row_from_theta(n, to.theta_table(n, cap=cap).row(n))
-                    for n in rows
-                }
-            )
-        _emit_triangle(tri, fmt)
+    if args.target in ("s", "gamma"):
+        first, last = _rows_requested(args, fail_usage)
+        route = args.route or DEFAULT_ROUTES[args.target]
+        routes = tuple(r for t, r in ROW_SOURCES if t == args.target)
+        if route not in routes:
+            fail_usage(f"route for {args.target} must be one of {routes}")
+        _emit_rows(_take_rows(args, args.target, route, first, last), fmt)
         return 0
 
     if args.target == "t":
@@ -221,8 +225,7 @@ def _cmd_compute(args, parser) -> int:
             fail_usage("compute theta needs --n >= 0")
         if args.route not in (None, "trees"):
             fail_usage("theta is computed from trees only")
-        cap = _enum_cap(args, to.DEFAULT_TREE_CAP)
-        _emit_triangle(to.theta_table(args.n, cap=cap), fmt)
+        _emit_rows(_take_rows(args, "theta", "trees", args.n, args.n), fmt)
         return 0
 
     if args.target == "decompose":
@@ -309,16 +312,9 @@ def _cache_dir(args, parser) -> str:
     return path
 
 
-def _build_triangle(target: str, n_max: int, cap: int) -> el.Triangle:
-    if target == "s":
-        return el.s_triangle_recurrence(n_max)
-    if target == "gamma":
-        return el.gamma_triangle_recurrence(n_max)
-    if target == "t":
-        return el.t_triangle_recurrence(n_max)
-    return el.Triangle(
-        {n: to.theta_table(n, cap=cap).row(n) for n in range(1, n_max + 1)}
-    )
+def _cache_rows(target: str, cap: int):
+    """The rows of a cache file of target, from row 1 on."""
+    return ROW_SOURCES[target, DEFAULT_ROUTES[target]](1, cap)
 
 
 def _verified_cache(target: str, text: str) -> el.Triangle:
@@ -330,7 +326,7 @@ def _verified_cache(target: str, text: str) -> el.Triangle:
     map under Corollary 15 onto the gamma recurrence's row; the file must
     also be in the cache format, byte for byte."""
     if target != "theta":
-        tri, complete = el.jsonl_prefix_rows(text, el.RECURRENCE_ROWS[target]())
+        tri, complete = el.jsonl_prefix_rows(text, _cache_rows(target, None))
         if not complete:
             raise ValueError(
                 f"row {len(tri.rows) + 1} differs from the recurrence"
@@ -339,7 +335,7 @@ def _verified_cache(target: str, text: str) -> el.Triangle:
     tri = el.triangle_from_jsonl(text)
     el.validate_theta_table(tri)
     el.validate_row_range(tri)
-    gamma_rows = el.RECURRENCE_ROWS["gamma"]()
+    gamma_rows = _cache_rows("gamma", None)
     for (n, row), (_, gamma_row) in zip(sorted(tri.rows.items()), gamma_rows):
         if to.gamma_row_from_theta(n, row) != gamma_row:
             raise ValueError(f"theta row {n} does not give gamma row {n}")
@@ -357,16 +353,21 @@ def _row_run(text: str) -> int:
         return 0
 
 
-def _write_atomic(path: str, text: str):
-    """Replace path with text in one step: write a temporary file in the
-    same directory, then rename it over path, so a reader never sees a
-    partial file and a failed write leaves the old one intact."""
+def _write_atomic(path: str, chunks) -> int:
+    """Replace path with the text chunks in one step: write them one by one
+    to a temporary file in the same directory, then rename it over path, so
+    a reader never sees a partial file and a failed write leaves the old one
+    intact. Returns the number of lines written."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
+    lines = 0
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
+                lines += chunk.count("\n")
         os.replace(tmp, path)
+        return lines
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -394,9 +395,11 @@ def _cmd_cache(args, parser) -> int:
 
     if args.action == "write":
         n_max = args.max_n or CACHE_DEFAULT_ROWS[args.target]
-        tri = _build_triangle(args.target, n_max, cap)
-        _write_atomic(path, el.triangle_to_jsonl(tri))
-        print(f"wrote {len(tri)} records to {path}")
+        rows = islice(_cache_rows(args.target, cap), n_max)
+        records = _write_atomic(
+            path, (el.format_row(n, row, "json") for n, row in rows)
+        )
+        print(f"wrote {records} records to {path}")
         return 0
 
     # read
@@ -418,16 +421,16 @@ def _cmd_cache(args, parser) -> int:
         _warn(f"cache file {path} corrupted ({exc}); rebuilding")
     if tri is None:
         n_max = args.max_n or seen_rows or CACHE_DEFAULT_ROWS[args.target]
-        tri = _build_triangle(args.target, n_max, cap)
+        tri = el.Triangle(dict(islice(_cache_rows(args.target, cap), n_max)))
         text = el.triangle_to_jsonl(tri)
-        _write_atomic(path, text)
+        _write_atomic(path, [text])
     if args.target == "s":
         el.validate_s_triangle(tri)
     if args.format == "json":
         sys.stdout.write(text)
     else:
         text = None  # release the file text before the output is built
-        _emit_triangle(tri, args.format)
+        _emit_rows(sorted(tri.rows.items()), args.format)
     return 0
 
 

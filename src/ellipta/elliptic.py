@@ -25,10 +25,11 @@ to arbitrary seed data (`bi_gamma_closure`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from math import comb, factorial
 
 from .exactpoly import (
+    DegreeExceedsCenterError,
     FormalSeries,
     MultiPoly,
     UNI_ONE,
@@ -147,9 +148,7 @@ def _stencil_rows(bounds_of, weight_of, scale: int):
     leaks out of the support raises."""
     prev = {(0, 0): 1}
     yield 1, prev
-    n = 1
-    while True:
-        n += 1
+    for n in count(2):
         cur: dict = {}
         even = n % 2 == 0
         bounds = i_max, half, step = bounds_of(n)
@@ -184,16 +183,14 @@ def _collect_rows(rows, n_max: int) -> Triangle:
     return Triangle(dict(islice(rows, n_max)))
 
 
-def s_triangle_operator(n_max: int) -> Triangle:
-    """Read s_{n,i,j} off the exponent patterns of the operator iterates:
-    even rows carry x^(2i+1) y^(2j), odd rows x^(2i) y^(2j+1)."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+def s_rows_operator():
+    """Read s_{n,i,j} off the exponent patterns of the operator iterates,
+    as an endless generator of (n, row) from row 1 on: even rows carry
+    x^(2i+1) y^(2j), odd rows x^(2i) y^(2j+1)."""
     f = G_SD.seed("x")
-    rows: dict = {}
-    for n in range(1, n_max + 1):
+    for n in count(1):
         f = derive_once(G_SD, f)
-        cur = rows[n] = {}
+        row = {}
         bounds = _s_bounds(n)
         for (ex, ey, ez), c in f.terms.items():
             if n % 2 == 0:
@@ -209,18 +206,23 @@ def s_triangle_operator(n_max: int) -> Triangle:
                     )
                 i, j = ex // 2, (ey - 1) // 2
             _check_entry(n, i, j, c, bounds, 1)
-            cur[(i, j)] = c
-    return Triangle(rows)
+            row[(i, j)] = c
+        yield n, row
 
 
-def _s_rows():
+def s_rows_recurrence():
     """Dumont's entrywise recurrence: the stencil with w = n + 1 - 2i - 2j."""
     return _stencil_rows(_s_bounds, lambda n: (n + 1, 2, 2), 1)
 
 
+def s_triangle_operator(n_max: int) -> Triangle:
+    """Rows 1 .. n_max of s read off the operator iterates."""
+    return _collect_rows(s_rows_operator(), n_max)
+
+
 def s_triangle_recurrence(n_max: int) -> Triangle:
     """Rows 1 .. n_max of s by Dumont's entrywise recurrence."""
-    return _collect_rows(_s_rows(), n_max)
+    return _collect_rows(s_rows_recurrence(), n_max)
 
 
 def s_poly(n: int, triangle: Triangle) -> MultiPoly:
@@ -272,18 +274,6 @@ def validate_j_sequence(seq: JSequence):
             raise ValueError(f"route {seq.route}: negative coefficient in J_{n}")
 
 
-def j_slice_from_triangle(triangle: Triangle, n: int) -> UniPoly:
-    """J_n as a slice of the s triangle: the j = 0 line for even n, the
-    i = 0 line for odd n."""
-    if n == 0:
-        return UNI_ONE
-    half = n // 2
-    row = triangle.row(n)
-    if n % 2 == 0:
-        return uni(row.get((i, 0), 0) for i in range(half + 1))
-    return uni(row.get((0, j), 0) for j in range(half + 1))
-
-
 def j_from_p(n: int, triangle: Triangle) -> UniPoly:
     """J_n by specializing the cycle-peak polynomials; both admissible rows
     are specialized and must agree."""
@@ -307,17 +297,22 @@ def j_from_p(n: int, triangle: Triangle) -> UniPoly:
 
 
 def j_operator(n_max: int) -> JSequence:
-    tri = s_triangle_operator(max(1, n_max))
-    return JSequence(
-        "operator", tuple(j_slice_from_triangle(tri, n) for n in range(n_max + 1))
-    )
+    """J_n as the j = 0 (even n) or i = 0 (odd n) line of each s row."""
+    js = [UNI_ONE]
+    for n, row in islice(s_rows_operator(), n_max):
+        line = ((k, 0) if n % 2 == 0 else (0, k) for k in range(n // 2 + 1))
+        js.append(uni(row.get(ij, 0) for ij in line))
+    return JSequence("operator", tuple(js))
 
 
 def j_recurrence(n_max: int) -> JSequence:
-    tri = s_triangle_recurrence(max(1, n_max))
-    return JSequence(
-        "recurrence", tuple(j_from_p(n, tri) for n in range(n_max + 1))
-    )
+    """J_n from rows n - 1 and n of s, the only two rows kept."""
+    js = [UNI_ONE]
+    prev: dict = {}
+    for n, row in islice(s_rows_recurrence(), n_max):
+        js.append(j_from_p(n, Triangle({n - 1: prev, n: row})))
+        prev = row
+    return JSequence("recurrence", tuple(js))
 
 
 def j_viennot(n_max: int) -> JSequence:
@@ -529,24 +524,22 @@ def _gamma_like_rows(scale: int):
     yield from rows
 
 
+def gamma_rows_recurrence():
+    """Gamma rows from row 1 on; each entry is divisible by 4^(i+j)."""
+    return _gamma_like_rows(4)
+
+
+def t_rows_recurrence():
+    """The gamma rows with powers of 4 divided out, by their own stencil."""
+    return _gamma_like_rows(1)
+
+
 def gamma_triangle_recurrence(n_max: int) -> Triangle:
-    """Gamma triangle with seed rows 1 and 2 equal to 1; every entry must be
-    divisible by 4^(i+j)."""
-    return _collect_rows(_gamma_like_rows(4), n_max)
+    return _collect_rows(gamma_rows_recurrence(), n_max)
 
 
 def t_triangle_recurrence(n_max: int) -> Triangle:
-    """The gamma triangle with powers of 4 divided out, built from its own
-    recurrence (integrality of which is rechecked against gamma)."""
-    return _collect_rows(_gamma_like_rows(1), n_max)
-
-
-# The s, gamma and t recurrences as endless row generators, by cache target.
-RECURRENCE_ROWS = {
-    "s": _s_rows,
-    "gamma": lambda: _gamma_like_rows(4),
-    "t": lambda: _gamma_like_rows(1),
-}
+    return _collect_rows(t_rows_recurrence(), n_max)
 
 
 def gamma_equals_scaled_t(gamma_tri: Triangle, t_tri: Triangle, n_max: int):
@@ -608,29 +601,25 @@ def t_poly(n: int, route: str = "recurrence") -> MultiPoly:
 def gamma_from_p(n: int, pn: MultiPoly) -> Triangle:
     """Peel row n of the gamma triangle out of P_n: for every power i of p
     the q-coefficient polynomial must be symmetric about n//2 - i, and its
-    gamma vector gives the j line."""
+    gamma vector gives the j line. Every peeled entry must pass the gamma
+    triangle's entry check."""
     from .gammakit import NotSymmetricError, gamma_expand
 
-    half = n // 2
     slices: dict = {}
     for (i, j), c in pn.terms.items():
-        if i > (n - 1) // 2:
-            raise TriangleDefectError(f"p-degree {i} too large in row {n}")
         slices.setdefault(i, {})[j] = c
     row: dict = {}
     for i, coeffs in slices.items():
-        center = half - i
-        q_poly = uni(coeffs.get(j, 0) for j in range(center + 1))
+        q_poly = uni(coeffs.get(j, 0) for j in range(max(coeffs) + 1))
         try:
-            gv = gamma_expand(q_poly, center)
-        except NotSymmetricError as exc:
+            gv = gamma_expand(q_poly, n // 2 - i)
+        except (NotSymmetricError, DegreeExceedsCenterError) as exc:
             raise TriangleDefectError(
                 f"p^{i} slice of row {n} is not symmetric"
             ) from exc
         for j, g in enumerate(gv.gammas):
-            if g < 0:
-                raise TriangleDefectError(f"negative gamma at {(n, i, j)}")
             if g:
+                _check_entry(n, i, j, g, _gamma_bounds(n), 4)
                 row[(i, j)] = g
     return Triangle({n: row})
 
@@ -866,20 +855,26 @@ def bi_gamma_closure(g_gammas, weights, n_max: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# triangle serialization (JSON-lines cache format, CSV)
+# triangle serialization (JSON-lines cache format, CSV, text)
 
 
-def row_to_jsonl(n: int, row: dict) -> str:
-    """Row n in the cache format: one JSON record per entry, sorted by
-    (i, j), each ending in a newline."""
-    return "".join(
-        ['{"n":%d,"i":%d,"j":%d,"coeff":"%d"}\n' % (n, i, j, row[i, j])
-         for i, j in sorted(row)]
-    )
+# One line per entry (n, i, j, c) per output format; "json" is the cache's.
+ROW_FORMATS = {
+    "json": '{"n":%d,"i":%d,"j":%d,"coeff":"%d"}\n',
+    "csv": "%d,%d,%d,%d\n",
+    "text": "(%d,%d,%d) %d\n",
+}
+CSV_HEADER = "n,i,j,value\n"
+
+
+def format_row(n: int, row: dict, fmt: str) -> str:
+    """Row n in one of ROW_FORMATS, one line per entry, sorted by (i, j)."""
+    line = ROW_FORMATS[fmt]
+    return "".join([line % (n, i, j, row[i, j]) for i, j in sorted(row)])
 
 
 def triangle_to_jsonl(tri: Triangle) -> str:
-    return "".join([row_to_jsonl(n, tri.rows[n]) for n in sorted(tri.rows)])
+    return "".join([format_row(n, tri.rows[n], "json") for n in sorted(tri.rows)])
 
 
 def jsonl_prefix_rows(text: str, rows) -> tuple:
@@ -891,7 +886,7 @@ def jsonl_prefix_rows(text: str, rows) -> tuple:
     matched: dict = {}
     pos, end = 0, len(text)
     for n, row in rows:
-        chunk = row_to_jsonl(n, row)
+        chunk = format_row(n, row, "json")
         if not chunk or not text.startswith(chunk, pos):
             break
         matched[n] = row
@@ -925,9 +920,9 @@ def triangle_from_jsonl(text: str) -> Triangle:
 
 
 def triangle_to_csv(tri: Triangle) -> str:
-    lines = ["n,i,j,value"]
-    lines += ["%d,%d,%d,%d" % entry for entry in triangle_entries(tri)]
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "".join(
+        [format_row(n, tri.rows[n], "csv") for n in sorted(tri.rows)]
+    )
 
 
 def triangle_row_run(tri: Triangle) -> int:

@@ -134,6 +134,11 @@ def test_cap_exceeded_exit_2(capsys):
     code, _, err = run(capsys, "compute", "theta", "--n", "10")
     assert code == 2
     assert "cap" in err
+    # no row is written before every requested row is enumerated
+    for target in ("s", "gamma"):
+        code, out, err = run(capsys, "compute", target, "--max-n", "5",
+                             "--route", "trees", "--cap", "4")
+        assert code == 2 and out == "" and "cap" in err
 
 
 def test_cap_override_warns_above_10(capsys):
@@ -338,12 +343,44 @@ def test_cache_failed_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
         "--cache-dir", cache_dir)
     path = tmp_path / "s.jsonl"
     before = path.read_bytes()
-    # a serialized text that cannot be encoded fails inside the write
-    real = el.triangle_to_jsonl
-    monkeypatch.setattr(el, "triangle_to_jsonl", lambda tri: real(tri) + "\u00e9\n")
+    # a serialized row that cannot be encoded fails inside the write
+    real = el.format_row
+    monkeypatch.setattr(el, "format_row",
+                        lambda n, row, fmt: real(n, row, fmt) + "\u00e9\n")
     code, _, err = run(capsys, "cache", "write", "--target", "s", "--max-n", "6",
                        "--cache-dir", cache_dir)
     assert code == 1 and err.startswith("error: ")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
+
+
+def test_cache_write_failing_after_some_rows_keeps_previous_file(
+        tmp_path, capsys, monkeypatch):
+    from ellipta import elliptic as el
+
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "4",
+        "--cache-dir", cache_dir)
+    path = tmp_path / "s.jsonl"
+    before = path.read_bytes()
+    real = el.format_row
+    files_at_failure = []
+
+    def fail_at_row_5(n, row, fmt):
+        if n == 5:
+            files_at_failure.extend(sorted(p.name for p in tmp_path.iterdir()))
+            raise OSError("No space left on device")
+        return real(n, row, fmt)
+
+    monkeypatch.setattr(el, "format_row", fail_at_row_5)
+    code, out, err = run(capsys, "cache", "write", "--target", "s", "--max-n", "6",
+                         "--cache-dir", cache_dir)
+    assert code == 1 and out == ""
+    assert err == "error: No space left on device\n"
+    # the write had a temporary file open beside the old one
+    assert len(files_at_failure) == 2 and files_at_failure[0] == "s.jsonl"
+    assert files_at_failure[1].startswith("s.jsonl.")
+    assert files_at_failure[1].endswith(".tmp")
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
 

@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +292,49 @@ def test_four_routes_agree_at_200():
     assert el.first_route_mismatch(seqs) is None
 
 
+@pytest.mark.parametrize("route", ["recurrence", "operator"])
+def test_triangle_routes_keep_few_rows(route):
+    # J_n needs rows n - 1 and n of s only; keeping every row to 60 peaked
+    # at about 1.6 MiB on both routes
+    tracemalloc.start()
+    try:
+        el.J_ROUTES[route](60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 800 * 1024
+
+
+def test_recurrence_route_compares_rows_n_minus_1_and_n(monkeypatch):
+    real = el.s_rows_recurrence
+
+    def row_7_off_by_one():
+        for n, row in real():
+            if n == 7:
+                row = {**row, (0, 1): row[(0, 1)] + 1}
+            yield n, row
+
+    monkeypatch.setattr(el, "s_rows_recurrence", row_7_off_by_one)
+    with pytest.raises(el.RouteDisagreementError, match="rows 7 and 6"):
+        el.j_recurrence(8)
+
+
+@pytest.mark.slow
+def test_recurrence_route_at_400_in_bounded_memory():
+    # every row of s to 400, kept at once, took 1034 MiB of RSS (Linux,
+    # where ru_maxrss is in KiB)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "from ellipta import elliptic as el; el.j_recurrence(400)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 150 * 1024
+
+
 def test_series_identities_through_26():
     rep = el.series_identity_checks(26)
     assert rep.all_ok()
@@ -402,6 +450,24 @@ def test_gamma_from_p_rows(gamma_tri, s_rec):
     assert row6.row(6)[(1, 0)] == 44 and row6.row(6)[(1, 1)] == 240
     row1 = el.gamma_from_p(1, el.p_poly(1, s_rec))
     assert row1 == el.Triangle({1: {(0, 0): 1}})
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # P_3 is 1 + q + 4p: a p-coefficient 1 peels to gamma(3, 1, 0) = 1,
+        # which is not divisible by 4
+        {(0, 0): 1, (0, 1): 1, (1, 0): 1},
+        {(0, 0): 1, (0, 1): 1, (1, 0): -4},
+        {(0, 0): 1, (0, 1): 1, (1, 0): 4, (2, 0): 16},
+        # a q-power past the center of its p^0 slice
+        {(0, 0): 1, (0, 1): 1, (1, 0): 4, (0, 3): 1},
+    ],
+    ids=["not-divisible", "negative", "p-degree", "q-degree"],
+)
+def test_gamma_from_p_rejects_a_bad_row(terms):
+    with pytest.raises(el.TriangleDefectError):
+        el.gamma_from_p(3, MultiPoly(el.P_VARS, terms))
 
 
 def test_gamma_from_p_matches_recurrence_through_16(gamma_tri, s_rec):

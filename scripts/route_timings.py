@@ -2,6 +2,9 @@
 """Time the four J routes side by side and confirm they agree.
 
 Usage: python scripts/route_timings.py [max_n]
+
+max_n defaults to 120, the size of the jroutes benchmark: below about 100
+the timings measure interpreter overhead rather than bigint work.
 """
 
 import sys
@@ -14,7 +17,7 @@ from ellipta import elliptic as el
 
 
 def main():
-    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 24
+    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 120
     seqs = []
     for route in el.J_ROUTES:
         t0 = perf_counter()

@@ -254,6 +254,18 @@ class MultiPoly:
         object.__setattr__(self, "terms", {e: c for e, c in acc.items() if c})
         object.__setattr__(self, "_key", None)
 
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """Kernel output, with no re-check. The caller guarantees that
+        ``variables`` is a tuple of distinct letters and that every key of
+        ``terms`` is a tuple of its width whose entries are ints in
+        0 .. MAX_EXPONENT; only zero coefficients are dropped here."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", variables)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "_key", None)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 

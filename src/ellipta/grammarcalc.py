@@ -15,8 +15,15 @@ integer coefficients and ^ for powers).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 
-from .exactpoly import AlphabetMismatchError, MultiPoly
+from .exactpoly import (
+    MAX_EXPONENT,
+    AlphabetMismatchError,
+    MultiPoly,
+    UnknownVariableError,
+)
 
 
 class GrammarParseError(ValueError):
@@ -38,6 +45,19 @@ class Grammar:
                 raise AlphabetMismatchError(
                     f"rule alphabet {rule.vars} differs from {self.variables}"
                 )
+        # derive_once's tables, not fields: for letter k, the (delta, coeff)
+        # of every term of its rule, delta = rule exponent - e_k; and the
+        # largest component of any delta
+        deltas = tuple(
+            tuple(
+                (exp[:k] + (exp[k] - 1,) + exp[k + 1 :], c)
+                for exp, c in rule.terms.items()
+            )
+            for k, rule in enumerate(self.rules)
+        )
+        components = [x for ds in deltas for d, _ in ds for x in d]
+        object.__setattr__(self, "_deltas", deltas)
+        object.__setattr__(self, "_max_delta", max(components, default=0))
 
     @classmethod
     def from_dict(cls, variables, rules: dict) -> "Grammar":
@@ -47,6 +67,8 @@ class Grammar:
         return cls(vs, tuple(rules[v] for v in vs))
 
     def rule_for(self, var: str) -> MultiPoly:
+        if var not in self.variables:
+            raise UnknownVariableError(f"{var!r} not in alphabet {self.variables}")
         return self.rules[self.variables.index(var)]
 
     def seed(self, var: str) -> MultiPoly:
@@ -54,22 +76,35 @@ class Grammar:
 
 
 def derive_once(grammar: Grammar, f: MultiPoly) -> MultiPoly:
-    """One application of the grammar's formal derivative to f."""
+    """One application of the grammar's formal derivative to f.
+
+    Each output key is an operand key plus one of the grammar's deltas for
+    letter k, added only where the operand's exponent of k is at least 1.
+    So every output exponent is at least 0 and at most the largest operand
+    exponent plus the largest delta component. When that sum is at most
+    MAX_EXPONENT, the keys are built here and need no re-check
+    (``MultiPoly._trusted``); otherwise the public constructor checks them
+    and raises ExponentOverflowError for any that is out of range."""
     if f.vars != grammar.variables:
         raise AlphabetMismatchError(
             f"operand alphabet {f.vars} differs from {grammar.variables}"
         )
+    top = max(chain.from_iterable(f.terms), default=0)
+    if top + grammar._max_delta <= MAX_EXPONENT:
+        build = MultiPoly._trusted
+    else:
+        build = MultiPoly
+    deltas = grammar._deltas
     acc: dict = {}
+    get = acc.get
     for exps, c in f.terms.items():
         for k, e in enumerate(exps):
-            if e == 0:
-                continue
-            base = exps[:k] + (e - 1,) + exps[k + 1 :]
-            scale = c * e
-            for rexp, rc in grammar.rules[k].terms.items():
-                key = tuple(a + b for a, b in zip(base, rexp))
-                acc[key] = acc.get(key, 0) + scale * rc
-    return MultiPoly(grammar.variables, acc)
+            if e:
+                scale = c * e
+                for delta, rc in deltas[k]:
+                    key = tuple(map(add, exps, delta))
+                    acc[key] = get(key, 0) + scale * rc
+    return build(f.vars, acc)
 
 
 def iterate(grammar: Grammar, seed: MultiPoly, n: int) -> MultiPoly:

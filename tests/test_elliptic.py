@@ -320,13 +320,14 @@ def test_recurrence_route_compares_rows_n_minus_1_and_n(monkeypatch):
 
 
 @pytest.mark.slow
-def test_recurrence_route_at_400_in_bounded_memory():
+@pytest.mark.parametrize("route", ["recurrence", "operator"])
+def test_route_at_400_in_bounded_memory(route):
     # every row of s to 400, kept at once, took 1034 MiB of RSS (Linux,
     # where ru_maxrss is in KiB)
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
         [sys.executable, "-c",
-         "from ellipta import elliptic as el; el.j_recurrence(400)"],
+         f"from ellipta import elliptic as el; el.J_ROUTES[{route!r}](400)"],
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     _, status, usage = os.wait4(proc.pid, 0)

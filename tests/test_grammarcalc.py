@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from ellipta.exactpoly import AlphabetMismatchError, MultiPoly
+from ellipta.exactpoly import (
+    MAX_EXPONENT,
+    AlphabetMismatchError,
+    ExponentOverflowError,
+    MultiPoly,
+    UnknownVariableError,
+)
 from ellipta.grammarcalc import (
     G1,
     G2,
@@ -37,6 +43,102 @@ def test_derive_once_examples():
 def test_derive_once_alphabet_mismatch():
     with pytest.raises(AlphabetMismatchError):
         derive_once(G_SD, X1)
+
+
+def test_rule_for_unknown_letter_names_letter_and_alphabet():
+    alphabet = r"\('x', 'y', 'z'\)"
+    with pytest.raises(UnknownVariableError, match=f"'w' not in alphabet {alphabet}"):
+        G_SD.rule_for("w")
+    assert issubclass(UnknownVariableError, ValueError)
+    assert G_SD.rule_for("y") == parse_multipoly("xz", G_SD.variables)
+
+
+def _random_grammar(rng, width):
+    vs = tuple("abcdef"[:width])
+    rules = []
+    for _ in vs:
+        kind = rng.choice(("multi", "multi", "const", "zero"))
+        if kind == "zero":
+            rules.append(MultiPoly.zero(vs))
+        elif kind == "const":
+            rules.append(MultiPoly.const(vs, rng.choice((-3, -1, 1, 2))))
+        else:
+            terms = {}
+            for _ in range(rng.randrange(1, 4)):
+                exps = tuple(rng.randrange(3) for _ in vs)
+                terms[exps] = rng.choice((-2, -1, 1, 3))
+            rules.append(MultiPoly(vs, terms))
+    return Grammar(vs, tuple(rules))
+
+
+def _reference_derivative(grammar, f):
+    total = MultiPoly.zero(grammar.variables)
+    for v in grammar.variables:
+        total = total + grammar.rule_for(v) * f.partial(v)
+    return total
+
+
+@pytest.mark.parametrize("grammar", [G_SD, G1, G2], ids=["sd", "g1", "g2"])
+def test_derive_once_matches_sum_of_rule_times_partial(grammar):
+    rng = random.Random(11)
+    for _ in range(40):
+        f = _random_multipoly(rng, grammar.variables)
+        assert derive_once(grammar, f) == _reference_derivative(grammar, f)
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_derive_once_matches_reference_on_random_grammars(width):
+    rng = random.Random(100 + width)
+    for _ in range(15):
+        grammar = _random_grammar(rng, width)
+        for _ in range(4):
+            f = _random_multipoly(rng, grammar.variables)
+            got = derive_once(grammar, f)
+            assert got == _reference_derivative(grammar, f)
+            assert all(got.terms.values())
+
+
+def test_derive_once_raises_on_exponent_overflow():
+    f = MultiPoly(G_SD.variables, {(MAX_EXPONENT, 1, 0): 1})
+    with pytest.raises(ExponentOverflowError, match=str(MAX_EXPONENT + 1)):
+        derive_once(G_SD, f)
+
+
+def test_derive_once_at_the_exponent_limit_without_overflow():
+    # the per-call bound fails (MAX_EXPONENT + 1), yet no output exponent
+    # leaves the range: the checked constructor builds the result
+    f = MultiPoly(G_SD.variables, {(MAX_EXPONENT, 0, 0): 1})
+    assert derive_once(G_SD, f) == MultiPoly(
+        G_SD.variables, {(MAX_EXPONENT - 1, 1, 1): MAX_EXPONENT}
+    )
+
+
+def test_derive_once_drops_cancelled_terms():
+    vs = ("x", "y", "z")
+    grammar = Grammar.from_dict(
+        vs,
+        {
+            "x": MultiPoly.variable(vs, "z"),
+            "y": -MultiPoly.variable(vs, "z"),
+            "z": MultiPoly.zero(vs),
+        },
+    )
+    x_plus_y = MultiPoly.variable(vs, "x") + MultiPoly.variable(vs, "y")
+    got = derive_once(grammar, x_plus_y)
+    assert got == MultiPoly.zero(vs)
+    assert hash(got) == hash(MultiPoly.zero(vs))
+    assert got.terms == {}
+    assert not got
+
+
+def test_iterate_output_equals_public_constructor_rebuild():
+    f = iterate(G_SD, X_SD, 40)
+    rebuilt = MultiPoly(
+        list(G_SD.variables), [(list(e), c) for e, c in f.terms.items()]
+    )
+    assert f == rebuilt
+    assert hash(f) == hash(rebuilt)
+    assert f.to_json() == rebuilt.to_json()
 
 
 def test_iterate_examples():

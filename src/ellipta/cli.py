@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from itertools import count, islice
 
@@ -30,10 +31,6 @@ from .exactpoly import (
 
 CACHE_ENV = "ELLIPTA_CACHE_DIR"
 CACHE_DEFAULT_ROWS = {"s": 12, "gamma": 12, "t": 12, "theta": 7}
-
-J_ROUTES = tuple(el.J_ROUTES)
-P_ROUTES = ("operator", "recurrence")
-T_ROUTES = ("recurrence", "poly")
 
 
 def _stream(rows):
@@ -75,7 +72,21 @@ def _warn(msg: str):
     print(f"warning: {msg}", file=sys.stderr)
 
 
+def _at_least(k: int):
+    """An argparse type: an int that is at least k."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be at least {k}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per compute target and per cache action, each with
+    only the options its code reads; argparse rejects every other option."""
     parser = argparse.ArgumentParser(
         prog="ellipta",
         description=(
@@ -85,38 +96,74 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap", type=int, default=None,
+                     help="raise the tree enumeration cap "
+                     f"(default {to.DEFAULT_TREE_CAP}; warns above 10)")
 
     comp = sub.add_parser("compute", help="emit a polynomial or triangle")
-    comp.add_argument(
-        "target",
-        choices=("j", "p", "s", "t", "gamma", "theta", "decompose", "closure"),
-    )
-    comp.add_argument("--n", type=int, default=None)
-    comp.add_argument("--max-n", type=int, default=None)
-    comp.add_argument("--route", default=None)
-    comp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    comp.add_argument("--seed", type=int, default=0)
-    comp.add_argument("--cap", type=int, default=None,
-                      help="raise the enumeration cap (warns above 10)")
+    targets = comp.add_subparsers(dest="target", required=True)
+    j = targets.add_parser("j", parents=[fmt],
+                           help="J_n, the coefficients of sn and cn")
+    j.add_argument("--n", type=_at_least(0), required=True)
+    j.add_argument("--route", choices=tuple(el.J_ROUTES), default="viennot")
+    p = targets.add_parser("p", parents=[fmt], help="the cycle-peak polynomial P_n")
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--route", choices=("recurrence", "operator"),
+                   default="recurrence")
+    t = targets.add_parser("t", parents=[fmt], help="the reduced polynomial t_n")
+    t.add_argument("--n", type=_at_least(1), required=True)
+    t.add_argument("--route", choices=("recurrence", "poly"), default="recurrence")
+    for target in ("s", "gamma", "theta"):
+        tri = targets.add_parser(target, parents=[fmt, cap],
+                                 help=f"rows of the {target} triangle")
+        rows = tri.add_mutually_exclusive_group(required=True)
+        rows.add_argument("--n", type=_at_least(1), help="row n alone")
+        rows.add_argument("--max-n", type=_at_least(1), help="rows 1 .. max-n")
+        routes = tuple(route for tgt, route in ROW_SOURCES if tgt == target)
+        tri.add_argument("--route", choices=routes, default=DEFAULT_ROUTES[target])
+    dec = targets.add_parser("decompose", parents=[fmt],
+                             help="the bi-gamma certificate of J_n")
+    dec.add_argument("--n", type=_at_least(0), required=True)
+    clo = targets.add_parser("closure", parents=[fmt],
+                             help="a random instance of the bi-gamma closure")
+    clo.add_argument("--max-n", type=_at_least(0), default=6)
+    clo.add_argument("--seed", type=int, default=0)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=tuple(vsuites.SUITES) + ("all",))
-    ver.add_argument("--max-n", type=int, default=None)
+    ver.add_argument("--max-n", type=_at_least(1), default=None)
     ver.add_argument("--seed", type=int, default=0)
 
     cache = sub.add_parser("cache", help="persist or load triangle files")
-    cache.add_argument("action", choices=("write", "read", "clear"))
-    cache.add_argument("--target", choices=CACHE_TARGETS, default=None)
-    cache.add_argument("--max-n", type=int, default=None)
-    cache.add_argument("--cache-dir", default=None)
-    cache.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    cache.add_argument("--cap", type=int, default=None)
+    actions = cache.add_subparsers(dest="action", required=True)
+    cache_dir = argparse.ArgumentParser(add_help=False)
+    cache_dir.add_argument("--cache-dir", default=None, help=f"default: ${CACHE_ENV}")
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument("--target", choices=CACHE_TARGETS, required=True)
+    cached.add_argument("--max-n", type=_at_least(1), default=None)
+    actions.add_parser("write", parents=[cached, cache_dir, cap],
+                       help="build a triangle file")
+    actions.add_parser("read", parents=[cached, cache_dir, cap, fmt],
+                       help="serve a triangle file, rebuilt unless verified")
+    clear = actions.add_parser("clear", parents=[cache_dir],
+                               help="delete triangle files")
+    clear.add_argument("--target", choices=CACHE_TARGETS, default=None)
     return parser
 
 
-def _enum_cap(args, default: int) -> int:
+def _enum_cap(args, route: str, parser):
+    """The tree enumeration cap of route: --cap or the default. A route
+    that enumerates nothing takes no cap, so a --cap given to it is a usage
+    error."""
+    if route != "trees":
+        if args.cap is not None:
+            parser.error(f"--cap: route {route} enumerates no trees")
+        return None
     if args.cap is None:
-        return default
+        return to.DEFAULT_TREE_CAP
     if args.cap > 10:
         _warn(f"enumeration cap {args.cap} is above 10; expect long runtimes")
     return args.cap
@@ -152,85 +199,26 @@ def _emit_rows(rows, fmt: str):
         sys.stdout.write(el.format_row(n, row, fmt))
 
 
-def _rows_requested(args, parser_error) -> tuple:
-    if (args.n is None) == (args.max_n is None):
-        parser_error("exactly one of --n / --max-n is required")
-    if args.n is not None:
-        if args.n < 1:
-            parser_error("--n must be at least 1")
-        return args.n, args.n
-    _check_max_n(args, parser_error)
-    return 1, args.max_n
-
-
-def _check_max_n(args, parser_error):
-    if args.max_n is not None and args.max_n < 1:
-        parser_error("--max-n must be at least 1")
-
-
-def _take_rows(args, target: str, route: str, first: int, last: int):
-    """Rows first .. last of target by route. Enumerated rows are all built
-    before any is returned, so an exceeded cap fails with no output."""
-    cap = _enum_cap(args, to.DEFAULT_TREE_CAP) if route == "trees" else None
-    rows = islice(ROW_SOURCES[target, route](first, cap), last + 1 - first)
-    return list(rows) if route == "trees" else rows
+def _take_rows(args, parser):
+    """The rows --n or --max-n asks for of a triangle target. Enumerated
+    rows are all built before any is returned, so an exceeded cap fails
+    with no output."""
+    first, last = (1, args.max_n) if args.n is None else (args.n, args.n)
+    cap = _enum_cap(args, args.route, parser)
+    rows = islice(ROW_SOURCES[args.target, args.route](first, cap), last + 1 - first)
+    return list(rows) if args.route == "trees" else rows
 
 
 def _cmd_compute(args, parser) -> int:
     fmt = args.format
-
-    def fail_usage(msg):
-        parser.error(msg)
-
     if args.target == "j":
-        if args.n is None or args.n < 0:
-            fail_usage("compute j needs --n >= 0")
-        route = args.route or "viennot"
-        if route not in J_ROUTES:
-            fail_usage(f"route for j must be one of {J_ROUTES}")
-        seq = el.j_sequence(args.n, route)
-        _emit_unipoly(seq[args.n], fmt)
-        return 0
-
-    if args.target == "p":
-        if args.n is None or args.n < 1:
-            fail_usage("compute p needs --n >= 1")
-        route = args.route or "recurrence"
-        if route not in P_ROUTES:
-            fail_usage(f"route for p must be one of {P_ROUTES}")
-        ((n, row),) = _take_rows(args, "s", route, args.n, args.n)
+        _emit_unipoly(el.j_sequence(args.n, args.route)[args.n], fmt)
+    elif args.target == "p":
+        n, row = next(ROW_SOURCES["s", args.route](args.n, None))
         _emit_multipoly(el.p_poly(n, el.Triangle({n: row})), fmt)
-        return 0
-
-    if args.target in ("s", "gamma"):
-        first, last = _rows_requested(args, fail_usage)
-        route = args.route or DEFAULT_ROUTES[args.target]
-        routes = tuple(r for t, r in ROW_SOURCES if t == args.target)
-        if route not in routes:
-            fail_usage(f"route for {args.target} must be one of {routes}")
-        _emit_rows(_take_rows(args, args.target, route, first, last), fmt)
-        return 0
-
-    if args.target == "t":
-        if args.n is None or args.n < 1:
-            fail_usage("compute t needs --n >= 1")
-        route = args.route or "recurrence"
-        if route not in T_ROUTES:
-            fail_usage(f"route for t must be one of {T_ROUTES}")
-        _emit_multipoly(el.t_poly(args.n, route), fmt)
-        return 0
-
-    if args.target == "theta":
-        if args.n is None or args.n < 0:
-            fail_usage("compute theta needs --n >= 0")
-        if args.route not in (None, "trees"):
-            fail_usage("theta is computed from trees only")
-        _emit_rows(_take_rows(args, "theta", "trees", args.n, args.n), fmt)
-        return 0
-
-    if args.target == "decompose":
-        if args.n is None or args.n < 0:
-            fail_usage("compute decompose needs --n >= 0")
+    elif args.target == "t":
+        _emit_multipoly(el.t_poly(args.n, args.route), fmt)
+    elif args.target == "decompose":
         f = el.j_viennot(args.n)[args.n]
         center = max(0, (args.n - 1) // 2)
         report = gk.analyze(f, center)
@@ -242,17 +230,10 @@ def _cmd_compute(args, parser) -> int:
             payload = {"n": args.n, "poly": uni_to_json(f)}
             payload.update(report.to_json())
             print(json.dumps(payload, sort_keys=True))
-        return 0
-
-    if args.target == "closure":
-        n_max = args.max_n if args.max_n is not None else 6
-        if n_max < 0:
-            fail_usage("closure needs --max-n >= 0")
-        import random
-
+    elif args.target == "closure":
         rng = random.Random(args.seed)
-        gammas, weights = vsuites.random_closure_instance(rng, n_max)
-        items = el.bi_gamma_closure(gammas, weights, n_max)
+        gammas, weights = vsuites.random_closure_instance(rng, args.max_n)
+        items = el.bi_gamma_closure(gammas, weights, args.max_n)
         if fmt == "text":
             for item in items:
                 flag = "degenerate" if item.degenerate else (
@@ -269,21 +250,21 @@ def _cmd_compute(args, parser) -> int:
                     sort_keys=True,
                 )
             )
-        return 0
-
-    fail_usage(f"unknown target {args.target}")
-    return 2
+    else:  # s, gamma, theta
+        _emit_rows(_take_rows(args, parser), fmt)
+    return 0
 
 
 ENUMERATION_SUITES = {"dumont", "lemma5", "theorem13", "corollary15", "lemma9"}
 
 
 def _cmd_verify(args, parser) -> int:
-    _check_max_n(args, parser.error)
+    if args.suite == "all" and args.max_n is not None:
+        parser.error("--max-n: verify all runs each suite at its own range")
     if (
         args.max_n is not None
         and args.max_n > 10
-        and (args.suite in ENUMERATION_SUITES or args.suite == "all")
+        and args.suite in ENUMERATION_SUITES
     ):
         _warn(
             f"suite {args.suite} enumerates all objects up to n={args.max_n}; "
@@ -375,7 +356,6 @@ def _write_atomic(path: str, chunks) -> int:
 
 
 def _cmd_cache(args, parser) -> int:
-    _check_max_n(args, parser.error)
     directory = _cache_dir(args, parser)
     if args.action == "clear":
         targets = (args.target,) if args.target else CACHE_TARGETS
@@ -388,10 +368,8 @@ def _cmd_cache(args, parser) -> int:
         print(f"cleared {len(removed)} cache file(s)")
         return 0
 
-    if not args.target:
-        parser.error("cache write/read needs --target")
     path = os.path.join(directory, f"{args.target}.jsonl")
-    cap = _enum_cap(args, to.DEFAULT_TREE_CAP)
+    cap = _enum_cap(args, DEFAULT_ROUTES[args.target], parser)
 
     if args.action == "write":
         n_max = args.max_n or CACHE_DEFAULT_ROWS[args.target]

@@ -477,6 +477,8 @@ J_ROUTES = {
 def j_sequence(n_max: int, route: str = "viennot") -> JSequence:
     if route not in J_ROUTES:
         raise ValueError(f"unknown route {route!r}")
+    if n_max < 0:
+        raise ValueError("n_max must be at least 0")
     return J_ROUTES[route](n_max)
 
 

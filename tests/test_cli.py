@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ellipta.cli import main
+from ellipta.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -100,6 +100,19 @@ def test_compute_theta(capsys):
     assert out == "n,i,j,value\n3,1,0,4\n3,1,1,1\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_compute_theta_max_n_streams_rows(capsys, fmt):
+    code, out, _ = run(capsys, "compute", "theta", "--max-n", "3", "--format", fmt)
+    assert code == 0
+    rows = [run(capsys, "compute", "theta", "--n", n, "--format", fmt)
+            for n in ("1", "2", "3")]
+    assert [code for code, _, _ in rows] == [0, 0, 0]
+    assert out == "".join(row for _, row, _ in rows)
+    # a theta cache file holds no row 0, so no row 0 is computed either
+    code, out, err = run(capsys, "compute", "theta", "--n", "0")
+    assert code == 2 and out == "" and "argument --n: must be at least 1" in err
+
+
 def test_compute_closure_deterministic(capsys):
     code1, out1, _ = run(capsys, "compute", "closure", "--max-n", "4", "--seed", "5")
     code2, out2, _ = run(capsys, "compute", "closure", "--max-n", "4", "--seed", "5")
@@ -121,12 +134,63 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "compute", "j", "--n", "3", "--route", "nope")[0] == 2
     assert run(capsys, "verify", "unknown-suite")[0] == 2
     assert run(capsys, "compute", "s", "--n", "2", "--max-n", "3")[0] == 2
+    assert run(capsys, "compute", "theta")[0] == 2  # neither --n nor --max-n
     assert run(capsys, "compute", "s", "--max-n", "3", "--jobs", "2")[0] == 2
     assert run(capsys, "verify", "lemma9", "--max-n", "-2")[0] == 2
     assert run(capsys, "verify", "routes", "--max-n", "-1")[0] == 2
+    code, out, err = run(capsys, "verify", "all", "--max-n", "3")
+    assert code == 2 and out == "" and "--max-n" in err
+    code, out, err = run(capsys, "compute", "s", "--n", "0")
+    assert code == 2 and out == "" and "argument --n: must be at least 1" in err
     code, out, err = run(capsys, "cache", "write", "--target", "s", "--max-n", "0",
                          "--cache-dir", str(tmp_path))
     assert code == 2 and out == "" and "--max-n" in err
+    assert not any(tmp_path.iterdir())
+
+
+# Each option a command does not read, given to an invocation that is valid
+# without it
+NO_OP_OPTIONS = [
+    (base, extra)
+    for base in (("compute", "j", "--n", "3"), ("compute", "p", "--n", "3"),
+                 ("compute", "t", "--n", "3"))
+    for extra in (("--max-n", "3"), ("--seed", "1"), ("--cap", "9"))
+] + [
+    (("compute", target, "--n", "3"), ("--seed", "1"))
+    for target in ("s", "gamma", "theta")
+] + [
+    (("compute", "decompose", "--n", "5"), extra)
+    for extra in (("--max-n", "3"), ("--route", "operator"), ("--seed", "1"),
+                  ("--cap", "9"))
+] + [
+    (("compute", "closure", "--max-n", "3"), extra)
+    for extra in (("--n", "3"), ("--route", "trees"), ("--cap", "9"))
+] + [
+    (("cache", "write", "--target", "s", "--max-n", "3"), ("--format", "csv")),
+] + [
+    (("cache", "clear"), extra)
+    for extra in (("--max-n", "3"), ("--format", "csv"), ("--cap", "9"))
+] + [
+    (("verify", "all"), ("--max-n", "3")),
+    # --cap is read only where a route enumerates trees
+    (("compute", "s", "--max-n", "3"), ("--cap", "12")),
+    (("compute", "s", "--max-n", "3", "--route", "recurrence"), ("--cap", "12")),
+    (("compute", "gamma", "--n", "3", "--route", "operator"), ("--cap", "5")),
+    (("cache", "write", "--target", "s", "--max-n", "3"), ("--cap", "12")),
+    (("cache", "write", "--target", "t"), ("--cap", "9")),
+    (("cache", "read", "--target", "gamma"), ("--cap", "5")),
+]
+
+
+@pytest.mark.parametrize(
+    "base, extra", NO_OP_OPTIONS,
+    ids=[" ".join(base + extra) for base, extra in NO_OP_OPTIONS])
+def test_option_a_command_does_not_read_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, base, extra):
+    build_parser().parse_args(list(base))  # valid without the option
+    monkeypatch.setenv("ELLIPTA_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, *base, *extra)
+    assert code == 2 and out == ""
     assert not any(tmp_path.iterdir())
 
 
@@ -141,8 +205,13 @@ def test_cap_exceeded_exit_2(capsys):
         assert code == 2 and out == "" and "cap" in err
 
 
-def test_cap_override_warns_above_10(capsys):
+def test_cap_override_warns_above_10(tmp_path, capsys):
     code, out, err = run(capsys, "compute", "theta", "--n", "4", "--cap", "11")
+    assert code == 0
+    assert "above 10" in err
+    # a theta cache file is built by tree enumeration, so it takes a cap
+    code, out, err = run(capsys, "cache", "write", "--target", "theta",
+                         "--max-n", "4", "--cap", "11", "--cache-dir", str(tmp_path))
     assert code == 0
     assert "above 10" in err
 

@@ -203,6 +203,13 @@ def test_j_known_values_each_route(route):
         assert seq[n] == coeffs, f"{route} J_{n}"
 
 
+@pytest.mark.parametrize("route", list(el.J_ROUTES))
+def test_j_sequence_rejects_negative_n_max_on_each_route(route):
+    with pytest.raises(ValueError, match="^n_max must be at least 0$"):
+        el.j_sequence(-1, route)
+    assert el.j_sequence(0, route)[0] == UNI_ONE
+
+
 def test_j_from_p_examples(s_rec):
     assert el.j_from_p(5, s_rec) == J_KNOWN[5]
     assert el.j_from_p(4, s_rec) == J_KNOWN[4]

@@ -43,8 +43,11 @@ def invocations():
     for route in ("operator", "recurrence", "viennot", "series"):
         yield ["compute", "j", "--n", "120", "--route", route]
     yield ["compute", "decompose", "--n", "100"]
+    yield ["compute", "decompose", "--n", "8", "--format", "text"]
+    yield ["compute", "closure", "--max-n", "4", "--format", "text"]
     for suite in ("all", "thm1", "thm2"):
         yield ["verify", suite]
+    yield ["verify", "closure", "--max-n", "4", "--seed", "3"]
     # each write is followed by reads of the file it wrote, in all formats
     sized = [(t, ()) for t in CACHE_TARGETS]
     sized += [(t, ("--max-n", "40")) for t in ("s", "gamma", "t")]

@@ -84,9 +84,28 @@ def _at_least(k: int):
     return parse
 
 
+FORMATS = ("json", "csv", "text")
+
+
+def _leaf(commands, name: str, about=None, formats=(), cap=False):
+    """The parser of one command: it records itself as `leaf`, so a usage
+    error found after parsing shows this command's usage line, and it takes
+    --format (one of formats) and --cap only where its code reads them."""
+    leaf = commands.add_parser(name, help=about)
+    leaf.set_defaults(leaf=leaf)
+    if formats:
+        leaf.add_argument("--format", choices=formats, default="json")
+    if cap:
+        leaf.add_argument("--cap", type=int, default=None,
+                          help="raise the tree enumeration cap "
+                          f"(default {to.DEFAULT_TREE_CAP}; warns above 10)")
+    return leaf
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per compute target and per cache action, each with
-    only the options its code reads; argparse rejects every other option."""
+    """One leaf parser per compute target, verify suite and cache action,
+    each with only the options its code reads; argparse rejects every other
+    option."""
     parser = argparse.ArgumentParser(
         prog="ellipta",
         description=(
@@ -96,61 +115,57 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--cap", type=int, default=None,
-                     help="raise the tree enumeration cap "
-                     f"(default {to.DEFAULT_TREE_CAP}; warns above 10)")
 
     comp = sub.add_parser("compute", help="emit a polynomial or triangle")
     targets = comp.add_subparsers(dest="target", required=True)
-    j = targets.add_parser("j", parents=[fmt],
-                           help="J_n, the coefficients of sn and cn")
+    j = _leaf(targets, "j", "J_n, the coefficients of sn and cn", FORMATS)
     j.add_argument("--n", type=_at_least(0), required=True)
     j.add_argument("--route", choices=tuple(el.J_ROUTES), default="viennot")
-    p = targets.add_parser("p", parents=[fmt], help="the cycle-peak polynomial P_n")
+    p = _leaf(targets, "p", "the cycle-peak polynomial P_n", FORMATS)
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--route", choices=("recurrence", "operator"),
                    default="recurrence")
-    t = targets.add_parser("t", parents=[fmt], help="the reduced polynomial t_n")
+    t = _leaf(targets, "t", "the reduced polynomial t_n", FORMATS)
     t.add_argument("--n", type=_at_least(1), required=True)
     t.add_argument("--route", choices=("recurrence", "poly"), default="recurrence")
     for target in ("s", "gamma", "theta"):
-        tri = targets.add_parser(target, parents=[fmt, cap],
-                                 help=f"rows of the {target} triangle")
+        tri = _leaf(targets, target, f"rows of the {target} triangle", FORMATS,
+                    cap=True)
         rows = tri.add_mutually_exclusive_group(required=True)
         rows.add_argument("--n", type=_at_least(1), help="row n alone")
         rows.add_argument("--max-n", type=_at_least(1), help="rows 1 .. max-n")
         routes = tuple(route for tgt, route in ROW_SOURCES if tgt == target)
         tri.add_argument("--route", choices=routes, default=DEFAULT_ROUTES[target])
-    dec = targets.add_parser("decompose", parents=[fmt],
-                             help="the bi-gamma certificate of J_n")
+    dec = _leaf(targets, "decompose", "the bi-gamma certificate of J_n",
+                ("json", "text"))
     dec.add_argument("--n", type=_at_least(0), required=True)
-    clo = targets.add_parser("closure", parents=[fmt],
-                             help="a random instance of the bi-gamma closure")
+    clo = _leaf(targets, "closure", "a random instance of the bi-gamma closure",
+                ("json", "text"))
     clo.add_argument("--max-n", type=_at_least(0), default=6)
     clo.add_argument("--seed", type=int, default=0)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("suite", choices=tuple(vsuites.SUITES) + ("all",))
-    ver.add_argument("--max-n", type=_at_least(1), default=None)
-    ver.add_argument("--seed", type=int, default=0)
+    suites = ver.add_subparsers(dest="suite", required=True)
+    for name in (*vsuites.SUITES, "all"):
+        suite = _leaf(suites, name)
+        if name != "all":  # verify all runs each suite at its own range
+            suite.add_argument("--max-n", type=_at_least(1),
+                               default=vsuites.SUITE_DEFAULT_RANGE[name])
+        if name in ("closure", "all"):  # the random closure instances
+            suite.add_argument("--seed", type=int, default=0)
 
     cache = sub.add_parser("cache", help="persist or load triangle files")
     actions = cache.add_subparsers(dest="action", required=True)
-    cache_dir = argparse.ArgumentParser(add_help=False)
-    cache_dir.add_argument("--cache-dir", default=None, help=f"default: ${CACHE_ENV}")
-    cached = argparse.ArgumentParser(add_help=False)
-    cached.add_argument("--target", choices=CACHE_TARGETS, required=True)
-    cached.add_argument("--max-n", type=_at_least(1), default=None)
-    actions.add_parser("write", parents=[cached, cache_dir, cap],
-                       help="build a triangle file")
-    actions.add_parser("read", parents=[cached, cache_dir, cap, fmt],
-                       help="serve a triangle file, rebuilt unless verified")
-    clear = actions.add_parser("clear", parents=[cache_dir],
-                               help="delete triangle files")
-    clear.add_argument("--target", choices=CACHE_TARGETS, default=None)
+    for action, about in (("write", "build a triangle file"),
+                          ("read", "serve a triangle file, rebuilt unless verified"),
+                          ("clear", "delete triangle files")):
+        files = action != "clear"  # write and read: one file of one target
+        leaf = _leaf(actions, action, about, FORMATS if action == "read" else (),
+                     cap=files)
+        leaf.add_argument("--target", choices=CACHE_TARGETS, required=files)
+        if files:
+            leaf.add_argument("--max-n", type=_at_least(1), default=None)
+        leaf.add_argument("--cache-dir", default=None, help=f"default: ${CACHE_ENV}")
     return parser
 
 
@@ -259,18 +274,14 @@ ENUMERATION_SUITES = {"dumont", "lemma5", "theorem13", "corollary15", "lemma9"}
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.suite == "all" and args.max_n is not None:
-        parser.error("--max-n: verify all runs each suite at its own range")
-    if (
-        args.max_n is not None
-        and args.max_n > 10
-        and args.suite in ENUMERATION_SUITES
-    ):
+    if args.suite in ENUMERATION_SUITES and args.max_n > 10:
         _warn(
             f"suite {args.suite} enumerates all objects up to n={args.max_n}; "
             "expect long runtimes"
         )
-    results = vsuites.run_suite(args.suite, max_n=args.max_n, seed=args.seed)
+    # each suite's leaf declares exactly the run_suite options it takes
+    options = {key: getattr(args, key) for key in ("max_n", "seed") if key in args}
+    results = vsuites.run_suite(args.suite, **options)
     failed = 0
     for result in results:
         print(f"suite {result.name} ({result.scope})")
@@ -413,18 +424,19 @@ def _cmd_cache(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        # Only the command's own parser is kept (as args.leaf), so the rest
+        # of the parser tree is garbage before the work starts. Every error
+        # after parsing goes to it: its usage line shows the command's options.
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.verb == "compute":
-            return _cmd_compute(args, parser)
+            return _cmd_compute(args, args.leaf)
         if args.verb == "verify":
-            return _cmd_verify(args, parser)
-        return _cmd_cache(args, parser)
-    except SystemExit as exc:  # parser.error inside handlers
+            return _cmd_verify(args, args.leaf)
+        return _cmd_cache(args, args.leaf)
+    except SystemExit as exc:  # a usage error, from argparse or a handler
         return exc.code if isinstance(exc.code, int) else 2
     except to.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,8 +44,15 @@ from .exactpoly import (
     uni_reverse,
     uni_scale,
     uni_shift,
+    uni_to_json,
 )
-from .gammakit import GammaVector, SymDecomp, is_alternatingly_increasing
+from .gammakit import (
+    GammaVector,
+    NotSymmetricError,
+    SymDecomp,
+    gamma_expand,
+    is_alternatingly_increasing,
+)
 from .grammarcalc import G1, G_SD, derive_once
 
 P_VARS = ("p", "q")
@@ -594,7 +601,11 @@ def t_poly(n: int, route: str = "recurrence") -> MultiPoly:
     """t_n(x, y) by the entrywise recurrence (default) or the polynomial
     recurrence ("poly")."""
     if route == "recurrence":
-        return t_poly_from_triangle(t_triangle_recurrence(n), n)
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        # row n alone, off the row stream: at most two rows are held
+        _, row = next(islice(t_rows_recurrence(), n - 1, None))
+        return MultiPoly(T_VARS, row)
     if route == "poly":
         return t_polys_recurrence(n)[n]
     raise ValueError(f"unknown t route {route!r}")
@@ -605,8 +616,6 @@ def gamma_from_p(n: int, pn: MultiPoly) -> Triangle:
     the q-coefficient polynomial must be symmetric about n//2 - i, and its
     gamma vector gives the j line. Every peeled entry must pass the gamma
     triangle's entry check."""
-    from .gammakit import NotSymmetricError, gamma_expand
-
     slices: dict = {}
     for (i, j), c in pn.terms.items():
         slices.setdefault(i, {})[j] = c
@@ -759,8 +768,6 @@ class ClosureItem:
     alternatingly_increasing: bool
 
     def to_json(self) -> dict:
-        from .exactpoly import uni_to_json
-
         return {
             "index": self.index,
             "poly": uni_to_json(self.poly),

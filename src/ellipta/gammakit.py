@@ -170,13 +170,17 @@ def _gamma_if_certifiable(f: UniPoly, center: int):
     return g if g.is_nonnegative() else None
 
 
-def bi_gamma_certificates(f: UniPoly, n: int):
-    """Decompose f and test both parts; returns (flag, gamma_a, gamma_b)
-    where the vectors are present only when their part certifies."""
-    d = sym_decompose(f, n)
-    ga = _gamma_if_certifiable(d.a, n)
-    gb = _gamma_if_certifiable(d.b, n - 1)
+def _certify_parts(d: SymDecomp):
+    """(flag, gamma_a, gamma_b) of a decomposition about d.n, where the
+    vectors are present only when their part certifies."""
+    ga = _gamma_if_certifiable(d.a, d.n)
+    gb = _gamma_if_certifiable(d.b, d.n - 1)
     return ga is not None and gb is not None, ga, gb
+
+
+def bi_gamma_certificates(f: UniPoly, n: int):
+    """Decompose f about n and test both parts (see _certify_parts)."""
+    return _certify_parts(sym_decompose(f, n))
 
 
 def is_bi_gamma_positive(f: UniPoly, n: int) -> bool:
@@ -268,7 +272,7 @@ def analyze(f, n: int | None = None) -> AnalysisReport:
         gamma_positive = "not-symmetric"
         gamma = None
     dec = sym_decompose(f, n)
-    bi, ga, gb = bi_gamma_certificates(f, n)
+    bi, ga, gb = _certify_parts(dec)
     return AnalysisReport(
         center=n,
         symmetric=symmetric,

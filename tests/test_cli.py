@@ -166,6 +166,15 @@ NO_OP_OPTIONS = [
     (("compute", "closure", "--max-n", "3"), extra)
     for extra in (("--n", "3"), ("--route", "trees"), ("--cap", "9"))
 ] + [
+    # decompose and closure write json or text; csv printed the json record
+    (("compute", "decompose", "--n", "5"), ("--format", "csv")),
+    (("compute", "closure", "--max-n", "3"), ("--format", "csv")),
+] + [
+    # only the closure instances are random
+    (("verify", suite, "--max-n", "1"), ("--seed", "1"))
+    for suite in ("routes", "dumont", "viennot-symmetry", "thm1", "thm2",
+                  "lemma5", "theorem13", "corollary15", "lemma9")
+] + [
     (("cache", "write", "--target", "s", "--max-n", "3"), ("--format", "csv")),
 ] + [
     (("cache", "clear"), extra)
@@ -192,6 +201,47 @@ def test_option_a_command_does_not_read_is_a_usage_error(
     code, out, _ = run(capsys, *base, *extra)
     assert code == 2 and out == ""
     assert not any(tmp_path.iterdir())
+
+
+USAGE_ERRORS = [
+    # an option the command does not declare
+    (("compute", "j", "--n", "3", "--cap", "2"), "compute j"),
+    (("verify", "dumont", "--seed", "3"), "verify dumont"),
+    # errors the handlers find after parsing
+    (("compute", "s", "--n", "3", "--cap", "2"), "compute s"),
+    (("cache", "read", "--target", "s"), "cache read"),
+]
+
+
+@pytest.mark.parametrize("argv, usage", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error_shows_the_commands_usage(capsys, monkeypatch, argv, usage):
+    monkeypatch.delenv("ELLIPTA_CACHE_DIR", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: ellipta {usage} [-h]")
+    assert f"\nellipta {usage}: error: " in err
+
+
+def test_verify_seed_is_read_by_closure_and_all(capsys):
+    outs = [run(capsys, "verify", "closure", "--max-n", "3", "--seed", seed)
+            for seed in ("1", "2")]
+    assert [code for code, _, _ in outs] == [0, 0]
+    assert outs[0][1] != outs[1][1]
+    assert "seed 2" in outs[1][1]
+    # the oracle benchmark workload runs verify all --seed S
+    args = build_parser().parse_args(["verify", "all", "--seed", "5"])
+    assert (args.suite, args.seed) == ("all", 5) and "max_n" not in args
+
+
+@pytest.mark.parametrize("suite", ["routes", "closure"])
+def test_verify_default_range_is_the_suites_own(capsys, suite):
+    from ellipta import suites as vsuites
+
+    code, out, _ = run(capsys, "verify", suite)
+    (result,) = vsuites.run_suite(suite)
+    assert code == 0
+    assert out.startswith(f"suite {suite} ({result.scope})\n")
 
 
 def test_cap_exceeded_exit_2(capsys):

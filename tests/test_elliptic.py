@@ -312,6 +312,21 @@ def test_triangle_routes_keep_few_rows(route):
     assert peak < 800 * 1024
 
 
+def test_t_poly_keeps_two_rows():
+    # t_poly(60) built the whole t triangle to read row 60, a peak of about
+    # 773 KiB; the row stream holds rows n - 1 and n only
+    tracemalloc.start()
+    try:
+        el.t_poly(60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 1024
+    assert el.t_poly(60) == el.t_poly_from_triangle(el.t_triangle_recurrence(60), 60)
+    with pytest.raises(ValueError):
+        el.t_poly(0)
+
+
 def test_recurrence_route_compares_rows_n_minus_1_and_n(monkeypatch):
     real = el.s_rows_recurrence
 

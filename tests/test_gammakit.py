@@ -207,6 +207,26 @@ def test_analyze_report():
     assert rep7.gamma.gammas == (1, 132)
 
 
+def test_analyze_decomposes_once(monkeypatch):
+    from ellipta import gammakit as gk
+
+    calls = []
+    real = gk.sym_decompose
+
+    def counting(f, n):
+        calls.append(n)
+        return real(f, n)
+
+    monkeypatch.setattr(gk, "sym_decompose", counting)
+    for f, certified in ((J8, True), (J7, True), ((3, -1, 2), False)):
+        calls.clear()
+        rep = analyze(f)
+        assert calls == [rep.center]
+        assert rep.bi_gamma_positive is certified
+        assert (rep.bi_gamma_positive, rep.gamma_a, rep.gamma_b) == \
+            bi_gamma_certificates(f, rep.center)
+
+
 def test_analyze_never_raises_on_sweep():
     rng = random.Random(2)
     for _ in range(200):

@@ -59,13 +59,27 @@ ROW_SOURCES = {
     ("gamma", "trees"): _enumerated(
         lambda n, cap: to.gamma_row_from_theta(n, to.theta_table(n, cap=cap).row(n))
     ),
-    ("t", "recurrence"): _stream(el.t_rows_recurrence),
     ("theta", "trees"): _enumerated(lambda n, cap: to.theta_table(n, cap=cap).row(n)),
 }
-# The route of each triangle target when none is named, and of its cache file
-DEFAULT_ROUTES = {"s": "recurrence", "gamma": "recurrence", "t": "recurrence",
-                  "theta": "trees"}
-CACHE_TARGETS = tuple(DEFAULT_ROUTES)
+# The route of each triangle target when none is named
+DEFAULT_ROUTES = {"s": "recurrence", "gamma": "recurrence", "theta": "trees"}
+
+
+def _theta_rows_from_gamma():
+    """Theta rows from row 1 on: each gamma row under Corollary 15."""
+    for n, row in el.gamma_rows_recurrence():
+        yield n, to.theta_row_from_gamma(n, row)
+
+
+# The row source of each cache file, an endless (n, row) generator from row 1
+# on: a file is served only if it is byte for byte rows 1 .. k of its source
+CACHE_ROWS = {
+    "s": el.s_rows_recurrence,
+    "gamma": el.gamma_rows_recurrence,
+    "t": el.t_rows_recurrence,
+    "theta": _theta_rows_from_gamma,
+}
+CACHE_TARGETS = tuple(CACHE_ROWS)
 
 
 def _warn(msg: str):
@@ -160,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                           ("read", "serve a triangle file, rebuilt unless verified"),
                           ("clear", "delete triangle files")):
         files = action != "clear"  # write and read: one file of one target
-        leaf = _leaf(actions, action, about, FORMATS if action == "read" else (),
-                     cap=files)
+        leaf = _leaf(actions, action, about, FORMATS if action == "read" else ())
         leaf.add_argument("--target", choices=CACHE_TARGETS, required=files)
         if files:
             leaf.add_argument("--max-n", type=_at_least(1), default=None)
@@ -304,45 +317,40 @@ def _cache_dir(args, parser) -> str:
     return path
 
 
-def _cache_rows(target: str, cap: int):
-    """The rows of a cache file of target, from row 1 on."""
-    return ROW_SOURCES[target, DEFAULT_ROUTES[target]](1, cap)
-
-
-def _verified_cache(target: str, text: str) -> el.Triangle:
-    """The rows of a cache file that holds exactly what a rebuild would
-    write; raises ValueError at the first difference.
-
-    s, gamma and t are matched byte for byte, row by row, with the output of
-    their recurrence, with no JSON parse. Theta is parsed, and each row must
-    map under Corollary 15 onto the gamma recurrence's row; the file must
-    also be in the cache format, byte for byte."""
-    if target != "theta":
-        tri, complete = el.jsonl_prefix_rows(text, _cache_rows(target, None))
-        if not complete:
-            raise ValueError(
-                f"row {len(tri.rows) + 1} differs from the recurrence"
-            )
-        return tri
-    tri = el.triangle_from_jsonl(text)
-    el.validate_theta_table(tri)
-    el.validate_row_range(tri)
-    gamma_rows = _cache_rows("gamma", None)
-    for (n, row), (_, gamma_row) in zip(sorted(tri.rows.items()), gamma_rows):
-        if to.gamma_row_from_theta(n, row) != gamma_row:
-            raise ValueError(f"theta row {n} does not give gamma row {n}")
-    if el.triangle_to_jsonl(tri) != text:
-        raise ValueError("not in the cache format")
-    return tri
-
-
-def _row_run(text: str) -> int:
+def _row_run(path: str) -> int:
     """The unbroken run of rows 1 .. k in a cache file, or 0 when it does
     not parse."""
     try:
-        return el.triangle_row_run(el.triangle_from_jsonl(text))
+        with open(path, encoding="ascii", newline="") as fh:
+            return el.triangle_row_run(el.triangle_from_jsonl(fh.read()))
     except ValueError:
         return 0
+
+
+def _serve(n: int, row: dict, chunk: str, fmt: str):
+    """Write row n, whose cache format is chunk, to stdout in fmt."""
+    sys.stdout.write(chunk if fmt == "json" else el.format_row(n, row, fmt))
+
+
+def _serve_matching_rows(path: str, target: str, fmt: str) -> tuple:
+    """Compare the cache file at path with the rows of its source, one row
+    at a time and byte for byte, and serve each row that matches at once.
+    Returns (rows served, defect): defect is None when the file is exactly
+    those rows, else why it is not. Only the row being compared is held."""
+    served = compared = 0
+    try:
+        with open(path, encoding="ascii", newline="") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            for n, row in CACHE_ROWS[target]():
+                chunk = el.format_row(n, row, "json")
+                if fh.read(len(chunk)) != chunk:
+                    return served, f"row {n} differs from the reference"
+                _serve(n, row, chunk, fmt)
+                served, compared = n, compared + len(chunk)
+                if compared == size:
+                    return served, None
+    except UnicodeDecodeError as exc:
+        return served, str(exc)
 
 
 def _write_atomic(path: str, chunks) -> int:
@@ -380,46 +388,43 @@ def _cmd_cache(args, parser) -> int:
         return 0
 
     path = os.path.join(directory, f"{args.target}.jsonl")
-    cap = _enum_cap(args, DEFAULT_ROUTES[args.target], parser)
-
     if args.action == "write":
-        n_max = args.max_n or CACHE_DEFAULT_ROWS[args.target]
-        rows = islice(_cache_rows(args.target, cap), n_max)
+        rows = islice(CACHE_ROWS[args.target](), args.max_n or
+                      CACHE_DEFAULT_ROWS[args.target])
         records = _write_atomic(
             path, (el.format_row(n, row, "json") for n, row in rows)
         )
         print(f"wrote {records} records to {path}")
         return 0
 
-    # read
-    tri = None
-    seen_rows = 0
-    text = ""
+    # read: serve the rows that match; replace a missing, short or differing
+    # file from a fresh row stream, serving the rows not served yet
+    if args.format == "csv":
+        sys.stdout.write(el.CSV_HEADER)
+    served, want = 0, args.max_n
     try:
-        with open(path, encoding="ascii") as fh:
-            text = fh.read()
-        tri = _verified_cache(args.target, text)
-        held = el.triangle_row_run(tri)
-        if args.max_n and held < args.max_n:
-            _warn(f"rebuild: file has {held} rows, {args.max_n} requested")
-            tri = None
+        served, defect = _serve_matching_rows(path, args.target, args.format)
     except FileNotFoundError:
         _warn(f"cache file {path} missing; rebuilding")
-    except ValueError as exc:
-        seen_rows = _row_run(text)
-        _warn(f"cache file {path} corrupted ({exc}); rebuilding")
-    if tri is None:
-        n_max = args.max_n or seen_rows or CACHE_DEFAULT_ROWS[args.target]
-        tri = el.Triangle(dict(islice(_cache_rows(args.target, cap), n_max)))
-        text = el.triangle_to_jsonl(tri)
-        _write_atomic(path, [text])
-    if args.target == "s":
-        el.validate_s_triangle(tri)
-    if args.format == "json":
-        sys.stdout.write(text)
     else:
-        text = None  # release the file text before the output is built
-        _emit_rows(sorted(tri.rows.items()), args.format)
+        if defect:
+            _warn(f"cache file {path} corrupted ({defect}); rebuilding")
+            want = want or _row_run(path)
+        elif not want or served >= want:
+            return 0
+        else:
+            _warn(f"rebuild: file has {served} rows, {want} requested")
+    rows = islice(CACHE_ROWS[args.target](),
+                  max(served, want or CACHE_DEFAULT_ROWS[args.target]))
+
+    def chunks():
+        for n, row in rows:
+            chunk = el.format_row(n, row, "json")
+            if n > served:
+                _serve(n, row, chunk, args.format)
+            yield chunk
+
+    _write_atomic(path, chunks())
     return 0
 
 

@@ -886,25 +886,6 @@ def triangle_to_jsonl(tri: Triangle) -> str:
     return "".join([format_row(n, tri.rows[n], "json") for n in sorted(tri.rows)])
 
 
-def jsonl_prefix_rows(text: str, rows) -> tuple:
-    """Match text with the cache format of the rows that ``rows`` yields
-    from row 1 on, one row at a time and in place. Returns (tri, complete):
-    tri holds the rows that matched, and complete is true when they cover
-    the whole text. Stops at the first row that does not match, so at most
-    one row more than matched is taken from ``rows``."""
-    matched: dict = {}
-    pos, end = 0, len(text)
-    for n, row in rows:
-        chunk = format_row(n, row, "json")
-        if not chunk or not text.startswith(chunk, pos):
-            break
-        matched[n] = row
-        pos += len(chunk)
-        if pos == end:
-            return Triangle(matched), True
-    return Triangle(matched), False
-
-
 def triangle_from_jsonl(text: str) -> Triangle:
     import json
 

@@ -92,11 +92,6 @@ class GammaVector:
         return {"center": self.center, "gammas": [str(g) for g in self.gammas]}
 
 
-def zero_gamma(center: int) -> GammaVector:
-    size = 0 if center < 0 else center // 2 + 1
-    return GammaVector(center, (0,) * size)
-
-
 def gamma_expand(f: UniPoly, n: int) -> GammaVector:
     """Peel off the gamma vector of a symmetric f with center n.
 
@@ -118,13 +113,6 @@ def gamma_expand(f: UniPoly, n: int) -> GammaVector:
     if any(work):
         raise NotSymmetricError("nonzero residue after peeling")
     return GammaVector(n, tuple(gammas))
-
-
-def is_gamma_positive(f: UniPoly, n: int) -> bool:
-    """True iff f is symmetric about n and every gamma entry is >= 0."""
-    if not is_symmetric(f, n):
-        return False
-    return gamma_expand(f, n).is_nonnegative()
 
 
 @dataclass(frozen=True)
@@ -168,24 +156,6 @@ def _gamma_if_certifiable(f: UniPoly, center: int):
         return None
     g = gamma_expand(f, center)
     return g if g.is_nonnegative() else None
-
-
-def _certify_parts(d: SymDecomp):
-    """(flag, gamma_a, gamma_b) of a decomposition about d.n, where the
-    vectors are present only when their part certifies."""
-    ga = _gamma_if_certifiable(d.a, d.n)
-    gb = _gamma_if_certifiable(d.b, d.n - 1)
-    return ga is not None and gb is not None, ga, gb
-
-
-def bi_gamma_certificates(f: UniPoly, n: int):
-    """Decompose f about n and test both parts (see _certify_parts)."""
-    return _certify_parts(sym_decompose(f, n))
-
-
-def is_bi_gamma_positive(f: UniPoly, n: int) -> bool:
-    ok, _, _ = bi_gamma_certificates(f, n)
-    return ok
 
 
 def is_unimodal(f: UniPoly) -> bool:
@@ -272,14 +242,15 @@ def analyze(f, n: int | None = None) -> AnalysisReport:
         gamma_positive = "not-symmetric"
         gamma = None
     dec = sym_decompose(f, n)
-    bi, ga, gb = _certify_parts(dec)
+    ga = _gamma_if_certifiable(dec.a, n)
+    gb = _gamma_if_certifiable(dec.b, n - 1)
     return AnalysisReport(
         center=n,
         symmetric=symmetric,
         unimodal=is_unimodal(f),
         alternatingly_increasing=is_alternatingly_increasing(f, n),
         gamma_positive=gamma_positive,
-        bi_gamma_positive=bi,
+        bi_gamma_positive=ga is not None and gb is not None,
         gamma=gamma,
         decomposition=dec,
         gamma_a=ga,

@@ -199,12 +199,6 @@ def parse_grammar(text: str) -> Grammar:
     return Grammar.from_dict(vs, rules)
 
 
-def grammar_to_text(grammar: Grammar) -> str:
-    return "\n".join(
-        f"{v} -> {r.to_text()}" for v, r in zip(grammar.variables, grammar.rules)
-    )
-
-
 # ---------------------------------------------------------------------------
 # the three built-in grammars
 

@@ -132,7 +132,7 @@ def suite_thm2(max_n: int) -> SuiteResult:
     coincide with the unique symmetric decomposition."""
     m_max = max(0, max_n - 1)
     gtri = el.gamma_triangle_recurrence(2 * m_max + 1)
-    js = el.j_viennot(2 * max_n + 2 if max_n else 2)
+    js = el.j_viennot(max(2, 2 * max_n))
     decs = el.j_even_decompositions(m_max, gtri)
     checks = [Check("J_0 trivially certified", js[0] == (1,))]
     for m in range(m_max + 1):

@@ -108,24 +108,6 @@ def children_table(parents) -> list:
     return table
 
 
-def tree_to_text(parents) -> str:
-    """Text form "parents: p1,p2,...,pn" (parent of vertex v at position v)."""
-    return "parents: " + ",".join(str(p) for p in parents)
-
-
-def tree_from_text(text: str):
-    """Parse the text form back into a parent tuple, checking increase."""
-    body = text.strip()
-    if not body.startswith("parents:"):
-        raise ValueError("tree text must start with 'parents:'")
-    body = body[len("parents:"):].strip()
-    parents = tuple(int(p) for p in body.split(",")) if body else ()
-    for v, p in enumerate(parents, start=1):
-        if not 0 <= p < v:
-            raise ValueError(f"vertex {v} has parent {p}, must be in 0..{v - 1}")
-    return parents
-
-
 def tree_matching(parents) -> tuple:
     """Greedy pairing: (0,1) first, then the smallest unpaired vertex with
     children takes its smallest child. Returns pairs in standard form."""
@@ -295,6 +277,20 @@ def gamma_row_from_theta(n: int, theta_row: dict) -> dict:
                 f"theta cell {(n, i, j)} maps outside the gamma support"
             )
         row[(gi, i // 2)] = c
+    return row
+
+
+def theta_row_from_gamma(n: int, gamma_row: dict) -> dict:
+    """Row n of theta from row n of gamma, the inverse of
+    ``gamma_row_from_theta``: gamma cell (i, j) lands on theta cell
+    (2j + r, n//2 - i - 2j) with r = n mod 2. A gamma cell outside the
+    support i + 2j <= n//2 is a defect."""
+    r, half = n % 2, n // 2
+    row = {}
+    for (i, j), c in gamma_row.items():
+        if i < 0 or j < 0 or i + 2 * j > half:
+            raise ValueError(f"gamma cell {(n, i, j)} is outside the gamma support")
+        row[(2 * j + r, half - i - 2 * j)] = c
     return row
 
 

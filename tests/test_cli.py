@@ -188,6 +188,9 @@ NO_OP_OPTIONS = [
     (("cache", "write", "--target", "s", "--max-n", "3"), ("--cap", "12")),
     (("cache", "write", "--target", "t"), ("--cap", "9")),
     (("cache", "read", "--target", "gamma"), ("--cap", "5")),
+    # a theta cache file is gamma under Corollary 15: no tree is enumerated
+    (("cache", "write", "--target", "theta", "--max-n", "4"), ("--cap", "11")),
+    (("cache", "read", "--target", "theta"), ("--cap", "11")),
 ]
 
 
@@ -255,13 +258,8 @@ def test_cap_exceeded_exit_2(capsys):
         assert code == 2 and out == "" and "cap" in err
 
 
-def test_cap_override_warns_above_10(tmp_path, capsys):
+def test_cap_override_warns_above_10(capsys):
     code, out, err = run(capsys, "compute", "theta", "--n", "4", "--cap", "11")
-    assert code == 0
-    assert "above 10" in err
-    # a theta cache file is built by tree enumeration, so it takes a cap
-    code, out, err = run(capsys, "cache", "write", "--target", "theta",
-                         "--max-n", "4", "--cap", "11", "--cache-dir", str(tmp_path))
     assert code == 0
     assert "above 10" in err
 
@@ -358,9 +356,12 @@ def _swap_theta_cells(text):
         ("gamma", "9", lambda text: _edit_record(text, (9, 0, 1), 4)),
         ("t", "9", lambda text: _edit_record(text, (8, 1, 0))),
         ("theta", "7", _swap_theta_cells),
+        # every record right, but a CRLF after each
+        ("s", "4", lambda text: text.replace("\n", "\r\n")),
+        ("theta", "4", lambda text: text.replace("\n", "\r\n")),
     ],
     ids=["gamma-deleted-entry", "gamma-divisible-value", "t-deleted-entry",
-         "theta-swapped-cells"],
+         "theta-swapped-cells", "s-crlf", "theta-crlf"],
 )
 def test_cache_file_unlike_its_recurrence_is_rebuilt(tmp_path, capsys, target,
                                                      max_n, corrupt):
@@ -371,12 +372,12 @@ def test_cache_file_unlike_its_recurrence_is_rebuilt(tmp_path, capsys, target,
     good = path.read_text()
     bad = corrupt(good)
     assert bad != good
-    path.write_text(bad)
+    path.write_bytes(bad.encode("ascii"))
     code, out, err = run(capsys, "cache", "read", "--target", target,
                          "--cache-dir", cache_dir)
     assert code == 0
     assert "corrupted" in err and "rebuilding" in err
-    assert out == good and path.read_text() == good
+    assert out == good and path.read_bytes() == good.encode("ascii")
 
 
 @pytest.mark.parametrize("target", ["s", "gamma", "t"])
@@ -435,6 +436,75 @@ def test_cache_verifier_builds_one_row_past_the_match(tmp_path, capsys,
     verifier, *rebuild = taken
     assert verifier <= 6
     assert rebuild == [5]
+
+
+def test_cache_theta_file_is_gamma_under_corollary_15(tmp_path, capsys):
+    # ten rows, past the default tree cap of 9, with no --cap
+    code, _, err = run(capsys, "cache", "write", "--target", "theta", "--max-n", "10",
+                       "--cache-dir", str(tmp_path))
+    assert code == 0 and err == ""
+    text = (tmp_path / "theta.jsonl").read_text()
+    assert max(json.loads(line)["n"] for line in text.splitlines()) == 10
+    _, trees, _ = run(capsys, "compute", "theta", "--max-n", "8")
+    assert text.startswith(trees)
+    assert json.loads(text[len(trees):].splitlines()[0])["n"] == 9
+
+
+def test_cache_corrupt_read_serves_every_matched_row(tmp_path, capsys):
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "6",
+        "--cache-dir", cache_dir)
+    path = tmp_path / "s.jsonl"
+    good = path.read_text()
+    five = "".join(line for line in good.splitlines(keepends=True)
+                   if json.loads(line)["n"] <= 5)
+    path.write_text(_edit_record(good, (6, 0, 0)))
+    # --max-n 3 asks for fewer rows than already matched and served
+    code, out, err = run(capsys, "cache", "read", "--target", "s", "--max-n", "3",
+                         "--cache-dir", cache_dir)
+    assert code == 0
+    assert "corrupted (row 6 differs from the reference); rebuilding" in err
+    assert out == five and path.read_text() == five
+
+
+class _DigestSink:
+    """A stdout that keeps only a digest of what it is given."""
+
+    def __init__(self):
+        import hashlib
+
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("ascii"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cache_hit_holds_one_row(tmp_path, capsys, monkeypatch, fmt):
+    import hashlib
+    import tracemalloc
+
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "100",
+        "--cache-dir", cache_dir)
+    size = (tmp_path / "s.jsonl").stat().st_size
+    _, want, _ = run(capsys, "compute", "s", "--max-n", "100", "--format", fmt)
+    sink = _DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["cache", "read", "--target", "s", "--max-n", "100",
+                     "--format", fmt, "--cache-dir", cache_dir])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().err == ""
+    assert sink.digest.digest() == hashlib.sha256(want.encode("ascii")).digest()
+    assert peak <= size // 3
 
 
 def test_cache_short_file_rebuilds_to_requested_rows(tmp_path, capsys):

@@ -18,15 +18,11 @@ from ellipta.gammakit import (
     GammaVector,
     NotSymmetricError,
     analyze,
-    bi_gamma_certificates,
     gamma_expand,
     is_alternatingly_increasing,
-    is_bi_gamma_positive,
-    is_gamma_positive,
     is_symmetric,
     is_unimodal,
     sym_decompose,
-    zero_gamma,
 )
 
 J4 = (1, 4)
@@ -74,13 +70,6 @@ def test_gamma_expand_inverts_reconstruction(entries, pad):
     assert gamma_expand(gv.to_poly(), center) == gv
 
 
-def test_is_gamma_positive_examples():
-    assert is_gamma_positive((1, 3, 1), 2)
-    assert not is_gamma_positive((1, 1, 1), 2)  # gamma is (1, -1)
-    assert is_gamma_positive(J7, 3)
-    assert not is_gamma_positive(J4, 1)  # not symmetric
-
-
 def test_sym_decompose_examples():
     d = sym_decompose(J4, 1)
     assert (d.a, d.b) == ((1, 1), (3,))
@@ -118,14 +107,16 @@ def test_sym_decompose_uniqueness(a_entries, b_entries, n):
 
 
 def test_bi_gamma_examples():
-    ok, ga, gb = bi_gamma_certificates(J6, 2)
-    assert ok and ga.gammas == (1, 27) and gb.gammas == (15,)
-    ok1, ga1, gb1 = bi_gamma_certificates((1, 1), 1)
-    assert ok1 and ga1.gammas == (1,) and gb1.gammas == (0,)
+    rep = analyze(J6, 2)
+    assert rep.bi_gamma_positive
+    assert rep.gamma_a.gammas == (1, 27) and rep.gamma_b.gammas == (15,)
+    rep1 = analyze((1, 1), 1)
+    assert rep1.bi_gamma_positive
+    assert rep1.gamma_a.gammas == (1,) and rep1.gamma_b.gammas == (0,)
     # 2 + x decomposes into a = 2 + 2x, b = -1; the b part fails
     d = sym_decompose((2, 1), 1)
     assert (d.a, d.b) == ((2, 2), (-1,))
-    assert not is_bi_gamma_positive((2, 1), 1)
+    assert not analyze((2, 1), 1).bi_gamma_positive
 
 
 def test_is_unimodal_examples():
@@ -156,7 +147,7 @@ def test_gamma_positive_implies_symmetric_unimodal(entries, pad):
     f = gv.to_poly()
     assert is_symmetric(f, center)
     assert is_unimodal(f)
-    assert is_gamma_positive(f, center)
+    assert gamma_expand(f, center).is_nonnegative()
 
 
 @given(
@@ -173,19 +164,21 @@ def test_bi_gamma_implies_alternating_and_unimodal(a_entries, b_entries, n):
         GammaVector(n, a_vec).to_poly(),
         uni_shift(GammaVector(n - 1, b_vec).to_poly(), 1),
     )
-    assert is_bi_gamma_positive(f, n)
+    assert analyze(f, n).bi_gamma_positive
     assert is_alternatingly_increasing(f, n)
     assert is_unimodal(f)
 
 
 def test_zero_polynomial_cases():
     assert gamma_expand(UNI_ZERO, 4).gammas == (0, 0, 0)
-    assert zero_gamma(-1).to_poly() == UNI_ZERO
-    assert is_gamma_positive(UNI_ZERO, 3)
+    assert GammaVector(-1, ()).to_poly() == UNI_ZERO
+    assert is_symmetric(UNI_ZERO, 3)
+    assert gamma_expand(UNI_ZERO, 3).is_nonnegative()
     d = sym_decompose(UNI_ONE, 0)
     assert (d.a, d.b) == (UNI_ONE, UNI_ZERO)
-    ok, _, gb = bi_gamma_certificates(UNI_ONE, 0)
-    assert ok and gb.center == -1 and gb.gammas == ()
+    rep = analyze(UNI_ONE, 0)
+    assert rep.bi_gamma_positive
+    assert rep.gamma_b.center == -1 and rep.gamma_b.gammas == ()
 
 
 def test_analyze_report():
@@ -223,8 +216,11 @@ def test_analyze_decomposes_once(monkeypatch):
         rep = analyze(f)
         assert calls == [rep.center]
         assert rep.bi_gamma_positive is certified
-        assert (rep.bi_gamma_positive, rep.gamma_a, rep.gamma_b) == \
-            bi_gamma_certificates(f, rep.center)
+        d = real(f, rep.center)
+        assert rep.decomposition == d
+        if certified:
+            assert rep.gamma_a == gamma_expand(d.a, d.n)
+            assert rep.gamma_b == gamma_expand(d.b, d.n - 1)
 
 
 def test_analyze_never_raises_on_sweep():

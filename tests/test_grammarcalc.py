@@ -18,7 +18,6 @@ from ellipta.grammarcalc import (
     derive_once,
     g1_to_sd,
     g2_to_g1,
-    grammar_to_text,
     iterate,
     parse_grammar,
     parse_multipoly,
@@ -202,7 +201,8 @@ def test_parity_shape_of_iterates():
 
 
 def test_parser_round_trip():
-    g = parse_grammar(grammar_to_text(G2))
+    text = "\n".join(f"{v} -> {r.to_text()}" for v, r in zip(G2.variables, G2.rules))
+    g = parse_grammar(text)
     assert g == G2
 
 

@@ -57,3 +57,20 @@ def test_certificate_suites_pass_through_150(name):
     (result,) = suites.run_suite(name, max_n=150)
     assert result.ok, [c for c in result.checks if not c.ok]
     assert len(result.checks) >= 150
+
+
+@pytest.mark.parametrize("max_n, largest", [(0, 2), (1, 2), (2, 4), (6, 12)])
+def test_thm2_builds_no_j_it_does_not_read(monkeypatch, max_n, largest):
+    from ellipta import elliptic as el
+
+    asked = []
+    real = el.j_viennot
+
+    def recording(n_max):
+        asked.append(n_max)
+        return real(n_max)
+
+    monkeypatch.setattr(el, "j_viennot", recording)
+    (result,) = suites.run_suite("thm2", max_n=max_n)
+    assert result.ok
+    assert asked == [largest]

@@ -18,6 +18,7 @@ from ellipta.treeoracle import (
     phi_orbit_check,
     phi_subset,
     s_from_trees,
+    theta_row_from_gamma,
     theta_table,
     tree_enumerate,
     tree_matching,
@@ -103,18 +104,6 @@ def test_tree_matching_standard_form():
             assert all(x[0] < y[0] for x, y in zip(pairs, pairs[1:]))
 
 
-def test_tree_text_roundtrip():
-    from ellipta.treeoracle import tree_from_text, tree_to_text
-
-    assert tree_to_text((0, 0, 2)) == "parents: 0,0,2"
-    assert tree_from_text("parents: 0,0,2") == (0, 0, 2)
-    assert tree_from_text("parents:") == ()
-    with pytest.raises(ValueError):
-        tree_from_text("parents: 1")  # vertex 1 must hang from 0
-    with pytest.raises(ValueError):
-        tree_from_text("0,0")
-
-
 def test_tree_stats_examples():
     path = tree_stats((0, 1))
     assert (path.singleton, path.asc_o) == (1, 1)
@@ -159,7 +148,14 @@ def test_theta_cross_checks_gamma_triangle():
     for (i, j), g in gtri.row(5).items():
         assert theta5.row(5)[(2 * j + 1, 2 - i - 2 * j)] == g
     assert gamma_row_from_theta(5, theta5.row(5)) == gtri.row(5)
-    assert gamma_row_from_theta(8, theta_table(8).row(8)) == gtri.row(8)
+    theta8 = theta_table(8).row(8)
+    assert gamma_row_from_theta(8, theta8) == gtri.row(8)
+    assert theta_row_from_gamma(8, gtri.row(8)) == theta8
+    for n, g in gtri.rows.items():
+        assert gamma_row_from_theta(n, theta_row_from_gamma(n, g)) == g
+    # gamma cell (1, 1) of row 4 has i + 2j = 3 > 4 // 2
+    with pytest.raises(ValueError):
+        theta_row_from_gamma(4, {(1, 1): 1})
 
 
 def test_s_from_trees_matches_triangle():

@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Time the brute-force oracles and confirm they agree with the recurrences.
+
+Usage: python scripts/oracle_timings.py [n]
+
+Trees are enumerated at size n, permutations at n + 1 and the lemma9 suite
+runs to n - 1. n defaults to 8, the tree size of the oracle benchmark, which
+makes the sizes g2_distribution(8), s_from_trees(8), theta_table(8),
+p_bruteforce(9) and suite_lemma9(7).
+"""
+
+import sys
+from collections import Counter
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ellipta import elliptic as el
+from ellipta import suites
+from ellipta import treeoracle as to
+
+
+def timed(label, fn, *args):
+    t0 = perf_counter()
+    result = fn(*args)
+    print(f"{label:>20}: {(perf_counter() - t0) * 1000:8.1f} ms")
+    return result
+
+
+def s_row_of_g2(dist) -> dict:
+    """Row of s read off the six-letter distribution: the singleton count
+    carries i and evenp + 2*des_o carries j, as in `s_from_trees`."""
+    row = Counter()
+    for (singleton, des_o, _asc_o, zerop, des_e, asc_e), c in dist.terms.items():
+        row[(singleton // 2, (zerop + des_e + asc_e + 2 * des_o) // 2)] += c
+    return dict(row)
+
+
+def main():
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
+    cap = n + 1
+    g2 = timed(f"g2_distribution({n})", to.g2_distribution, n, cap)
+    s = timed(f"s_from_trees({n})", to.s_from_trees, n, cap)
+    theta = timed(f"theta_table({n})", to.theta_table, n, cap)
+    p = timed(f"p_bruteforce({n + 1})", to.p_bruteforce, n + 1, cap)
+    lemma9 = timed(f"suite_lemma9({n - 1})", suites.suite_lemma9, n - 1)
+
+    s_tri = el.s_triangle_recurrence(n + 1)
+    gamma_row = el.gamma_triangle_recurrence(n).row(n)
+    disagree = [
+        label
+        for label, ok in (
+            ("g2_distribution vs s", s_row_of_g2(g2) == s_tri.row(n)),
+            ("s_from_trees vs s", s.row(n) == s_tri.row(n)),
+            ("theta_table vs gamma",
+             to.gamma_row_from_theta(n, theta.row(n)) == gamma_row),
+            ("p_bruteforce vs s", p == el.p_poly(n + 1, s_tri)),
+            ("suite_lemma9", lemma9.ok),
+        )
+        if not ok
+    ]
+    if disagree:
+        print(f"DISAGREEMENT: {', '.join(disagree)}")
+        return 1
+    print(f"all oracles agree with the s and gamma recurrences at n = {n}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,6 +18,15 @@ children exist, as descent or ascent pairs according to which endpoint is
 the parent of the largest outside child. Unmatched vertices are singletons
 and are always leaves.
 
+The distributions score each tree in O(1) as the enumeration builds it:
+vertices 1..n are added in order, and the matching is fixed when each vertex
+is inserted, because v is a second endpoint exactly when it is the first
+child of a parent that is still unmatched. So inserting w under p either
+opens the zero pair (p, w) or gives p's pair w as its new largest outside
+child, and the five pair-class counters are updated and undone in place.
+`tree_stats`, `tree_matching` and `children_table` stay the direct
+definition that the tests compare against.
+
 The pair involutions re-hang the largest outside child of a pair to the
 opposite endpoint; they commute, preserve the matching, and transport the
 statistics in a controlled way, which is what `phi_orbit_check` verifies.
@@ -111,14 +120,13 @@ def children_table(parents) -> list:
 def tree_matching(parents) -> tuple:
     """Greedy pairing: (0,1) first, then the smallest unpaired vertex with
     children takes its smallest child. Returns pairs in standard form."""
-    if not parents:
-        return ()
-    children = children_table(parents)
-    return _matching(parents, children)
+    return _matching(parents, children_table(parents))
 
 
 def _matching(parents, children) -> tuple:
     n = len(parents)
+    if not n:
+        return ()
     used = bytearray(n + 1)
     used[0] = used[1] = 1
     pairs = [(0, 1)]
@@ -143,24 +151,29 @@ class TreeStats:
     asc_e: int
 
 
+def _largest_outside_child(children, pair) -> int:
+    """Largest outside child of the matched pair (a, b), or -1 if it has
+    none. b is a's smallest child, so the candidates are the tails of the
+    two ascending child lists, a's only when b is not its sole child."""
+    a, b = pair
+    ca = children[a]
+    cb = children[b]
+    top_a = ca[-1] if len(ca) > 1 else -1
+    top_b = cb[-1] if cb else -1
+    return top_a if top_a > top_b else top_b
+
+
 def _pair_profile(parents, children, pairs) -> tuple:
     """(singleton, zerop, des_o, des_e, asc_o, asc_e) for matched pairs."""
     n = len(parents)
     singleton = (n + 1) - 2 * len(pairs)
     zerop = des_o = des_e = asc_o = asc_e = 0
     for a, b in pairs:
-        ca = children[a]
-        cb = children[b]
-        m = len(ca) + len(cb) - 1
+        m = len(children[a]) + len(children[b]) - 1
         if m == 0:
             zerop += 1
             continue
-        # b is the smallest child of a, so the largest outside child is the
-        # tail of one of the two (ascending) child lists
-        top_a = ca[-1] if len(ca) > 1 else -1
-        top_b = cb[-1] if cb else -1
-        v = top_a if top_a > top_b else top_b
-        descent = parents[v - 1] == a
+        descent = parents[_largest_outside_child(children, (a, b)) - 1] == a
         if m % 2:
             if descent:
                 des_o += 1
@@ -174,9 +187,7 @@ def _pair_profile(parents, children, pairs) -> tuple:
     return singleton, zerop, des_o, des_e, asc_o, asc_e
 
 
-def tree_stats(parents) -> TreeStats:
-    children = children_table(parents)
-    pairs = _matching(parents, children) if parents else ()
+def _stats(parents, children, pairs) -> TreeStats:
     singleton, zerop, des_o, des_e, asc_o, asc_e = _pair_profile(
         parents, children, pairs
     )
@@ -191,16 +202,67 @@ def tree_stats(parents) -> TreeStats:
     )
 
 
+def tree_stats(parents) -> TreeStats:
+    children = children_table(parents)
+    return _stats(parents, children, _matching(parents, children))
+
+
 def _fold_trees(n: int, keyfn, cap: int) -> Counter:
     """Fold keyfn over the pair profile of every tree in T_n; a None key
-    leaves the tree uncounted."""
+    leaves the tree uncounted. Keys keep the order of their first tree.
+
+    One depth-first pass adds vertices 1..n in the order of
+    `tree_enumerate` and keeps the profile of the tree built so far, so each
+    tree is scored in O(1) and keyfn runs once per distinct profile."""
+    _check_cap(n, cap, "tree")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    profiles: Counter = Counter()
+    # tally is the profile (singleton, zerop, des_o, des_e, asc_o, asc_e) of
+    # the finished tree: every vertex not yet matched counts as a singleton.
+    # A pair's class is its index in tally; cell[v] is a one-element list
+    # holding it, shared by both endpoints, and None while v is unmatched.
+    # role[v] is 2 on a second endpoint, the step from descent to ascent.
+    tally = [n + 1, 0, 0, 0, 0, 0]
+    cell = [None] * (n + 1)
+    role = [0] * (n + 1)
+
+    def grow(w):
+        if w > n:
+            profiles[tuple(tally)] += 1
+            return
+        for p in range(w):
+            c = cell[p]
+            if c is None:
+                # p has no child yet, or its first one would have matched it
+                cell[p] = cell[w] = [1]
+                role[w] = 2
+                tally[0] -= 2
+                tally[1] += 1
+                grow(w + 1)
+                tally[1] -= 1
+                tally[0] += 2
+                role[w] = 0
+                cell[p] = cell[w] = None
+            else:
+                # w is the pair's largest outside child: one more flips the
+                # parity, and p decides descent or ascent
+                old = c[0]
+                new = 3 - (old & 1) + role[p]
+                c[0] = new
+                tally[old] -= 1
+                tally[new] += 1
+                grow(w + 1)
+                tally[new] -= 1
+                tally[old] += 1
+                c[0] = old
+
+    grow(1)
     counts: Counter = Counter()
-    for parents in tree_enumerate(n, cap):
-        children = children_table(parents)
-        pairs = _matching(parents, children) if parents else ()
-        key = keyfn(_pair_profile(parents, children, pairs))
+    for profile, c in profiles.items():
+        key = keyfn(profile)
         if key is not None:
-            counts[key] += 1
+            counts[key] += c
     return counts
 
 
@@ -298,50 +360,52 @@ def theta_row_from_gamma(n: int, gamma_row: dict) -> dict:
 # pair involutions
 
 
-def _outside_child(children, parents, pair):
+def _phi(parents, children, pair):
+    """(image, its children table) under the involution of `pair`: the
+    largest outside child moves from the tail of one endpoint's list to the
+    tail of the other's, and only those two lists are copied. As in every
+    matched pair, b must be the smallest child of a."""
+    v = _largest_outside_child(children, pair)
+    if v < 0:
+        return parents, children
     a, b = pair
-    ca = children[a]
-    cb = children[b]
-    top_a = ca[-1] if ca and ca[-1] != b else (ca[-2] if len(ca) > 1 else -1)
-    top_b = cb[-1] if cb else -1
-    v = top_a if top_a > top_b else top_b
-    return v if v >= 0 else None
-
-
-def _phi_nocheck(parents, pair):
-    children = children_table(parents)
-    v = _outside_child(children, parents, pair)
-    if v is None:
-        return parents
-    a, b = pair
-    new_parent = b if parents[v - 1] == a else a
+    src = parents[v - 1]
+    dst = b if src == a else a
     out = list(parents)
-    out[v - 1] = new_parent
-    return tuple(out)
+    out[v - 1] = dst
+    table = list(children)
+    table[src] = children[src][:-1]
+    table[dst] = children[dst] + [v]
+    return tuple(out), table
+
+
+def _checked_table(parents, matching) -> list:
+    """Children table of a tree whose matching must be `matching`."""
+    children = children_table(parents)
+    if _matching(parents, children) != matching:
+        raise MatchingMismatchError("matching does not belong to this tree")
+    return children
 
 
 def phi_apply(parents, matching, k: int):
     """Involution attached to pair k (1-based) of the tree-matching: re-hang
     the largest outside child of the pair to the opposite endpoint."""
     matching = tuple(matching)
-    if tree_matching(parents) != matching:
-        raise MatchingMismatchError("matching does not belong to this tree")
+    children = _checked_table(parents, matching)
     if not 1 <= k <= len(matching):
         raise ValueError(f"pair index {k} out of range")
-    return _phi_nocheck(parents, matching[k - 1])
+    return _phi(parents, children, matching[k - 1])[0]
 
 
 def phi_subset(parents, matching, indices):
     """Apply the commuting involutions for every pair index in `indices`."""
     matching = tuple(matching)
-    if tree_matching(parents) != matching:
-        raise MatchingMismatchError("matching does not belong to this tree")
-    out = parents
+    tree = parents, _checked_table(parents, matching)
     for k in sorted(set(indices)):
         if not 1 <= k <= len(matching):
             raise ValueError(f"pair index {k} out of range")
-        out = _phi_nocheck(out, matching[k - 1])
-    return out
+        tree = _phi(*tree, matching[k - 1])
+    return tree[0]
 
 
 @dataclass(frozen=True)
@@ -356,10 +420,7 @@ class OrbitCheck:
     matching_preserved: bool
 
 
-def pair_parities(parents) -> tuple:
-    """(even pair indices, odd pair indices), 1-based, for the matching."""
-    children = children_table(parents)
-    pairs = _matching(parents, children) if parents else ()
+def _parities(children, pairs) -> tuple:
     evens, odds = [], []
     for k, (a, b) in enumerate(pairs, start=1):
         if (len(children[a]) + len(children[b]) - 1) % 2:
@@ -369,37 +430,57 @@ def pair_parities(parents) -> tuple:
     return tuple(evens), tuple(odds)
 
 
-def phi_orbit_check(parents, indices) -> OrbitCheck:
-    """Transport check for a tree with no odd ascent pair: applying the
-    involutions for `indices` must keep the singleton count and the matching,
-    keep the even-pair count, and convert exactly the flipped odd pairs from
-    descents to ascents."""
-    before = tree_stats(parents)
-    if before.asc_o:
-        raise ValueError("tree must have no odd ascent pair")
-    matching = tree_matching(parents)
-    evens, odds = pair_parities(parents)
-    chosen = set(indices)
-    if not chosen <= set(range(1, len(matching) + 1)):
-        raise ValueError("pair index out of range")
-    flipped_odd = len(chosen & set(odds))
-    image = phi_subset(parents, matching, chosen)
-    after = tree_stats(image)
-    matching_preserved = tree_matching(image) == matching
+def pair_parities(parents) -> tuple:
+    """(even pair indices, odd pair indices), 1-based, for the matching."""
+    children = children_table(parents)
+    return _parities(children, _matching(parents, children))
+
+
+def _orbit_check(
+    start, pairs, before, even_pairs, flipped_odd, image, children
+) -> OrbitCheck:
+    """Transport check of `image` (with its children table) against the
+    ascent-free tree `start`, whose matching is `pairs` and statistics
+    `before`. The image's matching and statistics come from its own table."""
+    image_pairs = _matching(image, children)
+    after = _stats(image, children, image_pairs)
+    matching_preserved = image_pairs == pairs
     ok = (
         matching_preserved
         and after.singleton == before.singleton
-        and after.evenp == len(evens)
+        and after.evenp == even_pairs
         and after.des_o == before.des_o - flipped_odd
         and after.asc_o == flipped_odd
     )
     return OrbitCheck(
         ok=ok,
-        start=tuple(parents),
+        start=tuple(start),
         image=image,
         flipped_odd=flipped_odd,
-        even_pairs=len(evens),
+        even_pairs=even_pairs,
         before=before,
         after=after,
         matching_preserved=matching_preserved,
+    )
+
+
+def phi_orbit_check(parents, indices) -> OrbitCheck:
+    """Transport check for a tree with no odd ascent pair: applying the
+    involutions for `indices` must keep the singleton count and the matching,
+    keep the even-pair count, and convert exactly the flipped odd pairs from
+    descents to ascents."""
+    children = children_table(parents)
+    pairs = _matching(parents, children)
+    before = _stats(parents, children, pairs)
+    if before.asc_o:
+        raise ValueError("tree must have no odd ascent pair")
+    evens, odds = _parities(children, pairs)
+    chosen = set(indices)
+    if not chosen <= set(range(1, len(pairs) + 1)):
+        raise ValueError("pair index out of range")
+    tree = parents, children
+    for k in sorted(chosen):
+        tree = _phi(*tree, pairs[k - 1])
+    return _orbit_check(
+        parents, pairs, before, len(evens), len(chosen & set(odds)), *tree
     )

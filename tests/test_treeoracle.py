@@ -1,3 +1,7 @@
+import ast
+import re
+from collections import Counter
+
 import pytest
 
 from ellipta import elliptic as el
@@ -122,6 +126,65 @@ def test_tree_stats_identities_exhaustive():
             assert 2 * (st.evenp + st.des_o + st.asc_o) + st.singleton == n + 1
 
 
+def captured_key(monkeypatch, public, n):
+    """The key function that `public(n)` folds over the trees of T_n."""
+    real = treeoracle._fold_trees
+    keys = []
+
+    def spy(n, keyfn, cap):
+        keys.append(keyfn)
+        return real(n, keyfn, cap)
+
+    with monkeypatch.context() as m:
+        m.setattr(treeoracle, "_fold_trees", spy)
+        public(n)
+    return keys[0]
+
+
+@pytest.mark.parametrize(
+    "public", [g2_distribution, g1_distribution, theta_table, s_from_trees]
+)
+def test_incremental_fold_matches_definition(monkeypatch, public):
+    # the fold scores trees as it builds them; folding the same key over
+    # tree_stats of every enumerated tree must give the same Counter, with
+    # keys in the same (first-tree) order
+    for n in range(8):
+        keyfn = captured_key(monkeypatch, public, n)
+        want = Counter()
+        for parents in tree_enumerate(n):
+            st = tree_stats(parents)
+            key = keyfn(
+                (st.singleton, st.zerop, st.des_o, st.des_e, st.asc_o, st.asc_e)
+            )
+            if key is not None:
+                want[key] += 1
+        got = treeoracle._fold_trees(n, keyfn, treeoracle.DEFAULT_TREE_CAP)
+        assert got == want and list(got) == list(want), n
+
+
+def test_fold_raises_on_parity_break(monkeypatch):
+    # the s key of an even row, folded over the trees of an odd row
+    even_key = captured_key(monkeypatch, s_from_trees, 4)
+    with pytest.raises(StatisticsDefectError):
+        treeoracle._fold_trees(3, even_key, treeoracle.DEFAULT_TREE_CAP)
+
+
+def test_fold_rejects_sizes_before_scoring():
+    scored = []
+
+    def keyfn(profile):
+        scored.append(profile)
+        return profile
+
+    with pytest.raises(CapExceededError):
+        treeoracle._fold_trees(4, keyfn, 3)
+    with pytest.raises(ValueError):
+        treeoracle._fold_trees(-1, keyfn, 3)
+    assert scored == []
+    with pytest.raises(CapExceededError):
+        s_from_trees(10)
+
+
 def test_g2_distribution_examples():
     assert g2_distribution(1) == G2.seed("c")
     assert g2_distribution(2) == parse_multipoly("xa + xb", G2.variables)
@@ -225,6 +288,34 @@ def test_phi_involution_and_commutation_exhaustive():
                     assert phi_apply(phi_apply(parents, m, k), m, l) == phi_apply(
                         phi_apply(parents, m, l), m, k
                     )
+
+
+def test_lemma9_catches_planted_move_defect(monkeypatch):
+    # a move kernel that re-hangs the smallest outside child is still an
+    # involution and keeps the matching, but no longer transports descents
+    # to ascents once a pair has three outside children (the star at n = 4)
+    def smallest_first(parents, children, pair):
+        a, b = pair
+        outside = [v for v in children[a] if v != b] + children[b]
+        if not outside:
+            return parents, children
+        v = min(outside)
+        image = list(parents)
+        image[v - 1] = b if parents[v - 1] == a else a
+        return tuple(image), treeoracle.children_table(image)
+
+    monkeypatch.setattr(treeoracle, "_phi", smallest_first)
+    result = suites.suite_lemma9(4)
+    assert not result.ok
+    failed = [c for c in result.checks if not c.ok]
+    assert {c.label for c in failed} == {
+        "statistic transport n=4", "orbit partition n=4"
+    }
+    trees = set(tree_enumerate(4))
+    for check in failed:
+        named = re.search(r"\([\d, ]*\)", check.detail)
+        assert named and ast.literal_eval(named.group()) in trees, check
+    assert all(c.detail == "" for c in result.checks if c.ok)
 
 
 def test_phi_orbit_check_examples():

@@ -11,6 +11,7 @@ p_bruteforce(9) and suite_lemma9(7).
 
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 from time import perf_counter
 
@@ -47,7 +48,7 @@ def main():
     lemma9 = timed(f"suite_lemma9({n - 1})", suites.suite_lemma9, n - 1)
 
     s_tri = el.s_triangle_recurrence(n + 1)
-    gamma_row = el.gamma_triangle_recurrence(n).row(n)
+    _, gamma_row = next(islice(el.gamma_rows_recurrence(), n - 1, None))
     disagree = [
         label
         for label, ok in (

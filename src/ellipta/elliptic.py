@@ -657,9 +657,21 @@ def gamma_operator_expansion(gamma_tri: Triangle, n: int) -> MultiPoly:
 # gamma certificates for J
 
 
+def gamma_odd_lines(n_max: int) -> Triangle:
+    """Rows 1, 3, ..., n_max of gamma, each cut to its i = 0 line: every
+    entry the J certificates read. Each full row is dropped from the
+    recurrence's stream as soon as its line is cut."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    rows = islice(gamma_rows_recurrence(), n_max)
+    return Triangle(
+        {n: {ij: c for ij, c in row.items() if ij[0] == 0} for n, row in rows if n % 2}
+    )
+
+
 def j_odd_gamma(n: int, gamma_tri: Triangle) -> GammaVector:
     """Gamma vector of J_{2n+1} (center n), read from the i = 0 line of the
-    gamma triangle row 2n+1."""
+    gamma triangle row 2n+1 (a whole triangle or `gamma_odd_lines`)."""
     row = gamma_tri.row(2 * n + 1)
     return GammaVector(n, tuple(row.get((0, j), 0) for j in range(n // 2 + 1)))
 
@@ -717,9 +729,10 @@ class EvenDecomposition:
 
 def j_even_decompositions(m_max: int, gamma_tri: Triangle | None = None) -> list:
     """Certificates for J_2, J_4, ..., J_{2m_max+2}, built recursively by
-    gamma-vector convolutions with binomial weights."""
+    gamma-vector convolutions with binomial weights. ``gamma_tri`` defaults
+    to ``gamma_odd_lines``, the only gamma entries read."""
     if gamma_tri is None:
-        gamma_tri = gamma_triangle_recurrence(max(1, 2 * m_max + 1))
+        gamma_tri = gamma_odd_lines(2 * m_max + 1)
     gvecs = [j_odd_gamma(d, gamma_tri).gammas for d in range(m_max + 1)]
     alphas: list = [None]
     betas: list = [None]

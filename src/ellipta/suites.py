@@ -35,6 +35,32 @@ class SuiteResult:
         return all(c.ok for c in self.checks)
 
 
+class SuiteInputs:
+    """Inputs that several suites read, built on first use and shared by
+    the suites of one `run_suite` call. It dies with that call, so no run
+    reads what an earlier one built.
+
+    Each input is held at the largest n asked for so far: a smaller ask
+    reads it, a larger one rebuilds it."""
+
+    def __init__(self):
+        self._js = None
+        self._lines = (0, None)  # (n_max, gamma_odd_lines(n_max))
+
+    def js(self, n_max: int) -> el.JSequence:
+        """J_0 .. J_n_max (or further) by the Viennot convolutions."""
+        if self._js is None or len(self._js) <= n_max:
+            self._js = el.j_viennot(n_max)
+        return self._js
+
+    def gamma_lines(self, n_max: int) -> el.Triangle:
+        """`el.gamma_odd_lines` to n_max (or further)."""
+        built, lines = self._lines
+        if lines is None or built < n_max:
+            self._lines = n_max, el.gamma_odd_lines(n_max)
+        return self._lines[1]
+
+
 def _result(name, scope, checks) -> SuiteResult:
     return SuiteResult(name=name, scope=scope, checks=tuple(checks))
 
@@ -50,7 +76,7 @@ def _compare_rows(n: int, got: dict, ref: dict, got_name: str, ref_name: str):
     )
 
 
-def suite_routes(max_n: int) -> SuiteResult:
+def suite_routes(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """All four J routes agree coefficient for coefficient."""
     checks = []
     seqs = []
@@ -77,7 +103,7 @@ def suite_routes(max_n: int) -> SuiteResult:
     return _result("routes", f"n <= {max_n}", checks)
 
 
-def suite_dumont(max_n: int) -> SuiteResult:
+def suite_dumont(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Permutation brute force equals the triangle-backed P_n."""
     tri = el.s_triangle_recurrence(max_n)
     checks = []
@@ -90,9 +116,11 @@ def suite_dumont(max_n: int) -> SuiteResult:
     return _result("dumont", f"n <= {max_n}", checks)
 
 
-def suite_viennot_symmetry(max_n: int) -> SuiteResult:
+def suite_viennot_symmetry(
+    max_n: int, inputs: SuiteInputs | None = None
+) -> SuiteResult:
     """Odd-index J's are symmetric about their degree."""
-    js = el.j_viennot(2 * max_n + 1)
+    js = (inputs or SuiteInputs()).js(2 * max_n + 1)
     checks = []
     for n in range(max_n + 1):
         f = js[2 * n + 1]
@@ -107,13 +135,14 @@ def suite_viennot_symmetry(max_n: int) -> SuiteResult:
     return _result("viennot-symmetry", f"n <= {max_n}", checks)
 
 
-def suite_thm1(max_n: int) -> SuiteResult:
+def suite_thm1(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Odd-index J's carry nonnegative gamma vectors that reconstruct them."""
-    gtri = el.gamma_triangle_recurrence(2 * max_n + 1)
-    js = el.j_viennot(2 * max_n + 1)
+    inputs = inputs or SuiteInputs()
+    lines = inputs.gamma_lines(2 * max_n + 1)
+    js = inputs.js(2 * max_n + 1)
     checks = []
     for n in range(max_n + 1):
-        cert = el.j_odd_gamma(n, gtri)
+        cert = el.j_odd_gamma(n, lines)
         f = js[2 * n + 1]
         ok = cert.is_nonnegative() and cert.to_poly() == f
         ok = ok and gk.is_unimodal(f) and gk.is_symmetric(f, n)
@@ -127,13 +156,13 @@ def suite_thm1(max_n: int) -> SuiteResult:
     return _result("thm1", f"n <= {max_n}", checks)
 
 
-def suite_thm2(max_n: int) -> SuiteResult:
+def suite_thm2(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Even-index J's split into two gamma-positive symmetric parts that
     coincide with the unique symmetric decomposition."""
     m_max = max(0, max_n - 1)
-    gtri = el.gamma_triangle_recurrence(2 * m_max + 1)
-    js = el.j_viennot(max(2, 2 * max_n))
-    decs = el.j_even_decompositions(m_max, gtri)
+    inputs = inputs or SuiteInputs()
+    js = inputs.js(max(2, 2 * max_n))
+    decs = el.j_even_decompositions(m_max, inputs.gamma_lines(2 * m_max + 1))
     checks = [Check("J_0 trivially certified", js[0] == (1,))]
     for m in range(m_max + 1):
         f = js[2 * m + 2]
@@ -158,7 +187,7 @@ def suite_thm2(max_n: int) -> SuiteResult:
     return _result("thm2", f"n <= {max_n}", checks)
 
 
-def suite_lemma5(max_n: int) -> SuiteResult:
+def suite_lemma5(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Tree-statistics distribution equals the six-letter grammar iterate."""
     seed_x = gc.G2.seed("x")
     checks = []
@@ -176,7 +205,7 @@ def suite_lemma5(max_n: int) -> SuiteResult:
     return _result("lemma5", f"n <= {max_n}", checks)
 
 
-def suite_theorem13(max_n: int) -> SuiteResult:
+def suite_theorem13(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Singleton/even-pair statistics on trees reproduce the s triangle."""
     tri = el.s_triangle_recurrence(max_n)
     checks = []
@@ -187,7 +216,7 @@ def suite_theorem13(max_n: int) -> SuiteResult:
     return _result("theorem13", f"n <= {max_n}", checks)
 
 
-def suite_corollary15(max_n: int) -> SuiteResult:
+def suite_corollary15(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Theta counts assemble the four-letter iterate and match the gamma
     triangle through the index change."""
     gtri = el.gamma_triangle_recurrence(max_n)
@@ -223,7 +252,7 @@ def suite_corollary15(max_n: int) -> SuiteResult:
     return _result("corollary15", f"n <= {max_n}", checks)
 
 
-def suite_lemma9(max_n: int) -> SuiteResult:
+def suite_lemma9(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Pair involutions: involutive, commuting, matching-preserving; orbits
     of the odd-pair subgroup have one ascent-free representative each and
     size 2^(odd pairs); statistic transport matches the predicted values.
@@ -318,7 +347,9 @@ def random_closure_instance(rng: random.Random, n_max: int):
 CLOSURE_INSTANCES = 100
 
 
-def suite_closure(max_n: int, seed: int = 0) -> SuiteResult:
+def suite_closure(
+    max_n: int, inputs: SuiteInputs | None = None, seed: int = 0
+) -> SuiteResult:
     """Randomized closure sweep: every constructed polynomial must be
     alternatingly increasing with certificates equal to the unique
     symmetric decomposition."""
@@ -355,6 +386,8 @@ def suite_closure(max_n: int, seed: int = 0) -> SuiteResult:
     )
 
 
+# Every suite takes (max_n, inputs); `inputs` is the run's SuiteInputs,
+# read by viennot-symmetry, thm1 and thm2.
 SUITES = {
     "routes": suite_routes,
     "dumont": suite_dumont,
@@ -383,12 +416,18 @@ SUITE_DEFAULT_RANGE = {
 
 
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list:
-    """Run one suite (or every suite for "all"); returns SuiteResult list."""
+    """Run one suite (or every suite for "all"); returns SuiteResult list.
+    The suites of one call share one SuiteInputs."""
+    inputs = SuiteInputs()
     if name == "all":
-        return [run_suite(key, seed=seed)[0] for key in SUITES]
+        return [_run(key, None, seed, inputs) for key in SUITES]
     if name not in SUITES:
         raise KeyError(name)
+    return [_run(name, max_n, seed, inputs)]
+
+
+def _run(name: str, max_n: int | None, seed: int, inputs: SuiteInputs) -> SuiteResult:
     effective = SUITE_DEFAULT_RANGE[name] if max_n is None else max_n
     if name == "closure":  # the only suite with random instances
-        return [SUITES[name](effective, seed=seed)]
-    return [SUITES[name](effective)]
+        return SUITES[name](effective, inputs, seed=seed)
+    return SUITES[name](effective, inputs)

@@ -533,6 +533,25 @@ def test_j_odd_gamma_reconstructs(gamma_tri):
         assert cert.to_poly() == js[2 * n + 1]
 
 
+def test_gamma_odd_lines_are_the_odd_i0_lines(gamma_tri):
+    lines = el.gamma_odd_lines(41)
+    assert set(lines.rows) == set(range(1, 42, 2))
+    for n in range(1, 42, 2):
+        line = {ij: c for ij, c in gamma_tri.row(n).items() if ij[0] == 0}
+        assert lines.row(n) == line and line
+    assert el.gamma_odd_lines(40) == el.gamma_odd_lines(39)
+    with pytest.raises(ValueError):
+        el.gamma_odd_lines(0)
+
+
+def test_j_even_decompositions_read_only_the_lines(gamma_tri):
+    lines = el.gamma_odd_lines(41)
+    for m in range(21):
+        assert el.j_even_decompositions(m, lines) == el.j_even_decompositions(
+            m, gamma_tri
+        )
+
+
 def test_j_even_decomposition_examples():
     d1 = el.j_even_decomposition(1)
     assert (d1.decomposition.a, d1.decomposition.b) == ((1, 1), (3,))

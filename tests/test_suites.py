@@ -74,3 +74,71 @@ def test_thm2_builds_no_j_it_does_not_read(monkeypatch, max_n, largest):
     (result,) = suites.run_suite("thm2", max_n=max_n)
     assert result.ok
     assert asked == [largest]
+
+
+def _recording(monkeypatch, name):
+    """Replace `el.<name>` by a wrapper that records its first argument."""
+    from ellipta import elliptic as el
+
+    asked = []
+    real = getattr(el, name)
+
+    def recording(n_max, *args):
+        asked.append(n_max)
+        return real(n_max, *args)
+
+    monkeypatch.setattr(el, name, recording)
+    return asked
+
+
+def test_run_all_builds_each_shared_input_once(monkeypatch):
+    # viennot-symmetry asks for J_0 .. J_121 first and thm1 and thm2 read
+    # that build; the routes suite reaches j_viennot through J_ROUTES, which
+    # the patch does not touch. Only corollary15 builds full gamma rows.
+    js_asked = _recording(monkeypatch, "j_viennot")
+    gamma_asked = _recording(monkeypatch, "gamma_triangle_recurrence")
+    results = suites.run_suite("all")
+    assert all(r.ok for r in results)
+    assert js_asked == [121]
+    assert gamma_asked == [8]
+
+
+def test_shared_inputs_do_not_outlive_a_run(monkeypatch):
+    js_asked = _recording(monkeypatch, "j_viennot")
+    lines_asked = _recording(monkeypatch, "gamma_odd_lines")
+    for _ in range(2):
+        (result,) = suites.run_suite("thm1", max_n=3)
+        assert result.ok
+    assert js_asked == [7, 7]
+    assert lines_asked == [7, 7]
+
+
+def test_suite_inputs_rebuild_only_for_a_larger_n(monkeypatch):
+    js_asked = _recording(monkeypatch, "j_viennot")
+    lines_asked = _recording(monkeypatch, "gamma_odd_lines")
+    inputs = suites.SuiteInputs()
+    for n in (5, 3, 9, 9):
+        assert len(inputs.js(n)) > n
+        assert max(inputs.gamma_lines(n).rows) >= n - 1
+    assert js_asked == lines_asked == [5, 9]
+
+
+@pytest.mark.parametrize("name", ["thm1", "thm2"])
+@pytest.mark.parametrize("max_n, budget_mib", [
+    # holding the whole gamma triangle peaked at about 2.1 MiB at 40 and
+    # 19 MiB at 80; its odd i = 0 lines, the J's and the certificates take
+    # at most 0.5 and 1.3 MiB
+    (40, 1),
+    pytest.param(80, 3, marks=pytest.mark.slow),
+])
+def test_certificate_suites_hold_lines_not_the_gamma_triangle(name, max_n, budget_mib):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        (result,) = suites.run_suite(name, max_n=max_n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    assert peak < budget_mib * 1024 * 1024

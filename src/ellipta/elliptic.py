@@ -140,7 +140,14 @@ def _check_entry(n: int, i: int, j: int, c: int, bounds: tuple, scale: int):
         raise TriangleDefectError(f"bad entry {c} at {(n, i, j)}")
 
 
-def _stencil_rows(bounds_of, weight_of, scale: int):
+def _padded(lines: list, i: int, size: int) -> list:
+    """Line i of a row held as a list of lines, with at least ``size``
+    cells; a line outside the row reads as zeros."""
+    line = lines[i] if 0 <= i < len(lines) else []
+    return line + [0] * (size - len(line)) if len(line) < size else line
+
+
+def _stencil_rows(bounds_of, weight_of, scale: int, _depth_of=None):
     """The entrywise recurrence shared by the s, gamma and t triangles, as an
     endless generator of (n, row) from the single entry of row 1 on; each row
     is built only when the caller asks for it. With P the previous row,
@@ -151,36 +158,67 @@ def _stencil_rows(bounds_of, weight_of, scale: int):
     where w = w0 - wi * i - wj * j for (w0, wi, wj) = weight_of(n);
     out-of-range indices read 0. Each row is scanned over its support
     (``bounds_of(n)``, see ``_check_entry``) plus one margin cell beyond
-    every upper bound, and every nonzero entry is checked, so an entry that
-    leaks out of the support raises."""
-    prev = {(0, 0): 1}
-    yield 1, prev
+    every upper bound, and every entry is checked, so an entry that leaks
+    out of the support raises.
+
+    Row n is built one i-line at a time from the previous row's lines, and
+    each line is checked as a whole; a line that fails is rechecked cell by
+    cell, so the error names its first bad entry. Only the previous row's
+    lines are held. ``_depth_of(n)``, when given, is the last line built at
+    row n, for a caller that reads only the first lines of later rows."""
+    prev = [[1]]
+    yield 1, {(0, 0): 1}
+    powers = [1]  # scale ** k, for the divisibility of line cells
     for n in count(2):
-        cur: dict = {}
         even = n % 2 == 0
         bounds = i_max, half, step = bounds_of(n)
         w0, wi, wj = weight_of(n)
-        for i in range(i_max + 2):
-            w_line = w0 - wi * i
-            for j in range(max(0, half - i) // step + 2):
-                w = w_line - wj * j
-                if even:
-                    v = (
-                        (2 * j + 1) * prev.get((i, j), 0)
-                        + (2 * i + 2) * prev.get((i + 1, j - 1), 0)
-                        + w * prev.get((i, j - 1), 0)
+        while len(powers) <= half:
+            powers.append(powers[-1] * scale)
+        n_lines = i_max + 2
+        if _depth_of is not None:
+            n_lines = min(n_lines, _depth_of(n) + 1)
+        lines = []
+        for i in range(n_lines):
+            size = max(0, half - i) // step + 2
+            ws = count(w0 - wi * i, -wj)  # w at j = 0, 1, ...
+            here = _padded(prev, i, size)
+            if even:
+                c = 2 * i + 2
+                up = [0] + _padded(prev, i + 1, size - 1)
+                line = [
+                    o * x + c * y + w * z
+                    for o, w, x, y, z in zip(
+                        range(1, 2 * size, 2), ws, here, up, [0] + here
                     )
-                else:
-                    v = (
-                        (2 * i + 1) * prev.get((i, j), 0)
-                        + (2 * j + 2) * prev.get((i - 1, j + 1), 0)
-                        + w * prev.get((i - 1, j), 0)
+                ]
+            else:
+                c = 2 * i + 1
+                down = _padded(prev, i - 1, size + 1)
+                line = [
+                    c * x + e * y + w * z
+                    for e, w, x, y, z in zip(
+                        range(2, 2 * size + 1, 2), ws, here, down[1:], down
                     )
-                if v:
-                    _check_entry(n, i, j, v, bounds, scale)
-                    cur[(i, j)] = v
-        prev = cur
-        yield n, cur
+                ]
+            # cells from `inside` on lie outside the support and must be 0
+            inside = (half - i) // step + 1 if i <= min(i_max, half) else 0
+            if (
+                min(line) < 0
+                or any(line[inside:])
+                or (
+                    scale != 1
+                    and any(v % p for v, p in zip(line[:inside], powers[i:]))
+                )
+            ):
+                for j, v in enumerate(line):
+                    if v:
+                        _check_entry(n, i, j, v, bounds, scale)
+            lines.append(line)
+        prev = lines
+        yield n, {
+            (i, j): v for i, line in enumerate(lines) for j, v in enumerate(line) if v
+        }
 
 
 def _collect_rows(rows, n_max: int) -> Triangle:
@@ -326,19 +364,16 @@ def j_viennot(n_max: int) -> JSequence:
     """Binomial convolutions building each J from earlier ones and the
     reversals x^i J_{2i}(1/x)."""
     js = [UNI_ONE]
+    revs = [UNI_ONE]  # revs[i] = x^i J_{2i}(1/x), built once per even J
     for n in range(1, n_max + 1):
-        acc = UNI_ZERO
+        # J_n sums C(n-1, 2i) J_{n-1-2i} revs[i] over 2i <= n - 1
+        acc: list = []
+        for i in range((n + 1) // 2):
+            term = uni_mul(js[n - 1 - 2 * i], revs[i])
+            uni_addmul_into(acc, term, comb(n - 1, 2 * i))
+        js.append(uni(acc))
         if n % 2 == 0:
-            m = n // 2
-            for i in range(m):
-                term = uni_mul(js[2 * m - 1 - 2 * i], uni_reverse(js[2 * i], i))
-                acc = uni_add(acc, uni_scale(term, comb(2 * m - 1, 2 * i)))
-        else:
-            m = (n - 1) // 2
-            for i in range(m + 1):
-                term = uni_mul(js[2 * m - 2 * i], uni_reverse(js[2 * i], i))
-                acc = uni_add(acc, uni_scale(term, comb(2 * m, 2 * i)))
-        js.append(acc)
+            revs.append(uni_reverse(js[n], n // 2))
     return JSequence("viennot", tuple(js))
 
 
@@ -516,14 +551,16 @@ def _gamma_bounds(n: int) -> tuple:
     return (n - 1) // 2, n // 2, 2
 
 
-def _gamma_like_rows(scale: int):
+def _gamma_like_rows(scale: int, depth_of=None):
     """The gamma (scale 4) and t (scale 1) recurrences: the stencil with
     w = scale * (n // 2 + 1 - i - 2j), every entry divisible by
-    scale^(i+j), and row 2 reducing to the seed 1."""
+    scale^(i+j), and row 2 reducing to the seed 1. ``depth_of`` cuts the
+    rows as in `_stencil_rows`."""
     rows = _stencil_rows(
         _gamma_bounds,
         lambda n: (scale * (n // 2 + 1), scale, 2 * scale),
         scale,
+        depth_of,
     )
     yield next(rows)
     n, row = next(rows)
@@ -659,11 +696,16 @@ def gamma_operator_expansion(gamma_tri: Triangle, n: int) -> MultiPoly:
 
 def gamma_odd_lines(n_max: int) -> Triangle:
     """Rows 1, 3, ..., n_max of gamma, each cut to its i = 0 line: every
-    entry the J certificates read. Each full row is dropped from the
-    recurrence's stream as soon as its line is cut."""
+    entry the J certificates read.
+
+    Line i of an odd row reads lines i - 1 and i of the row before, and of
+    an even row lines i and i + 1, so the i = 0 line of the last odd row
+    ``top`` reads lines i <= (top - n) // 2 of row n; no other line is
+    built, which skips about half of the cells."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    rows = islice(gamma_rows_recurrence(), n_max)
+    top = n_max - 1 + n_max % 2
+    rows = islice(_gamma_like_rows(4, lambda n: (top - n) // 2), top)
     return Triangle(
         {n: {ij: c for ij, c in row.items() if ij[0] == 0} for n, row in rows if n % 2}
     )
@@ -689,27 +731,13 @@ def _bi_gamma_step(n: int, gvecs, alphas, betas, weight) -> tuple:
     """
     a_out = [0] * (n // 2 + 1)
     b_out = [0] * ((n - 1) // 2 + 1) if n >= 1 else []
-    w0 = weight(0)
-    if w0:
-        for l, g in enumerate(gvecs[n]):
-            a_out[l] += w0 * g
+    uni_addmul_into(a_out, gvecs[n], weight(0))
     for i in range(1, n + 1):
         w = weight(i)
-        if not w:
-            continue
-        gv = gvecs[n - i]
-        al = alphas[i]
-        be = betas[i]
-        for j, gj in enumerate(gv):
-            if not gj:
-                continue
-            wg = w * gj
-            for k, bk in enumerate(be):
-                if bk:
-                    a_out[j + k + 1] += wg * bk
-            for k, ak in enumerate(al):
-                if ak:
-                    b_out[j + k] += wg * ak
+        if w:
+            gv = gvecs[n - i]
+            uni_addmul_into(a_out, uni_mul(gv, betas[i]), w, 1)
+            uni_addmul_into(b_out, uni_mul(gv, alphas[i]), w)
     return a_out, b_out
 
 
@@ -845,17 +873,13 @@ def bi_gamma_closure(g_gammas, weights, n_max: int) -> list:
         a_poly = ga.to_poly()
         b_poly = gb.to_poly()
         f = uni_add(a_poly, uni_shift(b_poly, 1))
-        direct = UNI_ZERO
+        direct: list = []
         for i in range(n + 1):
             w = weights.get((n, i), 0)
             if w:
-                direct = uni_add(
-                    direct,
-                    uni_scale(
-                        uni_mul(gpolys[n - i], uni_reverse(fs[i], i)), w
-                    ),
-                )
-        if f != direct:
+                term = uni_mul(gpolys[n - i], uni_reverse(fs[i], i))
+                uni_addmul_into(direct, term, w)
+        if f != uni(direct):
             raise RouteDisagreementError(
                 f"certificate assembly of f_{n + 1} disagrees with direct sum"
             )

@@ -461,6 +461,57 @@ def test_recurrence_rejects_entry_outside_narrowed_support(
         build(12)
 
 
+def _perturb_stencil(monkeypatch, weight=None, scale=None):
+    """Run every stencil with its weight (w0, wi, wj) at row n replaced by
+    ``weight(n, (w0, wi, wj))`` and its divisibility scale by ``scale``."""
+    real = el._stencil_rows
+
+    def perturbed(bounds_of, weight_of, true_scale, *rest):
+        return real(
+            bounds_of,
+            weight_of if weight is None else lambda n: weight(n, weight_of(n)),
+            true_scale if scale is None else scale,
+            *rest,
+        )
+
+    monkeypatch.setattr(el, "_stencil_rows", perturbed)
+
+
+# The first bad cell of each perturbed stencil, as the entry-by-entry
+# stencil reported it: each line-wise check must name the same cell, also
+# when it lies inside a line whose earlier cells pass.
+@pytest.mark.parametrize(
+    "build, weight, scale, error",
+    [
+        # w shrinks by i at row 10, so w * P(i, j - 1) turns negative
+        (el.s_triangle_recurrence,
+         lambda n, w: (w[0], w[1] + (n == 10), w[2]), None,
+         "bad entry -30768 at (10, 2, 3)"),
+        # s entries are not divisible by 2^(i+j)
+        (el.s_triangle_recurrence, None, 2, "bad entry 1 at (2, 0, 1)"),
+        # w shrinks by 4j at row 12
+        (el.gamma_triangle_recurrence,
+         lambda n, w: (w[0], w[1], w[2] + 4 * (n == 12)), None,
+         "bad entry -23162112 at (12, 1, 3)"),
+        # w grows by 4i at row 10, which breaks divisibility by 4^(i+j)
+        # from line 2 on
+        (el.gamma_triangle_recurrence,
+         lambda n, w: (w[0], w[1] - 4 * (n == 10), w[2]), None,
+         "bad entry 502272 at (10, 2, 2)"),
+        (el.gamma_odd_lines,
+         lambda n, w: (w[0], w[1] - 4 * (n == 10), w[2]), None,
+         "bad entry 502272 at (10, 2, 2)"),
+    ],
+    ids=["s-negative", "s-not-divisible", "gamma-negative",
+         "gamma-not-divisible", "gamma-lines-not-divisible"],
+)
+def test_stencil_names_the_first_bad_cell(monkeypatch, build, weight, scale, error):
+    _perturb_stencil(monkeypatch, weight, scale)
+    with pytest.raises(el.TriangleDefectError) as info:
+        build(40)
+    assert str(info.value) == error
+
+
 def test_gamma_711_value(gamma_tri):
     assert gamma_tri.row(7)[(1, 1)] == 16 * 78
 
@@ -542,6 +593,35 @@ def test_gamma_odd_lines_are_the_odd_i0_lines(gamma_tri):
     assert el.gamma_odd_lines(40) == el.gamma_odd_lines(39)
     with pytest.raises(ValueError):
         el.gamma_odd_lines(0)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 81])
+def test_cut_gamma_lines_are_the_full_rows_i0_lines(n_max):
+    full = el.gamma_triangle_recurrence(n_max)
+    expected = {
+        n: {ij: c for ij, c in row.items() if ij[0] == 0}
+        for n, row in full.rows.items()
+        if n % 2
+    }
+    assert el.gamma_odd_lines(n_max).rows == expected
+
+
+def test_gamma_odd_lines_build_only_the_lines_row_top_reads(monkeypatch):
+    # the i = 0 line of row 81 reads lines i <= (81 - n) // 2 of row n
+    real = el._stencil_rows
+    built = {}
+
+    def recording(*args):
+        for n, row in real(*args):
+            built[n] = {i for i, _ in row}
+            yield n, row
+
+    monkeypatch.setattr(el, "_stencil_rows", recording)
+    el.gamma_odd_lines(82)
+    assert sorted(built) == list(range(1, 82))
+    for n, lines in built.items():
+        i_max = el._gamma_bounds(n)[0]
+        assert lines == set(range(min(i_max, (81 - n) // 2) + 1)), n
 
 
 def test_j_even_decompositions_read_only_the_lines(gamma_tri):

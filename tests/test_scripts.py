@@ -44,6 +44,14 @@ def test_oracle_timings_agree():
         assert f"{label}:" in out
 
 
+def test_certify_timings_hold():
+    out = run_script("certify_timings.py", "6")
+    assert "thm1 and thm2 certificates hold through n = 6" in out
+    for label in ("j_viennot(13)", "gamma_odd_lines(13)",
+                  "j_even_decompositions(5)", "suite_thm1(6)", "suite_thm2(6)"):
+        assert f"{label}:" in out
+
+
 @pytest.mark.slow
 def test_output_digests_are_stable():
     first = run_script("output_digests.py")

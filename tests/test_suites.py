@@ -123,6 +123,21 @@ def test_suite_inputs_rebuild_only_for_a_larger_n(monkeypatch):
     assert js_asked == lines_asked == [5, 9]
 
 
+def test_suite_inputs_serve_a_smaller_ask_with_the_same_lines():
+    # lines built to 81 are cut deeper at each row than lines built to 21,
+    # but their i = 0 lines agree
+    from ellipta import elliptic as el
+
+    inputs = suites.SuiteInputs()
+    big = inputs.gamma_lines(81)
+    assert inputs.gamma_lines(21) is big
+    small = el.gamma_odd_lines(21)
+    assert {n: big.row(n) for n in small.rows} == small.rows
+    assert el.j_even_decompositions(10, big) == el.j_even_decompositions(10, small)
+    for name in ("thm1", "thm2"):
+        assert suites.SUITES[name](10, inputs).ok
+
+
 @pytest.mark.parametrize("name", ["thm1", "thm2"])
 @pytest.mark.parametrize("max_n, budget_mib", [
     # holding the whole gamma triangle peaked at about 2.1 MiB at 40 and

@@ -21,16 +21,15 @@ from dataclasses import dataclass
 from .exactpoly import (
     DegreeExceedsCenterError,
     InexactDivisionError,
-    UNI_ZERO,
     UniPoly,
     binomial_poly,
     uni,
     uni_add,
+    uni_addmul_into,
     uni_coeff,
     uni_degree,
     uni_div_one_minus_x,
     uni_reverse,
-    uni_scale,
     uni_shift,
     uni_sub,
     uni_to_json,
@@ -80,13 +79,11 @@ class GammaVector:
         return all(g >= 0 for g in self.gammas)
 
     def to_poly(self) -> UniPoly:
-        acc = UNI_ZERO
+        acc: list = []
         for k, g in enumerate(self.gammas):
             if g:
-                acc = uni_add(
-                    acc, uni_shift(uni_scale(binomial_poly(self.center - 2 * k), g), k)
-                )
-        return acc
+                uni_addmul_into(acc, binomial_poly(self.center - 2 * k), g, k)
+        return uni(acc)
 
     def to_json(self) -> dict:
         return {"center": self.center, "gammas": [str(g) for g in self.gammas]}

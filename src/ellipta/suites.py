@@ -7,7 +7,9 @@ a sweep never aborts early and never truncates silently.
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 from dataclasses import dataclass
 
 from . import elliptic as el
@@ -415,15 +417,29 @@ SUITE_DEFAULT_RANGE = {
 }
 
 
+# `verify all` runs these suites in a process made with os.fork while the
+# caller runs the others. The two groups take about equal time in process
+# (scripts/suite_timings.py prints both sums). viennot-symmetry, thm1 and
+# thm2 stay in one process, so J_0 .. J_121 are built once.
+FORKED_SUITES = ("routes", "dumont", "lemma5", "theorem13", "corollary15", "closure")
+
+
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list:
-    """Run one suite (or every suite for "all"); returns SuiteResult list.
-    The suites of one call share one SuiteInputs."""
-    inputs = SuiteInputs()
+    """Run one suite (or every suite for "all"); returns SuiteResult list,
+    in SUITES order. The suites run in one process share one SuiteInputs.
+    "all" runs FORKED_SUITES in a forked process and the rest in the
+    caller; a run of one suite never forks."""
     if name == "all":
-        return [_run(key, None, seed, inputs) for key in SUITES]
+        forked = [key for key in SUITES if key in FORKED_SUITES]
+        own = [key for key in SUITES if key not in FORKED_SUITES]
+        if hasattr(os, "fork"):
+            results = _fork_join(forked, own, seed)
+        else:
+            results = {**_run_group(forked, seed), **_run_group(own, seed)}
+        return [results[key] for key in SUITES]
     if name not in SUITES:
         raise KeyError(name)
-    return [_run(name, max_n, seed, inputs)]
+    return [_run(name, max_n, seed, SuiteInputs())]
 
 
 def _run(name: str, max_n: int | None, seed: int, inputs: SuiteInputs) -> SuiteResult:
@@ -431,3 +447,90 @@ def _run(name: str, max_n: int | None, seed: int, inputs: SuiteInputs) -> SuiteR
     if name == "closure":  # the only suite with random instances
         return SUITES[name](effective, inputs, seed=seed)
     return SUITES[name](effective, inputs)
+
+
+def _run_group(names: list, seed: int) -> dict:
+    """{name: SuiteResult} for the named suites, each at its own range."""
+    inputs = SuiteInputs()
+    return {name: _run(name, None, seed, inputs) for name in names}
+
+
+def _fork_join(forked: list, own: list, seed: int) -> dict:
+    """Run the `forked` group in a child made with os.fork and the `own`
+    group here; returns the results of both.
+
+    The child pickles its results, or the exception its group raised, into
+    a pipe and ends in os._exit on every path, so it never unwinds into the
+    caller's frames. An exception from the child is raised here, as a
+    RuntimeError naming its type when it does not come back as itself. The
+    child is reaped before this returns or raises; if the caller's group
+    fails or is interrupted, the child is killed first."""
+    import pickle
+    import signal
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps(("ok", _run_group(forked, seed)))
+            except BaseException as exc:  # sent to the caller, never re-raised here
+                payload = pickle.dumps(("error", _encode_error(exc)))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+
+    status = None
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            results = _run_group(own, seed)
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code or not data:
+        raise RuntimeError(
+            f"forked suite process exited with status {code}"
+            + ("" if data else " and sent no result")
+        )
+    kind, value = pickle.loads(data)
+    if kind == "error":
+        raise _decode_error(*value)
+    return {**value, **results}
+
+
+def _encode_error(exc: BaseException) -> tuple:
+    """(type name, message, pickled exception or None) for the caller;
+    only an Exception is sent as itself."""
+    import pickle
+
+    blob = None
+    if isinstance(exc, Exception):
+        try:
+            blob = pickle.dumps(exc)
+        except Exception:  # an exception that does not pickle goes by name
+            pass
+    return type(exc).__name__, str(exc), blob
+
+
+def _decode_error(name: str, message: str, blob) -> Exception:
+    import pickle
+
+    if blob is not None:
+        try:
+            return pickle.loads(blob)
+        except Exception:  # an exception class that does not unpickle
+            pass
+    return RuntimeError(
+        f"forked suite raised {name}" + (f": {message}" if message else "")
+    )

@@ -86,9 +86,7 @@ def _check_cap(n: int, cap: int, what: str):
 def p_bruteforce(n: int, cap: int = DEFAULT_PERM_CAP) -> MultiPoly:
     """Sum p^(odd peaks) q^(even peaks) over all n! permutations."""
     _check_cap(n, cap, "permutation")
-    counts: Counter = Counter()
-    for perm in itertools.permutations(range(1, n + 1)):
-        counts[cpk_stats(perm)] += 1
+    counts = Counter(map(cpk_stats, itertools.permutations(range(1, n + 1))))
     return MultiPoly(P_VARS, dict(counts))
 
 

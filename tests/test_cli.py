@@ -287,6 +287,17 @@ def test_verify_warns_on_large_enumeration_range(capsys, monkeypatch):
     assert "long runtimes" in err
 
 
+@pytest.mark.parametrize("how", ["ValueError", "SystemExit", "KeyboardInterrupt", "os._exit"])
+def test_verify_all_fails_in_one_line_when_the_forked_group_fails(capsys, fake_suites, how):
+    fake_suites("dumont", how)
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(ChildProcessError):  # no child is left
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("target", ["s", "gamma", "t", "theta"])
 def test_cache_roundtrip(tmp_path, capsys, target):
     cache_dir = str(tmp_path)

@@ -52,6 +52,14 @@ def test_certify_timings_hold():
         assert f"{label}:" in out
 
 
+def test_suite_timings_pass_and_name_both_groups():
+    out = run_script("suite_timings.py", "4")
+    assert out.endswith("every suite passes\n")
+    assert "dumont(4) forked:" in out and "viennot-symmetry(4) caller:" in out
+    assert "forked group:" in out and "caller group:" in out
+    assert out.count("  PASS\n") == 10
+
+
 @pytest.mark.slow
 def test_output_digests_are_stable():
     first = run_script("output_digests.py")

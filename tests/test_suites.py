@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ellipta import suites
@@ -91,16 +93,111 @@ def _recording(monkeypatch, name):
     return asked
 
 
-def test_run_all_builds_each_shared_input_once(monkeypatch):
+def _recording_to_file(monkeypatch, name, path):
+    """Replace `el.<name>` by a wrapper that appends its first argument to
+    the file at path, so that calls in a forked process are recorded too;
+    returns a function that reads the arguments recorded so far."""
+    from ellipta import elliptic as el
+
+    real = getattr(el, name)
+
+    def recording(n_max, *args):
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(f"{n_max}\n")
+        return real(n_max, *args)
+
+    monkeypatch.setattr(el, name, recording)
+    return lambda: [int(line) for line in path.read_text().split()] if path.exists() else []
+
+
+def test_run_all_builds_each_shared_input_once(monkeypatch, tmp_path):
     # viennot-symmetry asks for J_0 .. J_121 first and thm1 and thm2 read
     # that build; the routes suite reaches j_viennot through J_ROUTES, which
     # the patch does not touch. Only corollary15 builds full gamma rows.
-    js_asked = _recording(monkeypatch, "j_viennot")
-    gamma_asked = _recording(monkeypatch, "gamma_triangle_recurrence")
+    js_asked = _recording_to_file(monkeypatch, "j_viennot", tmp_path / "js")
+    gamma_asked = _recording_to_file(
+        monkeypatch, "gamma_triangle_recurrence", tmp_path / "gamma"
+    )
     results = suites.run_suite("all")
     assert all(r.ok for r in results)
-    assert js_asked == [121]
-    assert gamma_asked == [8]
+    assert js_asked() == [121]
+    assert gamma_asked() == [8]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_all_merges_both_processes_in_suites_order(fake_suites):
+    results = suites.run_suite("all")
+    _assert_no_child_left()
+    assert [r.name for r in results] == list(suites.SUITES)
+    pids = {r.name: r.scope for r in results}
+    forked = {pids[name] for name in suites.FORKED_SUITES}
+    own = {pids[name] for name in suites.SUITES if name not in suites.FORKED_SUITES}
+    assert own == {f"pid {os.getpid()}"}
+    assert len(forked) == 1 and forked != own
+
+
+def test_a_single_suite_never_forks(fake_suites):
+    for name in ("dumont", "lemma9"):
+        (result,) = suites.run_suite(name, max_n=1)
+        assert result.scope == f"pid {os.getpid()}"
+
+
+def test_run_all_runs_both_groups_here_without_fork(fake_suites, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    results = suites.run_suite("all")
+    assert [r.name for r in results] == list(suites.SUITES)
+    assert {r.scope for r in results} == {f"pid {os.getpid()}"}
+
+
+@pytest.mark.parametrize("how, raised, message", [
+    ("ValueError", ValueError, "fake suite failed"),
+    ("SystemExit", RuntimeError, "forked suite raised SystemExit: 4"),
+    ("KeyboardInterrupt", RuntimeError, "forked suite raised KeyboardInterrupt"),
+    ("os._exit", RuntimeError,
+     "forked suite process exited with status 3 and sent no result"),
+])
+def test_a_failure_in_the_forked_group_raises_here(fake_suites, how, raised, message):
+    fake_suites("dumont", how)
+    with pytest.raises(raised) as info:
+        suites.run_suite("all")
+    assert str(info.value) == message
+    _assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    """Pickles but does not unpickle: its args hold one joined message."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_an_exception_that_does_not_unpickle_comes_back_by_name(fake_suites, monkeypatch):
+    def suite(max_n, inputs=None, seed=0):
+        raise _TwoArgError("this", "that")
+
+    monkeypatch.setitem(suites.SUITES, "closure", suite)
+    with pytest.raises(RuntimeError, match="^forked suite raised _TwoArgError: this and that$"):
+        suites.run_suite("all")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["ValueError", "KeyboardInterrupt"])
+def test_a_failure_here_kills_the_forked_group(fake_suites, how):
+    # the forked group would run for a minute; the caller's own failure
+    # must not wait for it
+    import time
+
+    fake_suites("dumont", "hang")
+    fake_suites("lemma9", how)
+    start = time.monotonic()
+    with pytest.raises(ValueError if how == "ValueError" else KeyboardInterrupt):
+        suites.run_suite("all")
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 def test_shared_inputs_do_not_outlive_a_run(monkeypatch):

@@ -59,6 +59,18 @@ def test_p_bruteforce_small():
     )
 
 
+def test_p_bruteforce_scores_every_permutation_in_enumeration_order():
+    import itertools
+
+    for n in range(7):
+        counts = Counter()
+        for perm in itertools.permutations(range(1, n + 1)):
+            counts[cpk_stats(perm)] += 1
+        got = p_bruteforce(n)
+        assert got == MultiPoly(("p", "q"), dict(counts))
+        assert list(got.terms) == list(counts)
+
+
 def test_p_bruteforce_matches_triangle_route():
     tri = el.s_triangle_recurrence(5)
     assert p_bruteforce(5) == el.p_poly(5, tri)

@@ -45,6 +45,8 @@ def invocations():
     yield ["compute", "decompose", "--n", "100"]
     yield ["compute", "decompose", "--n", "8", "--format", "text"]
     yield ["compute", "closure", "--max-n", "4", "--format", "text"]
+    # every item's gamma_a, gamma_b and decomposition
+    yield ["compute", "closure", "--max-n", "12", "--seed", "5"]
     for suite in ("all", "thm1", "thm2"):
         yield ["verify", suite]
     yield ["verify", "closure", "--max-n", "4", "--seed", "3"]

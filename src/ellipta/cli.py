@@ -134,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     targets = comp.add_subparsers(dest="target", required=True)
     j = _leaf(targets, "j", "J_n, the coefficients of sn and cn", FORMATS)
     j.add_argument("--n", type=_at_least(0), required=True)
-    j.add_argument("--route", choices=tuple(el.J_ROUTES), default="viennot")
+    j.add_argument("--route", choices=tuple(el.J_ROUTES),
+                   default=el.J_DEFAULT_ROUTE)
     p = _leaf(targets, "p", "the cycle-peak polynomial P_n", FORMATS)
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--route", choices=("recurrence", "operator"),
@@ -247,7 +248,7 @@ def _cmd_compute(args, parser) -> int:
     elif args.target == "t":
         _emit_multipoly(el.t_poly(args.n, args.route), fmt)
     elif args.target == "decompose":
-        f = el.j_viennot(args.n)[args.n]
+        f = el.j_sequence(args.n)[args.n]
         center = max(0, (args.n - 1) // 2)
         report = gk.analyze(f, center)
         if fmt == "text":

@@ -17,9 +17,9 @@ compute the same sequence:
 
 The module also builds the gamma and t triangles with their entrywise and
 polynomial recurrences, peels gamma rows directly out of P_n, constructs the
-gamma-positivity certificate of every odd-index J and the two-part
-certificate of every even-index J, and generalizes the latter construction
-to arbitrary seed data (`bi_gamma_closure`).
+gamma-positivity certificate of every odd-index J, and runs one bi-gamma
+chain for both the two-part certificate of every even-index J and its
+generalization to arbitrary seed data (`bi_gamma_closure`).
 """
 
 from __future__ import annotations
@@ -514,9 +514,10 @@ J_ROUTES = {
     "viennot": j_viennot,
     "series": j_series,
 }
+J_DEFAULT_ROUTE = "viennot"  # the route of `j_sequence` and `compute j|decompose`
 
 
-def j_sequence(n_max: int, route: str = "viennot") -> JSequence:
+def j_sequence(n_max: int, route: str = J_DEFAULT_ROUTE) -> JSequence:
     if route not in J_ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if n_max < 0:
@@ -715,30 +716,39 @@ def j_odd_gamma(n: int, gamma_tri: Triangle) -> GammaVector:
     """Gamma vector of J_{2n+1} (center n), read from the i = 0 line of the
     gamma triangle row 2n+1 (a whole triangle or `gamma_odd_lines`)."""
     row = gamma_tri.row(2 * n + 1)
+    if not row:  # row 2n+1 of gamma is never empty
+        raise ValueError(f"the gamma triangle has no row {2 * n + 1}")
     return GammaVector(n, tuple(row.get((0, j), 0) for j in range(n // 2 + 1)))
 
 
-def _bi_gamma_step(n: int, gvecs, alphas, betas, weight) -> tuple:
-    """One convolution step of the two-part certificate construction.
+def _bi_gamma_chain(gvecs, weight, count: int):
+    """The two-part certificate construction, as a generator of
+    (gamma_a, gamma_b, decomposition) for f_1 .. f_count.
 
-    gvecs[d] is the gamma vector (tuple, center d) of the degree-d seed;
-    alphas[i] and betas[i] are the certificate vectors of the i-th
-    constructed polynomial (centers i-1 and i-2); weight(i) supplies the
-    nonnegative multiplier. Returns the vectors (center n and n-1) for the
-    next constructed polynomial: reversals swap each earlier certificate's
-    roles, the a-part landing in the new b and the x-shifted b-part landing
-    one gamma index up in the new a.
+    gvecs[d] is the gamma vector (tuple, center d) of the degree-d seed g_d,
+    and weight(n, i) the nonnegative multiplier of g_{n-i} times the
+    reversal x^i f_i(1/x) in f_{n+1}. The certificate of f_{n+1} has
+    centers n and n-1: reversals swap each earlier certificate's roles, the
+    a-part landing in the new b and the x-shifted b-part landing one gamma
+    index up in the new a.
     """
-    a_out = [0] * (n // 2 + 1)
-    b_out = [0] * ((n - 1) // 2 + 1) if n >= 1 else []
-    uni_addmul_into(a_out, gvecs[n], weight(0))
-    for i in range(1, n + 1):
-        w = weight(i)
-        if w:
-            gv = gvecs[n - i]
-            uni_addmul_into(a_out, uni_mul(gv, betas[i]), w, 1)
-            uni_addmul_into(b_out, uni_mul(gv, alphas[i]), w)
-    return a_out, b_out
+    alphas: list = [None]  # alphas[i], betas[i]: the certificate of f_i
+    betas: list = [None]
+    for n in range(count):
+        a_vec = [0] * (n // 2 + 1)
+        b_vec = [0] * ((n + 1) // 2)
+        uni_addmul_into(a_vec, gvecs[n], weight(n, 0))
+        for i in range(1, n + 1):
+            w = weight(n, i)
+            if w:
+                gv = gvecs[n - i]
+                uni_addmul_into(a_vec, uni_mul(gv, betas[i]), w, 1)
+                uni_addmul_into(b_vec, uni_mul(gv, alphas[i]), w)
+        ga = GammaVector(n, tuple(a_vec))
+        gb = GammaVector(n - 1, tuple(b_vec))
+        alphas.append(ga.gammas)
+        betas.append(gb.gammas)
+        yield ga, gb, SymDecomp(a=ga.to_poly(), b=gb.to_poly(), n=n)
 
 
 @dataclass(frozen=True)
@@ -756,35 +766,19 @@ class EvenDecomposition:
 
 
 def j_even_decompositions(m_max: int, gamma_tri: Triangle | None = None) -> list:
-    """Certificates for J_2, J_4, ..., J_{2m_max+2}, built recursively by
-    gamma-vector convolutions with binomial weights. ``gamma_tri`` defaults
-    to ``gamma_odd_lines``, the only gamma entries read."""
+    """Certificates for J_2, J_4, ..., J_{2m_max+2}: the bi-gamma chain
+    seeded with the odd J's gamma vectors, J_{2m+2} weighting
+    J_{2m+1-2i} by C(2m+1, 2i). ``gamma_tri`` defaults to
+    ``gamma_odd_lines``, the only gamma entries read."""
     if gamma_tri is None:
         gamma_tri = gamma_odd_lines(2 * m_max + 1)
     gvecs = [j_odd_gamma(d, gamma_tri).gammas for d in range(m_max + 1)]
-    alphas: list = [None]
-    betas: list = [None]
+    chain = _bi_gamma_chain(gvecs, lambda m, i: comb(2 * m + 1, 2 * i), m_max + 1)
     out = []
-    for m in range(m_max + 1):
-        a_vec, b_vec = _bi_gamma_step(
-            m, gvecs, alphas, betas, lambda i, m=m: comb(2 * m + 1, 2 * i)
-        )
-        if any(v < 0 for v in a_vec) or any(v < 0 for v in b_vec):
+    for m, (ga, gb, dec) in enumerate(chain):
+        if not (ga.is_nonnegative() and gb.is_nonnegative()):
             raise TriangleDefectError(f"negative certificate entry at m={m}")
-        ga = GammaVector(m, tuple(a_vec))
-        gb = GammaVector(m - 1, tuple(b_vec))
-        alphas.append(ga.gammas)
-        betas.append(gb.gammas)
-        a_poly = ga.to_poly()
-        b_poly = gb.to_poly()
-        out.append(
-            EvenDecomposition(
-                m=m,
-                gamma_a=ga,
-                gamma_b=gb,
-                decomposition=SymDecomp(a=a_poly, b=b_poly, n=m),
-            )
-        )
+        out.append(EvenDecomposition(m=m, gamma_a=ga, gamma_b=gb, decomposition=dec))
     return out
 
 
@@ -828,8 +822,8 @@ def bi_gamma_closure(g_gammas, weights, n_max: int) -> list:
     d = 0 .. n_max - 1. weights maps (n, i) to a nonnegative integer
     multiplier; missing entries read 0. Starting from f_0 = 1, each f_{n+1}
     is the weighted sum of g_{n-i} times the reversal x^i f_i(1/x), and the
-    returned items carry two-part certificates built by the same convolution
-    scheme as the even-index J construction, cross-checked against direct
+    returned items carry two-part certificates built by the same bi-gamma
+    chain as the even-index J construction, cross-checked against direct
     polynomial evaluation.
     """
     gv_list = list(g_gammas)
@@ -862,17 +856,9 @@ def bi_gamma_closure(g_gammas, weights, n_max: int) -> list:
         )
     ]
     fs = [UNI_ONE]
-    alphas: list = [None]
-    betas: list = [None]
-    for n in range(n_max):
-        a_vec, b_vec = _bi_gamma_step(
-            n, gvecs, alphas, betas, lambda i, n=n: weights.get((n, i), 0)
-        )
-        ga = GammaVector(n, tuple(a_vec))
-        gb = GammaVector(n - 1, tuple(b_vec))
-        a_poly = ga.to_poly()
-        b_poly = gb.to_poly()
-        f = uni_add(a_poly, uni_shift(b_poly, 1))
+    chain = _bi_gamma_chain(gvecs, lambda n, i: weights.get((n, i), 0), n_max)
+    for n, (ga, gb, dec) in enumerate(chain):
+        f = dec.source()
         direct: list = []
         for i in range(n + 1):
             w = weights.get((n, i), 0)
@@ -883,14 +869,12 @@ def bi_gamma_closure(g_gammas, weights, n_max: int) -> list:
             raise RouteDisagreementError(
                 f"certificate assembly of f_{n + 1} disagrees with direct sum"
             )
-        alphas.append(ga.gammas)
-        betas.append(gb.gammas)
         fs.append(f)
         items.append(
             ClosureItem(
                 index=n + 1,
                 poly=f,
-                decomposition=SymDecomp(a=a_poly, b=b_poly, n=n),
+                decomposition=dec,
                 gamma_a=ga,
                 gamma_b=gb,
                 degenerate=f == UNI_ZERO,

@@ -211,9 +211,15 @@ def uni_to_text(f: UniPoly, var: str = "x") -> str:
             head = "" if mag == 1 else str(mag)
             body = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
         parts.append((c < 0, body))
-    first_neg, first = parts[0]
+    return _join_signed(parts)
+
+
+def _join_signed(parts) -> str:
+    """(negative, body) terms as text: a leading "-" on the first term, then
+    " + " or " - " before each later one."""
+    (first_neg, first), *rest = parts
     text = ("-" if first_neg else "") + first
-    for neg, body in parts[1:]:
+    for neg, body in rest:
         text += (" - " if neg else " + ") + body
     return text
 
@@ -500,11 +506,7 @@ class MultiPoly:
                 head = "" if mag == 1 else str(mag)
                 body = head + "".join(names)
             parts.append((c < 0, body))
-        first_neg, first = parts[0]
-        text = ("-" if first_neg else "") + first
-        for neg, body in parts[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        return _join_signed(parts)
 
 
 # ---------------------------------------------------------------------------

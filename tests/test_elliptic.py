@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,76 @@ def test_route_agreement_through_24(s_rec, s_op):
 def test_route_agreement_spot_check_at_40():
     seqs = [el.j_sequence(40, r) for r in ("viennot", "series")]
     assert el.first_route_mismatch(seqs) is None
+
+
+# The `elliptic` functions that two J routes may both call, each with the
+# reason sharing it cannot make the routes agree by construction. Any
+# `exactpoly` function may be shared too: those are the arithmetic kernels.
+SHARED_BY_ROUTES = {
+    "elliptic.j_sequence": "dispatches on the route name and checks n_max",
+    "elliptic.JSequence.__init__": "the dataclass-generated record "
+    "constructor; stores the polys it is given",
+    "elliptic._s_bounds": "the support of s, which operator and recurrence "
+    "read only to check each entry, never to build one",
+}
+
+
+def _ellipta_calls(fn, *args) -> set:
+    """The code objects of every `ellipta` function that fn(*args) runs,
+    with the dataclass-generated JSequence.__init__, whose code lives in no
+    file."""
+    package = Path(el.__file__).parent
+    init = el.JSequence.__init__.__code__
+    codes = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return {c for c in codes if c is init or Path(c.co_filename).parent == package}
+
+
+def _call_name(code) -> str:
+    if code is el.JSequence.__init__.__code__:
+        return "elliptic.JSequence.__init__"
+    qualname = getattr(code, "co_qualname", code.co_name)  # Python 3.11+
+    return f"{Path(code.co_filename).stem}.{qualname}"
+
+
+def test_j_routes_share_only_kernels_and_the_allow_list():
+    calls = {
+        route: _ellipta_calls(el.j_sequence, 12, route) for route in el.J_ROUTES
+    }
+    used = set()
+    for a, b in combinations(el.J_ROUTES, 2):
+        shared = {_call_name(c) for c in calls[a] & calls[b]}
+        shared = {f for f in shared if not f.startswith("exactpoly.")}
+        assert shared <= SHARED_BY_ROUTES.keys(), (a, b, shared)
+        used |= shared
+    # an entry no pair shares any more is stale
+    assert used == SHARED_BY_ROUTES.keys()
+
+
+def test_j_viennot_shares_no_code_with_the_gamma_chain_or_stencil():
+    # Viennot is the reference that thm1 and thm2 check the certificates,
+    # built by the gamma stencil and the bi-gamma chain, against
+    calls = _ellipta_calls(el.j_sequence, 12, "viennot")
+    names = {_call_name(c) for c in calls}
+    assert {f for f in names if f.startswith("elliptic.")} == {
+        "elliptic.j_sequence",
+        "elliptic.j_viennot",
+        "elliptic.JSequence.__init__",
+    }
+    assert el._bi_gamma_chain.__code__ not in calls
+    assert el._stencil_rows.__code__ not in calls
+    # the probe sees both when they run, generators included
+    assert el._stencil_rows.__code__ in _ellipta_calls(el.j_sequence, 12, "recurrence")
+    assert el._bi_gamma_chain.__code__ in _ellipta_calls(el.j_even_decompositions, 3)
 
 
 def test_first_route_mismatch_reports_smallest_index():
@@ -582,6 +653,16 @@ def test_j_odd_gamma_reconstructs(gamma_tri):
         cert = el.j_odd_gamma(n, gamma_tri)
         assert cert.is_nonnegative()
         assert cert.to_poly() == js[2 * n + 1]
+
+
+def test_j_odd_gamma_rejects_a_triangle_without_its_row():
+    # the certificate of a row past the triangle's end read as all zeros,
+    # and the even chain built a wrong J_14 from it without raising
+    lines = el.gamma_odd_lines(5)
+    with pytest.raises(ValueError, match="no row 13"):
+        el.j_odd_gamma(6, lines)
+    with pytest.raises(ValueError, match="no row 7"):
+        el.j_even_decompositions(6, lines)
 
 
 def test_gamma_odd_lines_are_the_odd_i0_lines(gamma_tri):

@@ -42,6 +42,7 @@ def invocations():
             yield ["compute", target, flag, n, "--route", route, "--format", fmt]
     for route in ("operator", "recurrence", "viennot", "series"):
         yield ["compute", "j", "--n", "120", "--route", route]
+    yield ["compute", "j", "--n", "120"]  # the default route
     yield ["compute", "decompose", "--n", "100"]
     yield ["compute", "decompose", "--n", "8", "--format", "text"]
     yield ["compute", "closure", "--max-n", "4", "--format", "text"]

@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "all":  # verify all runs each suite at its own range
             suite.add_argument("--max-n", type=_at_least(1),
                                default=vsuites.SUITE_DEFAULT_RANGE[name])
-        if name in ("closure", "all"):  # the random closure instances
+        if name in (*vsuites.SEEDED_SUITES, "all"):
             suite.add_argument("--seed", type=int, default=0)
 
     cache = sub.add_parser("cache", help="persist or load triangle files")
@@ -284,11 +284,8 @@ def _cmd_compute(args, parser) -> int:
     return 0
 
 
-ENUMERATION_SUITES = {"dumont", "lemma5", "theorem13", "corollary15", "lemma9"}
-
-
 def _cmd_verify(args, parser) -> int:
-    if args.suite in ENUMERATION_SUITES and args.max_n > 10:
+    if args.suite in vsuites.ENUMERATION_SUITES and args.max_n > 10:
         _warn(
             f"suite {args.suite} enumerates all objects up to n={args.max_n}; "
             "expect long runtimes"

@@ -8,8 +8,8 @@ compute the same sequence:
   operator    read slices of the triangle s_{n,i,j} extracted from iterates
               of the product-rule derivative operator on {x, y, z};
   recurrence  build the same triangle from Dumont's entrywise recurrence and
-              specialize the two-variable cycle-peak polynomial P_n both
-              admissible ways, requiring agreement;
+              read J_n = P_n(x, 0) or P_n(0, x) off one line of rows n
+              and n - 1, requiring agreement (the default route);
   viennot     binomial convolution of earlier J's with their reversals;
   series      integrate the defining differential system for sn, cn, dn as
               truncated exponential series: binomial convolutions, no
@@ -33,7 +33,6 @@ from .exactpoly import (
     FormalSeries,
     MultiPoly,
     UNI_ONE,
-    UNI_X,
     UNI_ZERO,
     UniPoly,
     uni,
@@ -320,20 +319,13 @@ def validate_j_sequence(seq: JSequence):
 
 
 def j_from_p(n: int, triangle: Triangle) -> UniPoly:
-    """J_n by specializing the cycle-peak polynomials; both admissible rows
-    are specialized and must agree."""
+    """J_n as P_n(x, 0) (even n) or P_n(0, x) (odd n): the j = 0 or i = 0
+    line of row n. The same line of row n - 1 (P_0 = 1) must agree."""
     if n == 0:
         return UNI_ONE
-    if n % 2 == 0:
-        a = p_poly(n, triangle).substitute({"p": UNI_X, "q": 0})
-        b = p_poly(n - 1, triangle).substitute({"p": UNI_X, "q": 0})
-    else:
-        a = p_poly(n, triangle).substitute({"p": 0, "q": UNI_X})
-        b = (
-            UNI_ONE
-            if n == 1
-            else p_poly(n - 1, triangle).substitute({"p": 0, "q": UNI_X})
-        )
+    cells = [(k, 0) if n % 2 == 0 else (0, k) for k in range(n // 2 + 1)]
+    a = uni(triangle.row(n).get(ij, 0) for ij in cells)
+    b = UNI_ONE if n == 1 else uni(triangle.row(n - 1).get(ij, 0) for ij in cells)
     if a != b:
         raise RouteDisagreementError(
             f"rows {n} and {n - 1} specialize differently for J_{n}"
@@ -514,7 +506,7 @@ J_ROUTES = {
     "viennot": j_viennot,
     "series": j_series,
 }
-J_DEFAULT_ROUTE = "viennot"  # the route of `j_sequence` and `compute j|decompose`
+J_DEFAULT_ROUTE = "recurrence"  # the route of `j_sequence` and `compute j|decompose`
 
 
 def j_sequence(n_max: int, route: str = J_DEFAULT_ROUTE) -> JSequence:

@@ -416,6 +416,11 @@ SUITE_DEFAULT_RANGE = {
     "closure": 6,
 }
 
+# The suites that enumerate every object up to max_n, and the only suite
+# with random instances, which takes a seed.
+ENUMERATION_SUITES = {"dumont", "lemma5", "theorem13", "corollary15", "lemma9"}
+SEEDED_SUITES = ("closure",)
+
 
 # `verify all` runs these suites in a process made with os.fork while the
 # caller runs the others. The two groups take about equal time in process
@@ -444,7 +449,7 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list:
 
 def _run(name: str, max_n: int | None, seed: int, inputs: SuiteInputs) -> SuiteResult:
     effective = SUITE_DEFAULT_RANGE[name] if max_n is None else max_n
-    if name == "closure":  # the only suite with random instances
+    if name in SEEDED_SUITES:
         return SUITES[name](effective, inputs, seed=seed)
     return SUITES[name](effective, inputs)
 

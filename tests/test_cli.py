@@ -30,9 +30,10 @@ def test_compute_j_zero(capsys):
     assert out == "1\n"
 
 
-@pytest.mark.parametrize("route", ["operator", "recurrence", "viennot", "series"])
+@pytest.mark.parametrize("route", ["operator", "recurrence", "viennot", "series", None])
 def test_compute_j_routes_agree(capsys, route):
-    code, out, _ = run(capsys, "compute", "j", "--n", "7", "--route", route,
+    route_args = () if route is None else ("--route", route)  # None: the default
+    code, out, _ = run(capsys, "compute", "j", "--n", "7", *route_args,
                        "--format", "text")
     assert code == 0
     assert out == "1 + 135x + 135x^2 + x^3\n"

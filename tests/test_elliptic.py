@@ -401,15 +401,31 @@ def test_t_poly_keeps_two_rows():
 def test_recurrence_route_compares_rows_n_minus_1_and_n(monkeypatch):
     real = el.s_rows_recurrence
 
-    def row_7_off_by_one():
-        for n, row in real():
-            if n == 7:
-                row = {**row, (0, 1): row[(0, 1)] + 1}
-            yield n, row
+    def off_by_one(m, cell):
+        def rows():
+            for n, row in real():
+                if n == m:
+                    row = {**row, cell: row[cell] + 1}
+                yield n, row
 
-    monkeypatch.setattr(el, "s_rows_recurrence", row_7_off_by_one)
-    with pytest.raises(el.RouteDisagreementError, match="rows 7 and 6"):
-        el.j_recurrence(8)
+        return rows
+
+    # odd row 7: the i = 0 line; even row 8: the j = 0 line
+    for m, cell in ((7, (0, 1)), (8, (1, 0))):
+        monkeypatch.setattr(el, "s_rows_recurrence", off_by_one(m, cell))
+        with pytest.raises(el.RouteDisagreementError, match=f"rows {m} and {m - 1}"):
+            el.j_recurrence(8)
+
+
+def test_recurrence_route_reads_lines_without_building_p(monkeypatch):
+    # J_n is one line of rows n and n - 1; no P_n polynomial is built or
+    # substituted to read it
+    def built(*args, **kwargs):
+        raise AssertionError("P_n built by the recurrence route")
+
+    monkeypatch.setattr(el, "p_poly", built)
+    monkeypatch.setattr(MultiPoly, "substitute", built)
+    assert el.j_recurrence(40).polys == el.j_viennot(40).polys
 
 
 @pytest.mark.slow

@@ -43,6 +43,8 @@ def invocations():
     for route in ("operator", "recurrence", "viennot", "series"):
         yield ["compute", "j", "--n", "120", "--route", route]
     yield ["compute", "j", "--n", "120"]  # the default route
+    for fmt in ("csv", "text"):
+        yield ["compute", "j", "--n", "120", "--format", fmt]
     yield ["compute", "decompose", "--n", "100"]
     yield ["compute", "decompose", "--n", "8", "--format", "text"]
     yield ["compute", "closure", "--max-n", "4", "--format", "text"]

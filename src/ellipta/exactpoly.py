@@ -236,7 +236,7 @@ class MultiPoly:
     mutates ``terms`` after construction.
     """
 
-    __slots__ = ("vars", "terms", "_key")
+    __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms=()):
         vs = tuple(variables)
@@ -258,7 +258,6 @@ class MultiPoly:
                 acc[e] = acc.get(e, 0) + coeff
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", {e: c for e, c in acc.items() if c})
-        object.__setattr__(self, "_key", None)
 
     @classmethod
     def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
@@ -269,7 +268,6 @@ class MultiPoly:
         p = object.__new__(cls)
         object.__setattr__(p, "vars", variables)
         object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
-        object.__setattr__(p, "_key", None)
         return p
 
     def __setattr__(self, name, value):
@@ -297,11 +295,7 @@ class MultiPoly:
         return cls(variables, {tuple(exps): coeff})
 
     def key(self):
-        if self._key is None:
-            object.__setattr__(
-                self, "_key", (self.vars, tuple(sorted(self.terms.items())))
-            )
-        return self._key
+        return (self.vars, tuple(sorted(self.terms.items())))
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -385,23 +379,15 @@ class MultiPoly:
 
     def substitute(self, assignment: dict) -> UniPoly:
         """Substitute every letter by an int or a UniPoly in one shared output
-        variable; collect the result as a UniPoly. A letter whose value is a
-        monomial a x^d scales a term by a^e and shifts it by d e; only the
-        other letters cost a polynomial product."""
+        variable; collect the result as a UniPoly. Each term is its
+        coefficient times the product of its letters' value powers, and each
+        power is computed once per call."""
         values = []
         for v in self.vars:
             if v not in assignment:
                 raise UnassignedVariableError(f"variable {v!r} unassigned")
             val = assignment[v]
-            if isinstance(val, int):
-                val = (val,) if val else UNI_ZERO
-            values.append(uni(val))
-        zeros = [idx for idx, val in enumerate(values) if not val]
-        # letter index -> (a, d) for a value a x^d, None for a general value
-        monos = [
-            (val[-1], len(val) - 1) if val and not any(val[:-1]) else None
-            for val in values
-        ]
+            values.append(uni((val,) if isinstance(val, int) else val))
         pow_cache: dict = {}
 
         def power(idx, e):
@@ -412,20 +398,13 @@ class MultiPoly:
 
         total: list = []
         for exps, c in self.terms.items():
-            if any(exps[idx] for idx in zeros):
-                continue  # a letter set to 0 kills the whole term
-            term = None
-            shift = 0
+            term = UNI_ONE
             for idx, e in enumerate(exps):
                 if e:
-                    mono = monos[idx]
-                    if mono is None:
-                        p = power(idx, e)
-                        term = p if term is None else uni_mul(term, p)
-                    else:
-                        c *= mono[0] ** e
-                        shift += mono[1] * e
-            uni_addmul_into(total, UNI_ONE if term is None else term, c, shift)
+                    # the power on the left: uni_mul skips its zero entries,
+                    # so a value x^d costs one row
+                    term = uni_mul(power(idx, e), term)
+            uni_addmul_into(total, term, c)
         return uni(total)
 
     def compose(self, mapping: dict, variables) -> "MultiPoly":

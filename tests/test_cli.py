@@ -114,6 +114,27 @@ def test_compute_theta_max_n_streams_rows(capsys, fmt):
     assert code == 2 and out == "" and "argument --n: must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("j", "--n", "5", "--format", "csv"), "exponent,value\n0,1\n1,14\n2,1\n"),
+    (("j", "--n", "5", "--format", "json"),
+     '{"coeffs": ["1", "14", "1"], "var": "x"}\n'),
+    (("p", "--n", "3", "--format", "csv"), "p,q,value\n0,0,1\n0,1,1\n1,0,4\n"),
+    (("p", "--n", "3", "--format", "json"),
+     '{"terms": [{"coeff": "1", "exp": [0, 0]}, {"coeff": "1", "exp": [0, 1]}, '
+     '{"coeff": "4", "exp": [1, 0]}], "vars": ["p", "q"]}\n'),
+    (("t", "--n", "4", "--route", "poly", "--format", "csv"),
+     "x,y,value\n0,0,1\n0,1,3\n1,0,1\n"),
+    (("decompose", "--n", "8", "--format", "text"),
+     "a = 1 + 345x + 345x^2 + x^3\nb = 63 + 567x + 63x^2\n"),
+    (("closure", "--max-n", "2", "--format", "text"),
+     "f_0 = 1  [alternating]\nf_1 = 0  [degenerate]\nf_2 = 8 + 8x  [alternating]\n"),
+])
+def test_compute_emitter_bytes(capsys, argv, expected):
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
 def test_compute_closure_deterministic(capsys):
     code1, out1, _ = run(capsys, "compute", "closure", "--max-n", "4", "--seed", "5")
     code2, out2, _ = run(capsys, "compute", "closure", "--max-n", "4", "--seed", "5")
@@ -273,6 +294,27 @@ def test_verify_pass_and_fail_codes(capsys):
     assert "n <= 8" in out
 
 
+def test_verify_prints_each_failing_check(capsys, monkeypatch):
+    import ellipta.suites as vsuites
+
+    checks = (
+        vsuites.Check("first", True),
+        vsuites.Check("second", False, "J_3 differs"),
+        vsuites.Check("third", False),
+    )
+    monkeypatch.setitem(vsuites.SUITES, "dumont", lambda *a, **k: vsuites.SuiteResult(
+        "dumont", "n <= 3", checks))
+    code, out, _ = run(capsys, "verify", "dumont", "--max-n", "3")
+    assert code == 1
+    assert out == (
+        "suite dumont (n <= 3)\n"
+        "  ok: first\n"
+        "  FAIL: second: J_3 differs\n"
+        "  FAIL: third\n"
+        "suite dumont: FAIL (3 checks)\n"
+    )
+
+
 def test_verify_reports_range(capsys):
     _, out, _ = run(capsys, "verify", "dumont", "--max-n", "4")
     assert "(n <= 4)" in out
@@ -337,6 +379,41 @@ def test_cache_corruption_rebuilds_with_warning(tmp_path, capsys):
         assert "rebuilding" in err
         assert path.read_text() == good
         assert out == good
+
+
+@pytest.mark.parametrize("max_n, rows", [((), 12), (("--max-n", "5"), 5)])
+def test_cache_read_of_a_missing_file_builds_it(tmp_path, capsys, max_n, rows):
+    cache_dir = str(tmp_path)
+    path = tmp_path / "s.jsonl"
+    code, out, err = run(capsys, "cache", "read", "--target", "s", *max_n,
+                         "--cache-dir", cache_dir)
+    assert code == 0
+    assert err == f"warning: cache file {path} missing; rebuilding\n"
+    assert {json.loads(line)["n"] for line in out.splitlines()} == set(
+        range(1, rows + 1))
+    assert path.read_text() == out
+    code, again, err = run(capsys, "cache", "read", "--target", "s", *max_n,
+                           "--cache-dir", cache_dir)
+    assert code == 0 and err == "" and again == out
+
+
+def test_cache_read_of_a_non_ascii_file_rebuilds_the_default_rows(tmp_path, capsys):
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "5",
+        "--cache-dir", cache_dir)
+    path = tmp_path / "s.jsonl"
+    data = path.read_bytes()
+    at = data.index(b'"coeff":"4"') + len(b'"coeff":"')
+    path.write_bytes(data[:at] + b"\xe9" + data[at + 1:])
+    code, out, err = run(capsys, "cache", "read", "--target", "s",
+                         "--cache-dir", cache_dir)
+    assert code == 0
+    assert err.startswith(f"warning: cache file {path} corrupted ('ascii' codec "
+                          "can't decode byte 0xe9 in position ")
+    assert err.endswith("); rebuilding\n")
+    # the file does not decode, so its row run is 0 and the default size holds
+    assert {json.loads(line)["n"] for line in out.splitlines()} == set(range(1, 13))
+    assert path.read_text() == out
 
 
 def _edit_record(text, cell, coeff=None):

@@ -53,6 +53,51 @@ def test_suite_results_carry_scope():
     assert result.scope == "n <= 4"
 
 
+def test_routes_suite_names_the_first_disagreeing_coefficient(monkeypatch):
+    from ellipta import elliptic as el
+
+    def series(n_max):
+        polys = list(el.j_series(n_max).polys)
+        polys[5] = (1, 15, 1)  # J_5 is 1 + 14x + x^2
+        return el.JSequence("series", tuple(polys))
+
+    monkeypatch.setitem(el.J_ROUTES, "series", series)
+    (result,) = suites.run_suite("routes", max_n=6)
+    failed = [c for c in result.checks if not c.ok]
+    assert [(c.label, c.detail) for c in failed] == [(
+        "four-route agreement",
+        "J_5 coefficient of x^1: "
+        "{'operator': 14, 'recurrence': 14, 'viennot': 14, 'series': 15}",
+    )]
+
+
+# row 4 of the s triangle: (0,0) 1, (0,1) 14, (0,2) 1, (1,0) 4, (1,1) 4
+@pytest.mark.parametrize("changed, missing, detail", [
+    ((0, 1), (1, 0), "(4, 0, 1): trees 15 vs triangle 14"),
+    ((1, 1), (0, 2), "(4, 0, 2): trees 0 vs triangle 1"),
+])
+def test_theorem13_suite_names_the_first_differing_cell(monkeypatch, changed,
+                                                        missing, detail):
+    from ellipta import elliptic as el
+    from ellipta import treeoracle as to
+
+    real = to.s_from_trees
+
+    def s_from_trees(n, cap=to.DEFAULT_TREE_CAP):
+        tri = real(n, cap)
+        if n != 4:
+            return tri
+        row = dict(tri.row(4))
+        row[changed] += 1
+        del row[missing]
+        return el.Triangle({4: row})
+
+    monkeypatch.setattr(to, "s_from_trees", s_from_trees)
+    (result,) = suites.run_suite("theorem13", max_n=5)
+    failed = [c for c in result.checks if not c.ok]
+    assert [(c.label, c.detail) for c in failed] == [("s row 4 from trees", detail)]
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ["thm1", "thm2"])
 def test_certificate_suites_pass_through_150(name):

@@ -31,7 +31,7 @@ COMPUTE = (
     + [(t, flag, "7", "trees") for t in ("s", "gamma") for flag in ("--max-n", "--n")]
     + [("t", "--n", "30", r) for r in ("recurrence", "poly")]
     + [("p", "--n", n, r) for n in ("30", "120") for r in ("recurrence", "operator")]
-    + [("theta", "--n", "7", "trees")]
+    + [("theta", flag, n, "trees") for flag, n in (("--n", "7"), ("--max-n", "8"))]
 )
 CACHE_TARGETS = ("s", "gamma", "t", "theta")
 
@@ -55,7 +55,7 @@ def invocations():
     yield ["verify", "closure", "--max-n", "4", "--seed", "3"]
     # each write is followed by reads of the file it wrote, in all formats
     sized = [(t, ()) for t in CACHE_TARGETS]
-    sized += [(t, ("--max-n", "40")) for t in ("s", "gamma", "t")]
+    sized += [(t, ("--max-n", "40")) for t in CACHE_TARGETS]
     for target, rows in sized:
         for action, fmt in (("write", ()), ("read", ()),
                             ("read", ("--format", "csv")),

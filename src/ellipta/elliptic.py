@@ -762,6 +762,8 @@ def j_even_decompositions(m_max: int, gamma_tri: Triangle | None = None) -> list
     seeded with the odd J's gamma vectors, J_{2m+2} weighting
     J_{2m+1-2i} by C(2m+1, 2i). ``gamma_tri`` defaults to
     ``gamma_odd_lines``, the only gamma entries read."""
+    if m_max < 0:
+        raise ValueError("m_max must be at least 0")
     if gamma_tri is None:
         gamma_tri = gamma_odd_lines(2 * m_max + 1)
     gvecs = [j_odd_gamma(d, gamma_tri).gammas for d in range(m_max + 1)]

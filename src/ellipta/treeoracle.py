@@ -25,7 +25,7 @@ child of a parent that is still unmatched. So inserting w under p either
 opens the zero pair (p, w) or gives p's pair w as its new largest outside
 child, and the five pair-class counters are updated and undone in place.
 `tree_stats`, `tree_matching` and `children_table` stay the direct
-definition that the tests compare against.
+definition that the tests compare against; both give a `TreeStats`.
 
 The pair involutions re-hang the largest outside child of a pair to the
 opposite endpoint; they commute, preserve the matching, and transport the
@@ -37,8 +37,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .elliptic import Triangle
+from .elliptic import Triangle, _gamma_bounds
 from .exactpoly import MultiPoly
 
 DEFAULT_PERM_CAP = 9
@@ -79,6 +80,9 @@ def cpk_stats(perm) -> tuple:
 
 
 def _check_cap(n: int, cap: int, what: str):
+    """The one size check of every enumeration: 0 <= n <= cap."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n > cap:
         raise CapExceededError(f"{what} enumeration capped at {cap}, got {n}")
 
@@ -98,11 +102,6 @@ def tree_enumerate(n: int, cap: int = DEFAULT_TREE_CAP):
     """Yield all n! increasing trees on {0..n} as parent tuples, in
     lexicographic order."""
     _check_cap(n, cap, "tree")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
     yield from itertools.product(*(range(v) for v in range(1, n + 1)))
 
 
@@ -138,15 +137,20 @@ def _matching(parents, children) -> tuple:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class TreeStats:
+class TreeStats(NamedTuple):
+    """A tree's statistics, in the order of `_fold_trees`' counters."""
+
     singleton: int
     zerop: int
-    evenp: int
     des_o: int
     des_e: int
     asc_o: int
     asc_e: int
+
+    @property
+    def evenp(self) -> int:
+        """Even pairs: the zero pairs and the even descent and ascent pairs."""
+        return self.zerop + self.des_e + self.asc_e
 
 
 def _largest_outside_child(children, pair) -> int:
@@ -161,8 +165,8 @@ def _largest_outside_child(children, pair) -> int:
     return top_a if top_a > top_b else top_b
 
 
-def _pair_profile(parents, children, pairs) -> tuple:
-    """(singleton, zerop, des_o, des_e, asc_o, asc_e) for matched pairs."""
+def _stats(parents, children, pairs) -> TreeStats:
+    """Statistics of a tree from its children table and matching."""
     n = len(parents)
     singleton = (n + 1) - 2 * len(pairs)
     zerop = des_o = des_e = asc_o = asc_e = 0
@@ -182,17 +186,9 @@ def _pair_profile(parents, children, pairs) -> tuple:
                 des_e += 1
             else:
                 asc_e += 1
-    return singleton, zerop, des_o, des_e, asc_o, asc_e
-
-
-def _stats(parents, children, pairs) -> TreeStats:
-    singleton, zerop, des_o, des_e, asc_o, asc_e = _pair_profile(
-        parents, children, pairs
-    )
     return TreeStats(
         singleton=singleton,
         zerop=zerop,
-        evenp=zerop + des_e + asc_e,
         des_o=des_o,
         des_e=des_e,
         asc_o=asc_o,
@@ -206,18 +202,16 @@ def tree_stats(parents) -> TreeStats:
 
 
 def _fold_trees(n: int, keyfn, cap: int) -> Counter:
-    """Fold keyfn over the pair profile of every tree in T_n; a None key
+    """Fold keyfn over the `TreeStats` of every tree in T_n; a None key
     leaves the tree uncounted. Keys keep the order of their first tree.
 
     One depth-first pass adds vertices 1..n in the order of
-    `tree_enumerate` and keeps the profile of the tree built so far, so each
-    tree is scored in O(1) and keyfn runs once per distinct profile."""
+    `tree_enumerate` and keeps the statistics of the tree built so far, so
+    each tree is scored in O(1) and keyfn runs once per distinct record."""
     _check_cap(n, cap, "tree")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     profiles: Counter = Counter()
-    # tally is the profile (singleton, zerop, des_o, des_e, asc_o, asc_e) of
-    # the finished tree: every vertex not yet matched counts as a singleton.
+    # tally holds the TreeStats fields of the finished tree, in their order:
+    # every vertex not yet matched counts as a singleton.
     # A pair's class is its index in tally; cell[v] is a one-element list
     # holding it, shared by both endpoints, and None while v is unmatched.
     # role[v] is 2 on a second endpoint, the step from descent to ascent.
@@ -258,7 +252,7 @@ def _fold_trees(n: int, keyfn, cap: int) -> Counter:
     grow(1)
     counts: Counter = Counter()
     for profile, c in profiles.items():
-        key = keyfn(profile)
+        key = keyfn(TreeStats(*profile))
         if key is not None:
             counts[key] += c
     return counts
@@ -268,9 +262,8 @@ def g2_distribution(n: int, cap: int = DEFAULT_TREE_CAP) -> MultiPoly:
     """Sum over T_n of x^singleton c^zerop a^des_o b^asc_o g^des_e h^asc_e,
     over the alphabet (x, a, b, c, g, h)."""
 
-    def key(profile):
-        singleton, zerop, des_o, des_e, asc_o, asc_e = profile
-        return (singleton, des_o, asc_o, zerop, des_e, asc_e)
+    def key(st):
+        return st.singleton, st.des_o, st.asc_o, st.zerop, st.des_e, st.asc_e
 
     counts = _fold_trees(n, key, cap)
     return MultiPoly(G2_VARS, dict(counts))
@@ -280,9 +273,8 @@ def g1_distribution(n: int, cap: int = DEFAULT_TREE_CAP) -> MultiPoly:
     """Sum over T_n of x^singleton c^evenp a^des_o b^asc_o, over the
     alphabet (x, a, b, c)."""
 
-    def key(profile):
-        singleton, zerop, des_o, des_e, asc_o, asc_e = profile
-        return (singleton, des_o, asc_o, zerop + des_e + asc_e)
+    def key(st):
+        return st.singleton, st.des_o, st.asc_o, st.evenp
 
     counts = _fold_trees(n, key, cap)
     return MultiPoly(G1_VARS, dict(counts))
@@ -291,67 +283,63 @@ def g1_distribution(n: int, cap: int = DEFAULT_TREE_CAP) -> MultiPoly:
 def theta_table(n: int, cap: int = DEFAULT_TREE_CAP) -> Triangle:
     """Row n of theta: (evenp, des_o) -> #trees with no odd ascent pair."""
 
-    def key(profile):
-        singleton, zerop, des_o, des_e, asc_o, asc_e = profile
-        if asc_o:
-            return None
-        return zerop + des_e + asc_e, des_o
+    def key(st):
+        return None if st.asc_o else (st.evenp, st.des_o)
 
     return Triangle({n: dict(sorted(_fold_trees(n, key, cap).items()))})
 
 
 def s_from_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> Triangle:
     """Row n of the s triangle read off tree statistics: the singleton count
-    carries i and evenp + 2*des_o carries j, with parities fixed by n."""
+    s carries i = s // 2 and w = evenp + 2*des_o carries j = w // 2; s has
+    the parity opposite to n's, and w the parity of n."""
 
-    def key(profile):
-        singleton, zerop, des_o, des_e, asc_o, asc_e = profile
-        evenp = zerop + des_e + asc_e
-        w = evenp + 2 * des_o
-        if n % 2 == 0:
-            if singleton % 2 == 0 or w % 2:
-                raise StatisticsDefectError(
-                    f"parity break at profile {profile} for even n={n}"
-                )
-            return (singleton - 1) // 2, w // 2
-        if singleton % 2 or w % 2 == 0:
+    def key(st):
+        w = st.evenp + 2 * st.des_o
+        if st.singleton % 2 == n % 2 or w % 2 != n % 2:
             raise StatisticsDefectError(
-                f"parity break at profile {profile} for odd n={n}"
+                f"parity break at profile {tuple(st)}"
+                f" for {'odd' if n % 2 else 'even'} n={n}"
             )
-        return singleton // 2, (w - 1) // 2
+        return st.singleton // 2, w // 2
 
     return Triangle({n: dict(sorted(_fold_trees(n, key, cap).items()))})
 
 
+def _corollary15_cells(n: int) -> dict:
+    """Corollary 15's index change on row n, gamma(n, i, j) =
+    theta(n, 2j + r, n//2 - i - 2j) with r = n mod 2: each cell of the gamma
+    support (`elliptic._gamma_bounds`) mapped to its theta cell."""
+    i_max, half, step = _gamma_bounds(n)
+    return {
+        (i, j): (2 * j + n % 2, half - i - 2 * j)
+        for i in range(i_max + 1)
+        for j in range((half - i) // step + 1)
+    }
+
+
 def gamma_row_from_theta(n: int, theta_row: dict) -> dict:
-    """Row n of the gamma triangle from row n of theta (Corollary 15):
-    gamma(n, i, j) = theta(n, 2j + r, n//2 - i - 2j) with r = n mod 2, so
-    theta cell (i, j) lands on gamma cell (n//2 - j - (i - r), i//2). A
-    theta cell of the wrong parity or with no gamma cell is a defect."""
-    r = n % 2
-    row = {}
-    for (i, j), c in theta_row.items():
-        gi = n // 2 - j - (i - r)
-        if i % 2 != r or gi < 0:
+    """Row n of the gamma triangle from row n of theta, through the inverse
+    of the Corollary 15 cell table. A theta cell with no gamma cell is a
+    defect."""
+    cells = {t: g for g, t in _corollary15_cells(n).items()}
+    for i, j in theta_row:
+        if (i, j) not in cells:
             raise StatisticsDefectError(
                 f"theta cell {(n, i, j)} maps outside the gamma support"
             )
-        row[(gi, i // 2)] = c
-    return row
+    return {cells[ij]: c for ij, c in theta_row.items()}
 
 
 def theta_row_from_gamma(n: int, gamma_row: dict) -> dict:
-    """Row n of theta from row n of gamma, the inverse of
-    ``gamma_row_from_theta``: gamma cell (i, j) lands on theta cell
-    (2j + r, n//2 - i - 2j) with r = n mod 2. A gamma cell outside the
-    support i + 2j <= n//2 is a defect."""
-    r, half = n % 2, n // 2
-    row = {}
-    for (i, j), c in gamma_row.items():
-        if i < 0 or j < 0 or i + 2 * j > half:
+    """Row n of theta from row n of gamma through the Corollary 15 cell
+    table, the inverse of ``gamma_row_from_theta``. A gamma cell outside the
+    gamma support is a defect."""
+    cells = _corollary15_cells(n)
+    for i, j in gamma_row:
+        if (i, j) not in cells:
             raise ValueError(f"gamma cell {(n, i, j)} is outside the gamma support")
-        row[(2 * j + r, half - i - 2 * j)] = c
-    return row
+    return {cells[ij]: c for ij, c in gamma_row.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -729,6 +729,20 @@ def test_j_even_decompositions_read_only_the_lines(gamma_tri):
         )
 
 
+def test_j_even_decompositions_reject_a_negative_m_max():
+    # with no triangle the error named n_max; with one, the plural returned
+    # [] and the singular raised a bare IndexError
+    lines = el.gamma_odd_lines(5)
+    calls = [
+        lambda: el.j_even_decompositions(-1),
+        lambda: el.j_even_decompositions(-1, lines),
+        lambda: el.j_even_decomposition(-1, lines),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^m_max must be at least 0$"):
+            call()
+
+
 def test_j_even_decomposition_examples():
     d1 = el.j_even_decomposition(1)
     assert (d1.decomposition.a, d1.decomposition.b) == ((1, 1), (3,))

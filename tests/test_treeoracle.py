@@ -82,6 +82,16 @@ def test_p_bruteforce_cap():
     assert p_bruteforce(4, cap=4).substitute({"p": 1, "q": 1}) == (24,)
 
 
+@pytest.mark.parametrize(
+    "enumerate_",
+    [p_bruteforce, lambda n: list(tree_enumerate(n)), g2_distribution, s_from_trees],
+)
+def test_enumerations_reject_negative_n(enumerate_):
+    # p_bruteforce(-1) returned the polynomial 1, the count of n = 0
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        enumerate_(-1)
+
+
 # ---------------------------------------------------------------------------
 # trees
 
@@ -90,6 +100,10 @@ def test_tree_counts():
     assert len(list(tree_enumerate(1))) == 1
     assert len(list(tree_enumerate(3))) == 6
     assert len(list(tree_enumerate(4))) == 24
+
+
+def test_tree_enumerate_zero_is_the_root_alone():
+    assert list(tree_enumerate(0)) == [()]
 
 
 def test_tree_counts_to_cap():
@@ -159,15 +173,13 @@ def captured_key(monkeypatch, public, n):
 def test_incremental_fold_matches_definition(monkeypatch, public):
     # the fold scores trees as it builds them; folding the same key over
     # tree_stats of every enumerated tree must give the same Counter, with
-    # keys in the same (first-tree) order
+    # keys in the same (first-tree) order, which also pins the order of the
+    # TreeStats fields to the fold's counters
     for n in range(8):
         keyfn = captured_key(monkeypatch, public, n)
         want = Counter()
         for parents in tree_enumerate(n):
-            st = tree_stats(parents)
-            key = keyfn(
-                (st.singleton, st.zerop, st.des_o, st.des_e, st.asc_o, st.asc_e)
-            )
+            key = keyfn(tree_stats(parents))
             if key is not None:
                 want[key] += 1
         got = treeoracle._fold_trees(n, keyfn, treeoracle.DEFAULT_TREE_CAP)
@@ -231,6 +243,24 @@ def test_theta_cross_checks_gamma_triangle():
     # gamma cell (1, 1) of row 4 has i + 2j = 3 > 4 // 2
     with pytest.raises(ValueError):
         theta_row_from_gamma(4, {(1, 1): 1})
+
+
+def test_corollary15_maps_round_trip_every_gamma_row():
+    gtri = el.gamma_triangle_recurrence(40)
+    for n, g in gtri.rows.items():
+        theta = theta_row_from_gamma(n, g)
+        assert len(theta) == len(g), n
+        assert gamma_row_from_theta(n, theta) == g, n
+
+
+def test_corollary15_maps_reject_cells_outside_the_gamma_support():
+    # row 4 of gamma has i <= 1: gamma cell (2, 0) satisfies i + 2j <= 4 // 2
+    # but is not a cell, and theta cell (0, 0) would land on it; both maps
+    # passed these through
+    with pytest.raises(StatisticsDefectError, match=r"theta cell \(4, 0, 0\)"):
+        gamma_row_from_theta(4, {(0, 0): 1})
+    with pytest.raises(ValueError, match=r"gamma cell \(4, 2, 0\) is outside"):
+        theta_row_from_gamma(4, {(2, 0): 1})
 
 
 def test_s_from_trees_matches_triangle():

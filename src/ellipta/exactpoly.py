@@ -362,9 +362,6 @@ class MultiPoly:
                 base = base * base
         return result
 
-    def coeff(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     def partial(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to one alphabet letter."""
         if var not in self.vars:

@@ -255,81 +255,15 @@ def suite_corollary15(max_n: int, inputs: SuiteInputs | None = None) -> SuiteRes
 
 
 def suite_lemma9(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
-    """Pair involutions: involutive, commuting, matching-preserving; orbits
-    of the odd-pair subgroup have one ascent-free representative each and
-    size 2^(odd pairs); statistic transport matches the predicted values.
-
-    Each tree's children table and matching are built once. Every image
-    carries its own table, updated by one move, and its matching and
-    statistics are computed from that table, since their preservation is
-    the claim under test."""
+    """Pair involutions (Lemma 9): the five checks of
+    `treeoracle.lemma9_defects` for each n."""
+    names = ("involutions", "commutation", "matching preserved",
+             "statistic transport", "orbit partition")
     checks = []
     for n in range(max_n + 1):
-        cap = max(n, to.DEFAULT_TREE_CAP)
-        # the first counterexample of each check, "" while it holds
-        involution = commutation = preserve = transport = ""
-        groups: dict = {}
-        orbits: dict = {}
-        for parents in to.tree_enumerate(n, cap):
-            children = to.children_table(parents)
-            matching = to._matching(parents, children)
-            groups.setdefault(matching, []).append(parents)
-            k = len(matching)
-            before = to._stats(parents, children, matching)
-            if before.asc_o == 0:
-                # images[S] is the image of S minus its top pair, moved by
-                # the top pair: the order in which `phi_subset` applies them
-                images = [(parents, children)]
-                for mask in range(1, 1 << k):
-                    top = mask.bit_length() - 1
-                    images.append(to._phi(*images[mask ^ 1 << top], matching[top]))
-                once = [images[1 << t] for t in range(k)]
-                evens, _ = to._parities(children, matching)
-                even_mask = sum(1 << (t - 1) for t in evens)
-                for mask in range(1 << k):
-                    flipped_odd = (mask & ~even_mask).bit_count()
-                    report = to._orbit_check(
-                        parents, matching, before, len(evens), flipped_odd,
-                        *images[mask],
-                    )
-                    if not report.ok and not transport:
-                        subset = {t + 1 for t in range(k) if mask >> t & 1}
-                        transport = f"transport failed at {parents} S={subset}"
-                orbits[parents] = [
-                    images[mask][0] for mask in range(1 << k) if not mask & even_mask
-                ]
-            else:
-                once = [to._phi(parents, children, pair) for pair in matching]
-            for a in range(k):
-                if to._matching(*once[a]) != matching and not preserve:
-                    preserve = f"matching broken at {parents} pair {a + 1}"
-                if to._phi(*once[a], matching[a])[0] != parents and not involution:
-                    involution = f"not involutive at {parents} pair {a + 1}"
-                for b in range(a + 1, k):
-                    ab = to._phi(*once[a], matching[b])[0]
-                    ba = to._phi(*once[b], matching[a])[0]
-                    if ab != ba and not commutation:
-                        commutation = (
-                            f"no commutation at {parents} pairs {a + 1},{b + 1}"
-                        )
-        checks.append(Check(f"involutions n={n}", not involution, involution))
-        checks.append(Check(f"commutation n={n}", not commutation, commutation))
-        checks.append(Check(f"matching preserved n={n}", not preserve, preserve))
-        checks.append(Check(f"statistic transport n={n}", not transport, transport))
-
-        partition = ""
-        for matching, members in groups.items():
-            seen: set = set()
-            for rep in members:
-                if rep not in orbits:
-                    continue
-                orbit = set(orbits[rep])
-                if (len(orbit) != len(orbits[rep]) or orbit & seen) and not partition:
-                    partition = f"orbit defect at representative {rep}"
-                seen |= orbit
-            if seen != set(members) and not partition:
-                partition = f"orbits do not partition matching {matching}"
-        checks.append(Check(f"orbit partition n={n}", not partition, partition))
+        defects = to.lemma9_defects(n, max(n, to.DEFAULT_TREE_CAP))
+        for name, defect in zip(names, defects):
+            checks.append(Check(f"{name} n={n}", not defect, defect))
     return _result("lemma9", f"n <= {max_n}", checks)
 
 

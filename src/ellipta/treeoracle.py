@@ -25,11 +25,16 @@ child of a parent that is still unmatched. So inserting w under p either
 opens the zero pair (p, w) or gives p's pair w as its new largest outside
 child, and the five pair-class counters are updated and undone in place.
 `tree_stats`, `tree_matching` and `children_table` stay the direct
-definition that the tests compare against; both give a `TreeStats`.
+definition that the tests compare against. There `_pair_classes` gives each
+pair its class as its `TreeStats` field index, the fold's numbering; `_stats`
+tallies the classes and the pair parities read them (an odd index is an
+even pair). The public functions of one tree reject a non-tree parent tuple.
 
 The pair involutions re-hang the largest outside child of a pair to the
-opposite endpoint; they commute, preserve the matching, and transport the
-statistics in a controlled way, which is what `phi_orbit_check` verifies.
+opposite endpoint; `_apply` walks a set of them in ascending order and holds
+the one pair-index check. They commute, preserve the matching, and transport
+the statistics in a controlled way: `phi_orbit_check` checks one tree and
+one subset, and `lemma9_defects` checks all of Lemma 9 over T_n.
 """
 
 from __future__ import annotations
@@ -114,9 +119,18 @@ def children_table(parents) -> list:
     return table
 
 
+def _check_tree(parents):
+    """Reject a parent tuple that is not an increasing tree: the parent p of
+    vertex v must satisfy 0 <= p < v."""
+    for v, p in enumerate(parents, start=1):
+        if not 0 <= p < v:
+            raise ValueError(f"vertex {v} has parent {p}, not in 0..{v - 1}")
+
+
 def tree_matching(parents) -> tuple:
     """Greedy pairing: (0,1) first, then the smallest unpaired vertex with
     children takes its smallest child. Returns pairs in standard form."""
+    _check_tree(parents)
     return _matching(parents, children_table(parents))
 
 
@@ -165,38 +179,32 @@ def _largest_outside_child(children, pair) -> int:
     return top_a if top_a > top_b else top_b
 
 
-def _stats(parents, children, pairs) -> TreeStats:
-    """Statistics of a tree from its children table and matching."""
-    n = len(parents)
-    singleton = (n + 1) - 2 * len(pairs)
-    zerop = des_o = des_e = asc_o = asc_e = 0
+def _pair_classes(parents, children, pairs) -> list:
+    """Class of each matched pair as its `TreeStats` field index, the
+    numbering of `_fold_trees`' tally: 1 zero, 2 des_o, 3 des_e, 4 asc_o,
+    5 asc_e. A pair is odd or even with its outside-child count, so an odd
+    index is an even pair."""
+    classes = []
     for a, b in pairs:
         m = len(children[a]) + len(children[b]) - 1
-        if m == 0:
-            zerop += 1
+        if not m:
+            classes.append(1)
             continue
-        descent = parents[_largest_outside_child(children, (a, b)) - 1] == a
-        if m % 2:
-            if descent:
-                des_o += 1
-            else:
-                asc_o += 1
-        else:
-            if descent:
-                des_e += 1
-            else:
-                asc_e += 1
-    return TreeStats(
-        singleton=singleton,
-        zerop=zerop,
-        des_o=des_o,
-        des_e=des_e,
-        asc_o=asc_o,
-        asc_e=asc_e,
-    )
+        ascent = parents[_largest_outside_child(children, (a, b)) - 1] != a
+        classes.append(3 - (m & 1) + 2 * ascent)
+    return classes
+
+
+def _stats(parents, children, pairs) -> TreeStats:
+    """Statistics of a tree from its children table and matching."""
+    tally = [len(parents) + 1 - 2 * len(pairs), 0, 0, 0, 0, 0]
+    for c in _pair_classes(parents, children, pairs):
+        tally[c] += 1
+    return TreeStats(*tally)
 
 
 def tree_stats(parents) -> TreeStats:
+    _check_tree(parents)
     children = children_table(parents)
     return _stats(parents, children, _matching(parents, children))
 
@@ -365,33 +373,32 @@ def _phi(parents, children, pair):
     return tuple(out), table
 
 
-def _checked_table(parents, matching) -> list:
-    """Children table of a tree whose matching must be `matching`."""
-    children = children_table(parents)
-    if _matching(parents, children) != matching:
-        raise MatchingMismatchError("matching does not belong to this tree")
-    return children
+def _apply(parents, children, pairs, indices):
+    """(image, its children table) under the involutions of the 1-based
+    pair indices, applied in ascending order; the one pair-index check."""
+    tree = parents, children
+    for k in sorted(set(indices)):
+        if not 1 <= k <= len(pairs):
+            raise ValueError(f"pair index {k} out of range")
+        tree = _phi(*tree, pairs[k - 1])
+    return tree
 
 
 def phi_apply(parents, matching, k: int):
     """Involution attached to pair k (1-based) of the tree-matching: re-hang
     the largest outside child of the pair to the opposite endpoint."""
-    matching = tuple(matching)
-    children = _checked_table(parents, matching)
-    if not 1 <= k <= len(matching):
-        raise ValueError(f"pair index {k} out of range")
-    return _phi(parents, children, matching[k - 1])[0]
+    return phi_subset(parents, matching, (k,))
 
 
 def phi_subset(parents, matching, indices):
-    """Apply the commuting involutions for every pair index in `indices`."""
+    """Apply the commuting involutions for every pair index in `indices`;
+    `matching` must be the tree's own."""
+    _check_tree(parents)
+    children = children_table(parents)
     matching = tuple(matching)
-    tree = parents, _checked_table(parents, matching)
-    for k in sorted(set(indices)):
-        if not 1 <= k <= len(matching):
-            raise ValueError(f"pair index {k} out of range")
-        tree = _phi(*tree, matching[k - 1])
-    return tree[0]
+    if _matching(parents, children) != matching:
+        raise MatchingMismatchError("matching does not belong to this tree")
+    return _apply(parents, children, matching, indices)[0]
 
 
 @dataclass(frozen=True)
@@ -406,25 +413,19 @@ class OrbitCheck:
     matching_preserved: bool
 
 
-def _parities(children, pairs) -> tuple:
-    evens, odds = [], []
-    for k, (a, b) in enumerate(pairs, start=1):
-        if (len(children[a]) + len(children[b]) - 1) % 2:
-            odds.append(k)
-        else:
-            evens.append(k)
-    return tuple(evens), tuple(odds)
-
-
 def pair_parities(parents) -> tuple:
     """(even pair indices, odd pair indices), 1-based, for the matching."""
+    _check_tree(parents)
     children = children_table(parents)
-    return _parities(children, _matching(parents, children))
+    classes = _pair_classes(parents, children, _matching(parents, children))
+    indexed = list(enumerate(classes, start=1))
+    return (
+        tuple(k for k, c in indexed if c & 1),
+        tuple(k for k, c in indexed if not c & 1),
+    )
 
 
-def _orbit_check(
-    start, pairs, before, even_pairs, flipped_odd, image, children
-) -> OrbitCheck:
+def _orbit_check(start, pairs, before, flipped_odd, image, children) -> OrbitCheck:
     """Transport check of `image` (with its children table) against the
     ascent-free tree `start`, whose matching is `pairs` and statistics
     `before`. The image's matching and statistics come from its own table."""
@@ -434,7 +435,7 @@ def _orbit_check(
     ok = (
         matching_preserved
         and after.singleton == before.singleton
-        and after.evenp == even_pairs
+        and after.evenp == before.evenp
         and after.des_o == before.des_o - flipped_odd
         and after.asc_o == flipped_odd
     )
@@ -443,7 +444,7 @@ def _orbit_check(
         start=tuple(start),
         image=image,
         flipped_odd=flipped_odd,
-        even_pairs=even_pairs,
+        even_pairs=before.evenp,
         before=before,
         after=after,
         matching_preserved=matching_preserved,
@@ -455,18 +456,84 @@ def phi_orbit_check(parents, indices) -> OrbitCheck:
     involutions for `indices` must keep the singleton count and the matching,
     keep the even-pair count, and convert exactly the flipped odd pairs from
     descents to ascents."""
+    _check_tree(parents)
     children = children_table(parents)
     pairs = _matching(parents, children)
     before = _stats(parents, children, pairs)
     if before.asc_o:
         raise ValueError("tree must have no odd ascent pair")
-    evens, odds = _parities(children, pairs)
     chosen = set(indices)
-    if not chosen <= set(range(1, len(pairs) + 1)):
-        raise ValueError("pair index out of range")
-    tree = parents, children
-    for k in sorted(chosen):
-        tree = _phi(*tree, pairs[k - 1])
-    return _orbit_check(
-        parents, pairs, before, len(evens), len(chosen & set(odds)), *tree
-    )
+    image = _apply(parents, children, pairs, chosen)
+    classes = _pair_classes(parents, children, pairs)
+    flipped_odd = sum(not classes[k - 1] & 1 for k in chosen)
+    return _orbit_check(parents, pairs, before, flipped_odd, *image)
+
+
+def lemma9_defects(n: int, cap: int = DEFAULT_TREE_CAP) -> tuple:
+    """Lemma 9 over T_n, as the first counterexample ("" while it holds) to
+    each of: involution, commutation, matching preserved, statistic
+    transport (`phi_orbit_check` on every subset of every ascent-free tree),
+    and orbit partition (each matching's trees split into odd-pair orbits of
+    size 2^(odd pairs), one per ascent-free tree).
+
+    Each tree's children table and matching are built once. Every image
+    carries its own table, updated by one move, and its matching and
+    statistics are computed from that table: their preservation is tested."""
+    involution = commutation = preserve = transport = ""
+    groups: dict = {}
+    orbits: dict = {}
+    for parents in tree_enumerate(n, cap):
+        children = children_table(parents)
+        matching = _matching(parents, children)
+        groups.setdefault(matching, []).append(parents)
+        k = len(matching)
+        before = _stats(parents, children, matching)
+        if before.asc_o == 0:
+            # images[S] is the image of S minus its top pair, moved by the
+            # top pair: the order in which `_apply` applies them
+            images = [(parents, children)]
+            for mask in range(1, 1 << k):
+                top = mask.bit_length() - 1
+                images.append(_phi(*images[mask ^ 1 << top], matching[top]))
+            once = [images[1 << t] for t in range(k)]
+            classes = _pair_classes(parents, children, matching)
+            even_mask = sum((c & 1) << t for t, c in enumerate(classes))
+            for mask in range(1 << k):
+                flipped_odd = (mask & ~even_mask).bit_count()
+                report = _orbit_check(
+                    parents, matching, before, flipped_odd, *images[mask]
+                )
+                if not report.ok and not transport:
+                    subset = {t + 1 for t in range(k) if mask >> t & 1}
+                    transport = f"transport failed at {parents} S={subset}"
+            orbits[parents] = [
+                images[mask][0] for mask in range(1 << k) if not mask & even_mask
+            ]
+        else:
+            once = [_phi(parents, children, pair) for pair in matching]
+        for a in range(k):
+            if _matching(*once[a]) != matching and not preserve:
+                preserve = f"matching broken at {parents} pair {a + 1}"
+            if _phi(*once[a], matching[a])[0] != parents and not involution:
+                involution = f"not involutive at {parents} pair {a + 1}"
+            for b in range(a + 1, k):
+                ab = _phi(*once[a], matching[b])[0]
+                ba = _phi(*once[b], matching[a])[0]
+                if ab != ba and not commutation:
+                    commutation = (
+                        f"no commutation at {parents} pairs {a + 1},{b + 1}"
+                    )
+
+    partition = ""
+    for matching, members in groups.items():
+        seen: set = set()
+        for rep in members:
+            if rep not in orbits:
+                continue
+            orbit = set(orbits[rep])
+            if (len(orbit) != len(orbits[rep]) or orbit & seen) and not partition:
+                partition = f"orbit defect at representative {rep}"
+            seen |= orbit
+        if seen != set(members) and not partition:
+            partition = f"orbits do not partition matching {matching}"
+    return involution, commutation, preserve, transport, partition

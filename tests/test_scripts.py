@@ -38,7 +38,7 @@ def test_route_timings_agree():
 
 def test_oracle_timings_agree():
     out = run_script("oracle_timings.py", "5")
-    assert "all oracles agree with the s and gamma recurrences at n = 5" in out
+    assert "all oracles agree with the s and gamma recurrences and G2 at n = 5" in out
     for label in ("g2_distribution(5)", "s_from_trees(5)", "theta_table(5)",
                   "p_bruteforce(6)", "suite_lemma9(4)"):
         assert f"{label}:" in out

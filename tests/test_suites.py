@@ -1,4 +1,6 @@
+import ast
 import os
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +301,25 @@ def test_certificate_suites_hold_lines_not_the_gamma_triangle(name, max_n, budge
         tracemalloc.stop()
     assert result.ok
     assert peak < budget_mib * 1024 * 1024
+
+
+def test_suites_read_no_private_name_of_another_module():
+    # suites drives the other modules through their public functions only
+    source = Path(suites.__file__).read_text()
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+        for alias in node.names
+    }
+    assert {"el", "gk", "gc", "to"} <= modules
+    private = [
+        f"{node.value.id}.{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    assert not private, private

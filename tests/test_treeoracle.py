@@ -375,6 +375,53 @@ def test_phi_orbit_check_requires_no_odd_ascents():
         phi_orbit_check((0, 1), {1})  # the path has an odd ascent pair
 
 
+NOT_TREES = [(0, 2), (0, 0, 3), (2,), (-1,), (0, 1, 1, 5)]
+
+# each public tree function, called on parent tuples alone
+PUBLIC_TREE_CALLS = {
+    "tree_matching": tree_matching,
+    "tree_stats": tree_stats,
+    "pair_parities": pair_parities,
+    "phi_apply": lambda p: phi_apply(p, ((0, 1),), 1),
+    "phi_subset": lambda p: phi_subset(p, ((0, 1),), ()),
+    "phi_orbit_check": lambda p: phi_orbit_check(p, ()),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_TREE_CALLS)
+@pytest.mark.parametrize("parents", NOT_TREES)
+def test_public_tree_functions_reject_non_trees(name, parents):
+    bad = next(v for v, p in enumerate(parents, 1) if not 0 <= p < v)
+    message = rf"^vertex {bad} has parent {parents[bad - 1]}, not in 0\.\.{bad - 1}$"
+    with pytest.raises(ValueError, match=message):
+        PUBLIC_TREE_CALLS[name](parents)
+
+
+@pytest.mark.parametrize("parents", [(0, 0), (0, 0, 2)])
+@pytest.mark.parametrize("call", ["phi_apply", "phi_subset", "phi_orbit_check"])
+def test_pair_index_rejected_with_its_value(call, parents):
+    matching = tree_matching(parents)
+    for k in (0, len(matching) + 1):
+        with pytest.raises(ValueError, match=rf"^pair index {k} out of range$"):
+            if call == "phi_apply":
+                phi_apply(parents, matching, k)
+            elif call == "phi_subset":
+                phi_subset(parents, matching, {1, k})
+            else:
+                phi_orbit_check(parents, {1, k})
+
+
+def test_pair_parities_count_the_pair_classes_exhaustive():
+    for n in range(7):
+        for parents in tree_enumerate(n):
+            evens, odds = pair_parities(parents)
+            st = tree_stats(parents)
+            assert len(evens) == st.evenp, parents
+            assert len(odds) == st.des_o + st.asc_o, parents
+            k = len(tree_matching(parents))
+            assert sorted(evens + odds) == list(range(1, k + 1)), parents
+
+
 def test_orbits_partition_small():
     for n in range(6):
         groups = {}

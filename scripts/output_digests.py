@@ -53,15 +53,21 @@ def invocations():
     for suite in ("all", "thm1", "thm2"):
         yield ["verify", suite]
     yield ["verify", "closure", "--max-n", "4", "--seed", "3"]
-    # each write is followed by reads of the file it wrote, in all formats
-    sized = [(t, ()) for t in CACHE_TARGETS]
-    sized += [(t, ("--max-n", "40")) for t in CACHE_TARGETS]
-    for target, rows in sized:
-        for action, fmt in (("write", ()), ("read", ()),
-                            ("read", ("--format", "csv")),
-                            ("read", ("--format", "text"))):
-            yield ["cache", action, "--target", target, *rows, *fmt,
-                   "--cache-dir", "DIR"]
+    # each write is followed by reads of the file it wrote, in all formats;
+    # a read before a target's first write finds no file, and a read of 40
+    # rows after its default write finds a short file: both rebuild it
+    for target in CACHE_TARGETS:
+        yield cache("read", target)
+        for rows in ((), ("--max-n", "40")):
+            yield cache("write", target, *rows)
+            for fmt in ((), ("--format", "csv"), ("--format", "text")):
+                yield cache("read", target, *rows, *fmt)
+            if not rows:
+                yield cache("read", target, "--max-n", "40")
+
+
+def cache(action, target, *options):
+    return ["cache", action, "--target", target, *options, "--cache-dir", "DIR"]
 
 
 def sha256(data: bytes) -> str:

@@ -13,11 +13,12 @@ collection is sorted, and randomized paths take an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import random
 import sys
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from . import elliptic as el
 from . import gammakit as gk
@@ -325,30 +326,48 @@ def _row_run(path: str) -> int:
         return 0
 
 
-def _serve(n: int, row: dict, chunk: str, fmt: str):
-    """Write row n, whose cache format is chunk, to stdout in fmt."""
-    sys.stdout.write(chunk if fmt == "json" else el.format_row(n, row, fmt))
-
-
-def _serve_matching_rows(path: str, target: str, fmt: str) -> tuple:
-    """Compare the cache file at path with the rows of its source, one row
-    at a time and byte for byte, and serve each row that matches at once.
-    Returns (rows served, defect): defect is None when the file is exactly
-    those rows, else why it is not. Only the row being compared is held."""
-    served = compared = 0
+def _read_rows(path: str, target: str, fmt: str, want):
+    """Serve the cache file at path while its rows are, byte for byte, the
+    rows of its source, holding only the row being compared. Yields nothing
+    if the file is whole and long enough; else warns why and yields its
+    replacement from the same row stream: the matched bytes, copied from the
+    file, then the rows from the first one not served, serving each."""
+    served = kept = size = last = 0  # last: the replacement's last row, if any
     try:
-        with open(path, encoding="ascii", newline="") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            for n, row in CACHE_ROWS[target]():
-                chunk = el.format_row(n, row, "json")
-                if fh.read(len(chunk)) != chunk:
-                    return served, f"row {n} differs from the reference"
-                _serve(n, row, chunk, fmt)
-                served, compared = n, compared + len(chunk)
-                if compared == size:
-                    return served, None
-    except UnicodeDecodeError as exc:
-        return served, str(exc)
+        fh = open(path, encoding="ascii", newline="")
+        size = os.fstat(fh.fileno()).st_size
+    except FileNotFoundError:  # rebuilt from row 1 on; nothing is compared
+        _warn(f"cache file {path} missing; rebuilding")
+        fh, last = io.StringIO(), want or CACHE_DEFAULT_ROWS[target]
+    with fh:
+        for n, row in CACHE_ROWS[target]():
+            chunk = el.format_row(n, row, "json")
+            text = chunk if fmt == "json" else el.format_row(n, row, fmt)
+            if not last:
+                try:
+                    defect = (fh.read(len(chunk)) != chunk
+                              and f"row {n} differs from the reference")
+                except UnicodeDecodeError as exc:
+                    defect = str(exc)
+                if defect:
+                    _warn(f"cache file {path} corrupted ({defect}); rebuilding")
+                    want = want or _row_run(path)
+                else:
+                    sys.stdout.write(text)
+                    served, kept = n, kept + len(chunk)
+                    if kept < size:
+                        continue
+                    if not want or served >= want:
+                        return
+                    _warn(f"rebuild: file has {served} rows, {want} requested")
+                last = max(served, want or CACHE_DEFAULT_ROWS[target])
+                for at in range(0, kept, 1 << 16):  # the rows that matched
+                    yield os.pread(fh.fileno(), min(1 << 16, kept - at), at).decode()
+            if served < n <= last:
+                sys.stdout.write(text)
+                yield chunk
+            if n >= last:
+                return
 
 
 def _write_atomic(path: str, chunks) -> int:
@@ -395,34 +414,14 @@ def _cmd_cache(args, parser) -> int:
         print(f"wrote {records} records to {path}")
         return 0
 
-    # read: serve the rows that match; replace a missing, short or differing
-    # file from a fresh row stream, serving the rows not served yet
+    # read: serve the rows that match; a missing, short or differing file is
+    # replaced from the same row stream, which serves the rows not served yet
     if args.format == "csv":
         sys.stdout.write(el.CSV_HEADER)
-    served, want = 0, args.max_n
-    try:
-        served, defect = _serve_matching_rows(path, args.target, args.format)
-    except FileNotFoundError:
-        _warn(f"cache file {path} missing; rebuilding")
-    else:
-        if defect:
-            _warn(f"cache file {path} corrupted ({defect}); rebuilding")
-            want = want or _row_run(path)
-        elif not want or served >= want:
-            return 0
-        else:
-            _warn(f"rebuild: file has {served} rows, {want} requested")
-    rows = islice(CACHE_ROWS[args.target](),
-                  max(served, want or CACHE_DEFAULT_ROWS[args.target]))
-
-    def chunks():
-        for n, row in rows:
-            chunk = el.format_row(n, row, "json")
-            if n > served:
-                _serve(n, row, chunk, args.format)
-            yield chunk
-
-    _write_atomic(path, chunks())
+    chunks = _read_rows(path, args.target, args.format, args.max_n)
+    first = next(chunks, None)
+    if first is not None:  # the file is not served whole
+        _write_atomic(path, chain((first,), chunks))
     return 0
 
 

@@ -27,8 +27,9 @@ child, and the five pair-class counters are updated and undone in place.
 `tree_stats`, `tree_matching` and `children_table` stay the direct
 definition that the tests compare against. There `_pair_classes` gives each
 pair its class as its `TreeStats` field index, the fold's numbering; `_stats`
-tallies the classes and the pair parities read them (an odd index is an
-even pair). The public functions of one tree reject a non-tree parent tuple.
+tallies the classes and the pair parities read them (an odd index is an even
+pair). The public functions of one tree build their children table with
+`children_table`, which rejects a non-tree; enumerated trees skip the check.
 
 The pair involutions re-hang the largest outside child of a pair to the
 opposite endpoint; `_apply` walks a set of them in ascending order and holds
@@ -111,7 +112,12 @@ def tree_enumerate(n: int, cap: int = DEFAULT_TREE_CAP):
 
 
 def children_table(parents) -> list:
-    """Children lists (ascending) indexed by vertex, root included."""
+    """Children lists (ascending) by vertex, root included; rejects a non-tree."""
+    _check_tree(parents)
+    return _children(parents)
+
+
+def _children(parents) -> list:
     n = len(parents)
     table = [[] for _ in range(n + 1)]
     for v, p in enumerate(parents, start=1):
@@ -130,7 +136,6 @@ def _check_tree(parents):
 def tree_matching(parents) -> tuple:
     """Greedy pairing: (0,1) first, then the smallest unpaired vertex with
     children takes its smallest child. Returns pairs in standard form."""
-    _check_tree(parents)
     return _matching(parents, children_table(parents))
 
 
@@ -204,7 +209,6 @@ def _stats(parents, children, pairs) -> TreeStats:
 
 
 def tree_stats(parents) -> TreeStats:
-    _check_tree(parents)
     children = children_table(parents)
     return _stats(parents, children, _matching(parents, children))
 
@@ -393,7 +397,6 @@ def phi_apply(parents, matching, k: int):
 def phi_subset(parents, matching, indices):
     """Apply the commuting involutions for every pair index in `indices`;
     `matching` must be the tree's own."""
-    _check_tree(parents)
     children = children_table(parents)
     matching = tuple(matching)
     if _matching(parents, children) != matching:
@@ -415,7 +418,6 @@ class OrbitCheck:
 
 def pair_parities(parents) -> tuple:
     """(even pair indices, odd pair indices), 1-based, for the matching."""
-    _check_tree(parents)
     children = children_table(parents)
     classes = _pair_classes(parents, children, _matching(parents, children))
     indexed = list(enumerate(classes, start=1))
@@ -456,7 +458,6 @@ def phi_orbit_check(parents, indices) -> OrbitCheck:
     involutions for `indices` must keep the singleton count and the matching,
     keep the even-pair count, and convert exactly the flipped odd pairs from
     descents to ascents."""
-    _check_tree(parents)
     children = children_table(parents)
     pairs = _matching(parents, children)
     before = _stats(parents, children, pairs)
@@ -483,7 +484,7 @@ def lemma9_defects(n: int, cap: int = DEFAULT_TREE_CAP) -> tuple:
     groups: dict = {}
     orbits: dict = {}
     for parents in tree_enumerate(n, cap):
-        children = children_table(parents)
+        children = _children(parents)
         matching = _matching(parents, children)
         groups.setdefault(matching, []).append(parents)
         k = len(matching)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -416,6 +417,31 @@ def test_cache_read_of_a_non_ascii_file_rebuilds_the_default_rows(tmp_path, caps
     assert path.read_text() == out
 
 
+@pytest.mark.parametrize(
+    "cut, warning",
+    [
+        (lambda text: "", "row 1 differs from the reference"),
+        # inside the last record of row 5: rows 1 .. 4 still match, and the
+        # rebuild has max(4, 12) rows
+        (lambda text: text[:-5], "row 5 differs from the reference"),
+    ],
+    ids=["empty-file", "cut-inside-row-5"],
+)
+def test_cache_read_of_a_cut_file_rebuilds_the_default_rows(tmp_path, capsys,
+                                                           cut, warning):
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "5",
+        "--cache-dir", cache_dir)
+    path = tmp_path / "s.jsonl"
+    path.write_text(cut(path.read_text()))
+    code, out, err = run(capsys, "cache", "read", "--target", "s",
+                         "--cache-dir", cache_dir)
+    assert code == 0
+    assert err == f"warning: cache file {path} corrupted ({warning}); rebuilding\n"
+    _, want, _ = run(capsys, "compute", "s", "--max-n", "12")
+    assert out == want and path.read_text() == want
+
+
 def _edit_record(text, cell, coeff=None):
     """Delete the record of cell (n, i, j), or set its coeff."""
     head = '{"n":%d,"i":%d,"j":%d,' % cell
@@ -497,16 +523,33 @@ def test_cache_hit_is_served_without_a_parse(tmp_path, capsys, monkeypatch,
     assert out == want
 
 
-def test_cache_verifier_builds_one_row_past_the_match(tmp_path, capsys,
-                                                      monkeypatch):
+STRAY = '{"n":100000,"i":0,"j":0,"coeff":"1"}\n'
+
+
+@pytest.mark.parametrize(
+    "file_rows, tail, max_n, rows, warning, taken_rows",
+    [
+        # row 6 is built to find the stray record; the rebuild stops at row 5
+        (5, STRAY, (), 5, "corrupted (row 6 differs", [6]),
+        # the six rows that match are kept, and rows 7 .. 10 follow them
+        (6, "", ("--max-n", "10"), 10, "rebuild: file has 6 rows, 10 requested",
+         [10]),
+        (None, "", (), 12, "missing; rebuilding", [12]),
+    ],
+    ids=["stray-record", "short-file", "missing-file"],
+)
+def test_cache_verifier_builds_one_row_past_the_match(
+        tmp_path, capsys, monkeypatch, file_rows, tail, max_n, rows, warning,
+        taken_rows):
     from ellipta import elliptic as el
 
     cache_dir = str(tmp_path)
-    run(capsys, "cache", "write", "--target", "gamma", "--max-n", "5",
-        "--cache-dir", cache_dir)
     path = tmp_path / "gamma.jsonl"
-    good = path.read_text()
-    path.write_text(good + '{"n":100000,"i":0,"j":0,"coeff":"1"}\n')
+    _, want, _ = run(capsys, "compute", "gamma", "--max-n", str(rows))
+    if file_rows:
+        run(capsys, "cache", "write", "--target", "gamma", "--max-n",
+            str(file_rows), "--cache-dir", cache_dir)
+        path.write_text(path.read_text() + tail)
     real = el._stencil_rows
     taken = []  # rows taken from each generator the read starts
 
@@ -518,13 +561,12 @@ def test_cache_verifier_builds_one_row_past_the_match(tmp_path, capsys,
             yield item
 
     monkeypatch.setattr(el, "_stencil_rows", counting)
-    code, out, err = run(capsys, "cache", "read", "--target", "gamma",
+    code, out, err = run(capsys, "cache", "read", "--target", "gamma", *max_n,
                          "--cache-dir", cache_dir)
-    assert code == 0 and "corrupted (row 6 differs" in err
-    assert out == good and path.read_text() == good
-    verifier, *rebuild = taken
-    assert verifier <= 6
-    assert rebuild == [5]
+    assert code == 0 and warning in err
+    assert out == want and path.read_text() == want
+    # one row stream, and no row of it built twice
+    assert taken == taken_rows
 
 
 def test_cache_theta_file_is_gamma_under_corollary_15(tmp_path, capsys):
@@ -573,27 +615,39 @@ class _DigestSink:
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_cache_hit_holds_one_row(tmp_path, capsys, monkeypatch, fmt):
+def test_cache_hit_holds_one_row(tmp_path, capsys, fmt):
     import hashlib
     import tracemalloc
 
     cache_dir = str(tmp_path)
-    run(capsys, "cache", "write", "--target", "s", "--max-n", "100",
-        "--cache-dir", cache_dir)
-    size = (tmp_path / "s.jsonl").stat().st_size
+    path = tmp_path / "s.jsonl"
     _, want, _ = run(capsys, "compute", "s", "--max-n", "100", "--format", fmt)
-    sink = _DigestSink()
-    monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        code = main(["cache", "read", "--target", "s", "--max-n", "100",
-                     "--format", fmt, "--cache-dir", cache_dir])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and capsys.readouterr().err == ""
-    assert sink.digest.digest() == hashlib.sha256(want.encode("ascii")).digest()
-    assert peak <= size // 3
+    # a hit of 100 rows, then a short file of 90 rows, beside a stale
+    # temporary file, whose rebuild copies the 90 rows kept
+    for file_rows, warning in (
+            (100, ""), (90, "warning: rebuild: file has 90 rows, 100 requested\n")):
+        run(capsys, "cache", "write", "--target", "s", "--max-n", str(file_rows),
+            "--cache-dir", cache_dir)
+        if file_rows == 100:
+            good = path.read_text()
+        stale = tmp_path / f"s.jsonl.{os.getpid()}.tmp"
+        stale.write_text("stale\n")
+        sink = _DigestSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["cache", "read", "--target", "s", "--max-n", "100",
+                             "--format", fmt, "--cache-dir", cache_dir])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().err == warning
+        assert sink.digest.digest() == hashlib.sha256(want.encode("ascii")).digest()
+        # the kept rows, two thirds of the file, were not held either
+        assert peak <= len(good) // 3
+        # a rebuild replaces the stale file; it does not append to it
+        assert path.read_text() == good
+        stale.unlink(missing_ok=True)
 
 
 def test_cache_short_file_rebuilds_to_requested_rows(tmp_path, capsys):

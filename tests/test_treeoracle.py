@@ -12,6 +12,7 @@ from ellipta.treeoracle import (
     CapExceededError,
     MatchingMismatchError,
     StatisticsDefectError,
+    children_table,
     cpk_stats,
     g1_distribution,
     g2_distribution,
@@ -379,6 +380,7 @@ NOT_TREES = [(0, 2), (0, 0, 3), (2,), (-1,), (0, 1, 1, 5)]
 
 # each public tree function, called on parent tuples alone
 PUBLIC_TREE_CALLS = {
+    "children_table": children_table,
     "tree_matching": tree_matching,
     "tree_stats": tree_stats,
     "pair_parities": pair_parities,

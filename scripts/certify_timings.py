@@ -5,9 +5,10 @@ certificates hold.
 Usage: python scripts/certify_timings.py [n]
 
 n defaults to 80, the size of `verify thm1` and `verify thm2` in the
-certify benchmark, which makes the sizes j_viennot(161),
-gamma_odd_lines(161) and j_even_decompositions(79). The script exits 1
-unless suite_thm1(n) and suite_thm2(n) pass.
+certify benchmark, which makes the sizes j_fraction(161) (the J's the
+certificates are checked against), gamma_odd_lines(161) and
+j_even_decompositions(79). The script exits 1 unless suite_thm1(n) and
+suite_thm2(n) pass.
 """
 
 import sys
@@ -29,7 +30,7 @@ def timed(label, fn, *args):
 
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 80
-    timed(f"j_viennot({2 * n + 1})", el.j_viennot, 2 * n + 1)
+    timed(f"j_fraction({2 * n + 1})", el.j_fraction, 2 * n + 1)
     lines = timed(f"gamma_odd_lines({2 * n + 1})", el.gamma_odd_lines, 2 * n + 1)
     timed(f"j_even_decompositions({n - 1})", el.j_even_decompositions, n - 1, lines)
     failed = [

@@ -40,7 +40,7 @@ def invocations():
     for target, flag, n, route in COMPUTE:
         for fmt in FORMATS:
             yield ["compute", target, flag, n, "--route", route, "--format", fmt]
-    for route in ("operator", "recurrence", "viennot", "series"):
+    for route in ("operator", "recurrence", "viennot", "series", "fraction"):
         yield ["compute", "j", "--n", "120", "--route", route]
     yield ["compute", "j", "--n", "120"]  # the default route
     for fmt in ("csv", "text"):

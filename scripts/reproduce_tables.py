@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print the classical coefficient tables this package reproduces: J_1..J_8
-by all four routes, the cycle-peak polynomials P_1..P_6, the reduced
+by every route, the cycle-peak polynomials P_1..P_6, the reduced
 polynomials t_1..t_7, and the two-part certificate of J_8."""
 
 import sys

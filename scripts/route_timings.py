@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the four J routes side by side and confirm they agree.
+"""Time every J route side by side and confirm they agree.
 
 Usage: python scripts/route_timings.py [max_n]
 

@@ -317,13 +317,34 @@ def _cache_dir(args, parser) -> str:
 
 
 def _row_run(path: str) -> int:
-    """The unbroken run of rows 1 .. k in a cache file, or 0 when it does
-    not parse."""
-    try:
+    """The unbroken run of rows 1 .. k in a cache file, or 0 when a record
+    does not parse or an (n, i, j) key repeats. Records are read one at a
+    time: while the keys ascend, as every writer leaves them, only row
+    numbers are held; a key out of order starts a second pass that holds
+    every key, to find a repeated one."""
+
+    def keys():
         with open(path, encoding="ascii", newline="") as fh:
-            return el.triangle_row_run(el.triangle_from_jsonl(fh.read()))
+            lines = (line for chunk in fh for line in chunk.splitlines())
+            for _, n, (i, j), _ in el.jsonl_records(lines):
+                yield n, i, j
+
+    try:
+        rows, last = set(), None
+        for key in keys():
+            if last is not None and key <= last:
+                seen = set()
+                for again in keys():
+                    if again in seen:
+                        return 0
+                    seen.add(again)
+                rows = {n for n, _, _ in seen}
+                break
+            rows.add(key[0])
+            last = key
     except ValueError:
         return 0
+    return next(k for k in count(1) if k not in rows) - 1
 
 
 def _read_rows(path: str, target: str, fmt: str, want):

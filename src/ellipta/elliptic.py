@@ -2,7 +2,7 @@
 
 J_n(x) is the sign-stripped, factorial-normalized coefficient of u^n in the
 expansion of sn(u,k) (odd n) or cn(u,k) (even n), as a polynomial in the
-modulus square x = k^2; J_0 = 1 by convention. Four independent routes
+modulus square x = k^2; J_0 = 1 by convention. Five independent routes
 compute the same sequence:
 
   operator    read slices of the triangle s_{n,i,j} extracted from iterates
@@ -13,7 +13,10 @@ compute the same sequence:
   viennot     binomial convolution of earlier J's with their reversals;
   series      integrate the defining differential system for sn, cn, dn as
               truncated exponential series: binomial convolutions, no
-              division.
+              division;
+  fraction    weighted Dyck and Motzkin paths read off the continued
+              fractions of cn and sn: no product of two polynomials (the
+              reference of the theorem certificates).
 
 The module also builds the gamma and t triangles with their entrywise and
 polynomial recurrences, peels gamma rows directly out of P_n, constructs the
@@ -369,6 +372,54 @@ def j_viennot(n_max: int) -> JSequence:
     return JSequence("viennot", tuple(js))
 
 
+def _path_sums(steps: int, down: list, level: list | None) -> list:
+    """Weighted lattice paths from height 0, as dense coefficient lists:
+    entry s sums the paths of s steps that end at height 0. An up step
+    weighs 1, a down step from height h weighs c x^e for (c, e) = down[h],
+    and, when ``level`` is given, a level step at height h weighs
+    level[h] (1 + x). After step s only heights h <= min(s, steps - s) are
+    kept: a path any higher cannot come down by the last step."""
+    at = [[1]]  # at[h]: the paths of s steps that end at height h
+    ends = [at[0]]
+    for s in range(1, steps + 1):
+        top = min(s, steps - s)
+        new = [[] for _ in range(top + 1)]
+        for h, f in enumerate(at):
+            if not f:
+                continue
+            if h < top:
+                uni_addmul_into(new[h + 1], f)
+            if h:
+                uni_addmul_into(new[h - 1], f, *down[h])
+            if level is not None and h <= top:
+                uni_addmul_into(new[h], f, level[h])
+                uni_addmul_into(new[h], f, level[h], 1)
+        at = new
+        ends.append(at[0])
+    return ends
+
+
+def j_fraction(n_max: int) -> JSequence:
+    """J_n as weighted lattice paths, read off the Stieltjes-Rogers
+    continued fractions of cn and sn (Flajolet, Discrete Math. 32, 1980).
+    J_{2m} sums the Dyck paths of length 2m, a down step from height h
+    weighing h^2, times x for even h; J_{2m+1} sums the Motzkin paths of
+    length m, a level step at h weighing (2h+1)^2 (1 + x) and a down step
+    from h weighing (2h-1)(2h)^2(2h+1) x. Every weight is an integer times
+    1, x or 1 + x, so no two polynomials are multiplied."""
+    half, odd_steps = n_max // 2, (n_max - 1) // 2
+    dyck = _path_sums(2 * half, [(h * h, 1 - h % 2) for h in range(half + 1)], None)
+    motzkin = _path_sums(
+        odd_steps,
+        [((2 * h - 1) * (2 * h) ** 2 * (2 * h + 1), 1) for h in range(odd_steps + 1)],
+        [(2 * h + 1) ** 2 for h in range(odd_steps + 1)],
+    )
+    js = [UNI_ONE]
+    for n in range(1, n_max + 1):
+        js.append(uni(motzkin[n // 2] if n % 2 else dyck[n]))
+    return JSequence("fraction", tuple(js))
+
+
 # ---------------------------------------------------------------------------
 # the series route
 
@@ -505,6 +556,7 @@ J_ROUTES = {
     "recurrence": j_recurrence,
     "viennot": j_viennot,
     "series": j_series,
+    "fraction": j_fraction,
 }
 J_DEFAULT_ROUTE = "recurrence"  # the route of `j_sequence` and `compute j|decompose`
 
@@ -901,11 +953,13 @@ def triangle_to_jsonl(tri: Triangle) -> str:
     return "".join([format_row(n, tri.rows[n], "json") for n in sorted(tri.rows)])
 
 
-def triangle_from_jsonl(text: str) -> Triangle:
+def jsonl_records(lines):
+    """(line number, n, (i, j), c) for each record of JSON-lines text given
+    line by line, as `str.splitlines` splits it; blank lines are skipped and
+    a line that is not a record raises ValueError."""
     import json
 
-    rows: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -915,6 +969,12 @@ def triangle_from_jsonl(text: str) -> Triangle:
             val = int(obj["coeff"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"bad triangle record on line {lineno}") from exc
+        yield lineno, n, ij, val
+
+
+def triangle_from_jsonl(text: str) -> Triangle:
+    rows: dict = {}
+    for lineno, n, ij, val in jsonl_records(text.splitlines()):
         row = rows.setdefault(n, {})
         if ij in row:
             raise ValueError(

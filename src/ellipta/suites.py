@@ -50,9 +50,11 @@ class SuiteInputs:
         self._lines = (0, None)  # (n_max, gamma_odd_lines(n_max))
 
     def js(self, n_max: int) -> el.JSequence:
-        """J_0 .. J_n_max (or further) by the Viennot convolutions."""
+        """J_0 .. J_n_max (or further) by the continued-fraction paths,
+        which share no code with the gamma stencil or the bi-gamma chain
+        that build the certificates checked against them."""
         if self._js is None or len(self._js) <= n_max:
-            self._js = el.j_viennot(n_max)
+            self._js = el.j_fraction(n_max)
         return self._js
 
     def gamma_lines(self, n_max: int) -> el.Triangle:
@@ -79,7 +81,7 @@ def _compare_rows(n: int, got: dict, ref: dict, got_name: str, ref_name: str):
 
 
 def suite_routes(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
-    """All four J routes agree coefficient for coefficient."""
+    """All J routes agree coefficient for coefficient."""
     checks = []
     seqs = []
     for route in el.J_ROUTES:
@@ -92,12 +94,12 @@ def suite_routes(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
         seqs.append(seq)
     mismatch = el.first_route_mismatch(seqs)
     if mismatch is None:
-        checks.append(Check("four-route agreement", True))
+        checks.append(Check("route agreement", True))
     else:
         n, e, vals = mismatch
         checks.append(
             Check(
-                "four-route agreement",
+                "route agreement",
                 False,
                 f"J_{n} coefficient of x^{e}: {vals}",
             )
@@ -121,8 +123,9 @@ def suite_dumont(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
 def suite_viennot_symmetry(
     max_n: int, inputs: SuiteInputs | None = None
 ) -> SuiteResult:
-    """Odd-index J's are symmetric about their degree."""
-    js = (inputs or SuiteInputs()).js(2 * max_n + 1)
+    """Odd-index J's built by the Viennot convolutions are symmetric about
+    their degree."""
+    js = el.j_viennot(2 * max_n + 1)
     checks = []
     for n in range(max_n + 1):
         f = js[2 * n + 1]
@@ -323,7 +326,7 @@ def suite_closure(
 
 
 # Every suite takes (max_n, inputs); `inputs` is the run's SuiteInputs,
-# read by viennot-symmetry, thm1 and thm2.
+# read by thm1 and thm2.
 SUITES = {
     "routes": suite_routes,
     "dumont": suite_dumont,
@@ -358,8 +361,8 @@ SEEDED_SUITES = ("closure",)
 
 # `verify all` runs these suites in a process made with os.fork while the
 # caller runs the others. The two groups take about equal time in process
-# (scripts/suite_timings.py prints both sums). viennot-symmetry, thm1 and
-# thm2 stay in one process, so J_0 .. J_121 are built once.
+# (scripts/suite_timings.py prints both sums). thm1 and thm2 stay in one
+# process, so they share one build of J_0 .. J_121 and of the gamma lines.
 FORKED_SUITES = ("routes", "dumont", "lemma5", "theorem13", "corollary15", "closure")
 
 

@@ -31,7 +31,8 @@ def test_compute_j_zero(capsys):
     assert out == "1\n"
 
 
-@pytest.mark.parametrize("route", ["operator", "recurrence", "viennot", "series", None])
+@pytest.mark.parametrize("route", ["operator", "recurrence", "viennot", "series",
+                                   "fraction", None])
 def test_compute_j_routes_agree(capsys, route):
     route_args = () if route is None else ("--route", route)  # None: the default
     code, out, _ = run(capsys, "compute", "j", "--n", "7", *route_args,
@@ -596,6 +597,81 @@ def test_cache_corrupt_read_serves_every_matched_row(tmp_path, capsys):
     assert code == 0
     assert "corrupted (row 6 differs from the reference); rebuilding" in err
     assert out == five and path.read_text() == five
+
+
+def _move_row_to_end(text, n):
+    lines = text.splitlines(keepends=True)
+    row = [line for line in lines if json.loads(line)["n"] == n]
+    return "".join([line for line in lines if line not in row] + row)
+
+
+@pytest.mark.parametrize("edit, run_", [
+    (lambda text: text, 6),
+    (lambda text: text[:-5], 0),  # cut inside the last record
+    (lambda text: "", 0),
+    # row 4 gone: rows 5 and 6 are strays past the gap
+    (lambda text: "".join(line for line in text.splitlines(keepends=True)
+                          if json.loads(line)["n"] != 4), 3),
+    (lambda text: text.replace("\n", "\nnot json\n", 1), 0),
+    (lambda text: text.replace("\n", "\n\n  \n", 1), 6),  # blank lines
+    (lambda text: text.replace("\n", "\r\n"), 6),
+    (lambda text: text.replace("\n", "\r"), 6),
+    (lambda text: text.replace("\n", "\x0b", 1), 6),  # a line break to splitlines
+    (lambda text: text + text.splitlines(keepends=True)[2], 0),  # duplicate key
+    (lambda text: text.replace("\n", "\n" + text.splitlines()[0] + "\n", 1), 0),
+    # row 1 again after row 6, with a new key and with a repeated one
+    (lambda text: text + '{"n":1,"i":5,"j":5,"coeff":"1"}\n', 6),
+    (lambda text: _move_row_to_end(text, 1), 6),
+    (lambda text: _move_row_to_end(text, 1) + '{"n":1,"i":0,"j":0,"coeff":"1"}\n', 0),
+    (lambda text: text.replace('"coeff":"4"', '"coeff":"\xe9"', 1), 0),
+], ids=["whole", "cut-inside-a-record", "empty", "stray-rows-after-a-gap",
+        "unparseable-line", "blank-lines", "crlf", "cr", "vertical-tab",
+        "duplicate-key-at-end", "duplicate-key-in-order", "row-1-again",
+        "row-1-moved-to-the-end", "row-1-again-with-a-repeated-key", "non-ascii"])
+def test_row_run_reads_one_record_at_a_time_as_the_whole_parse_did(
+        tmp_path, capsys, edit, run_):
+    from ellipta import cli
+    from ellipta import elliptic as el
+
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "6",
+        "--cache-dir", str(tmp_path))
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(edit(path.read_text()).encode("latin-1"))
+    try:
+        whole = el.triangle_row_run(el.triangle_from_jsonl(
+            path.read_bytes().decode("ascii")))
+    except ValueError:
+        whole = 0
+    assert cli._row_run(str(path)) == whole == run_
+
+
+def test_corrupt_cache_read_holds_one_row(tmp_path, capsys):
+    # with no --max-n, the rebuild size is the file's run of rows 1 .. 100,
+    # counted without holding the file or its parse
+    import hashlib
+    import tracemalloc
+
+    cache_dir = str(tmp_path)
+    path = tmp_path / "s.jsonl"
+    _, want, _ = run(capsys, "compute", "s", "--max-n", "100")
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "100",
+        "--cache-dir", cache_dir)
+    good = path.read_text()
+    path.write_text(_edit_record(good, (60, 0, 0), 3))
+    sink = _DigestSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["cache", "read", "--target", "s", "--cache-dir", cache_dir])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().err == (f"warning: cache file {path} corrupted "
+                                       "(row 60 differs from the reference); rebuilding\n")
+    assert sink.digest.digest() == hashlib.sha256(want.encode("ascii")).digest()
+    assert peak <= len(good) // 3
+    assert path.read_text() == good
 
 
 class _DigestSink:

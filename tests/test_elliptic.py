@@ -197,7 +197,8 @@ def test_p_poly_counts_all_permutations(s_rec):
 # J routes
 
 
-@pytest.mark.parametrize("route", ["operator", "recurrence", "viennot", "series"])
+@pytest.mark.parametrize("route", ["operator", "recurrence", "viennot", "series",
+                                   "fraction"])
 def test_j_known_values_each_route(route):
     seq = el.j_sequence(8, route)
     for n, coeffs in J_KNOWN.items():
@@ -223,6 +224,14 @@ def test_j_viennot_small_convolutions():
     assert js[3] == (1, 1)
     assert js[8] == J_KNOWN[8]
     assert js[2] == UNI_ONE
+
+
+def test_j_fraction_equals_viennot_through_60_and_at_the_smallest_n():
+    assert el.j_fraction(60).polys == el.j_viennot(60).polys
+    # n_max 0 runs no Motzkin path program, n_max 1 a Dyck one of no step
+    assert el.j_fraction(0).polys == (UNI_ONE,)
+    assert el.j_fraction(1).polys == (UNI_ONE, UNI_ONE)
+    assert el.j_fraction(2).polys == (UNI_ONE, UNI_ONE, UNI_ONE)
 
 
 def test_route_agreement_through_24(s_rec, s_op):
@@ -305,6 +314,22 @@ def test_j_viennot_shares_no_code_with_the_gamma_chain_or_stencil():
     # the probe sees both when they run, generators included
     assert el._stencil_rows.__code__ in _ellipta_calls(el.j_sequence, 12, "recurrence")
     assert el._bi_gamma_chain.__code__ in _ellipta_calls(el.j_even_decompositions, 3)
+
+
+def test_j_fraction_shares_no_code_with_the_gamma_chain_or_stencil():
+    # the fraction route is the reference that thm1 and thm2 check the
+    # certificates against
+    calls = _ellipta_calls(el.j_sequence, 12, "fraction")
+    # a comprehension is its own code object; it counts as its function
+    names = {_call_name(c).split(".<locals>.")[0] for c in calls}
+    assert {f for f in names if f.startswith("elliptic.")} == {
+        "elliptic.j_sequence",
+        "elliptic.j_fraction",
+        "elliptic._path_sums",
+        "elliptic.JSequence.__init__",
+    }
+    assert el._bi_gamma_chain.__code__ not in calls
+    assert el._stencil_rows.__code__ not in calls
 
 
 def test_first_route_mismatch_reports_smallest_index():
@@ -429,7 +454,7 @@ def test_recurrence_route_reads_lines_without_building_p(monkeypatch):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("route", ["recurrence", "operator"])
+@pytest.mark.parametrize("route", ["recurrence", "operator", "fraction"])
 def test_route_at_400_in_bounded_memory(route):
     # every row of s to 400, kept at once, took 1034 MiB of RSS (Linux,
     # where ru_maxrss is in KiB)

@@ -67,9 +67,10 @@ def test_routes_suite_names_the_first_disagreeing_coefficient(monkeypatch):
     (result,) = suites.run_suite("routes", max_n=6)
     failed = [c for c in result.checks if not c.ok]
     assert [(c.label, c.detail) for c in failed] == [(
-        "four-route agreement",
+        "route agreement",
         "J_5 coefficient of x^1: "
-        "{'operator': 14, 'recurrence': 14, 'viennot': 14, 'series': 15}",
+        "{'operator': 14, 'recurrence': 14, 'viennot': 14, 'series': 15, "
+        "'fraction': 14}",
     )]
 
 
@@ -113,13 +114,13 @@ def test_thm2_builds_no_j_it_does_not_read(monkeypatch, max_n, largest):
     from ellipta import elliptic as el
 
     asked = []
-    real = el.j_viennot
+    real = el.j_fraction
 
     def recording(n_max):
         asked.append(n_max)
         return real(n_max)
 
-    monkeypatch.setattr(el, "j_viennot", recording)
+    monkeypatch.setattr(el, "j_fraction", recording)
     (result,) = suites.run_suite("thm2", max_n=max_n)
     assert result.ok
     assert asked == [largest]
@@ -158,16 +159,19 @@ def _recording_to_file(monkeypatch, name, path):
 
 
 def test_run_all_builds_each_shared_input_once(monkeypatch, tmp_path):
-    # viennot-symmetry asks for J_0 .. J_121 first and thm1 and thm2 read
-    # that build; the routes suite reaches j_viennot through J_ROUTES, which
-    # the patch does not touch. Only corollary15 builds full gamma rows.
-    js_asked = _recording_to_file(monkeypatch, "j_viennot", tmp_path / "js")
+    # thm1 asks for J_0 .. J_121 first and thm2 reads that build;
+    # viennot-symmetry builds its own Viennot J's. The routes suite reaches
+    # both routes through J_ROUTES, which the patches do not touch. Only
+    # corollary15 builds full gamma rows.
+    js_asked = _recording_to_file(monkeypatch, "j_fraction", tmp_path / "js")
+    viennot_asked = _recording_to_file(monkeypatch, "j_viennot", tmp_path / "viennot")
     gamma_asked = _recording_to_file(
         monkeypatch, "gamma_triangle_recurrence", tmp_path / "gamma"
     )
     results = suites.run_suite("all")
     assert all(r.ok for r in results)
     assert js_asked() == [121]
+    assert viennot_asked() == [121]
     assert gamma_asked() == [8]
 
 
@@ -248,7 +252,7 @@ def test_a_failure_here_kills_the_forked_group(fake_suites, how):
 
 
 def test_shared_inputs_do_not_outlive_a_run(monkeypatch):
-    js_asked = _recording(monkeypatch, "j_viennot")
+    js_asked = _recording(monkeypatch, "j_fraction")
     lines_asked = _recording(monkeypatch, "gamma_odd_lines")
     for _ in range(2):
         (result,) = suites.run_suite("thm1", max_n=3)
@@ -258,13 +262,26 @@ def test_shared_inputs_do_not_outlive_a_run(monkeypatch):
 
 
 def test_suite_inputs_rebuild_only_for_a_larger_n(monkeypatch):
-    js_asked = _recording(monkeypatch, "j_viennot")
+    js_asked = _recording(monkeypatch, "j_fraction")
     lines_asked = _recording(monkeypatch, "gamma_odd_lines")
     inputs = suites.SuiteInputs()
     for n in (5, 3, 9, 9):
         assert len(inputs.js(n)) > n
         assert max(inputs.gamma_lines(n).rows) >= n - 1
     assert js_asked == lines_asked == [5, 9]
+
+
+@pytest.mark.parametrize("name", ["thm1", "thm2"])
+def test_certificate_suites_build_no_viennot_j(monkeypatch, name):
+    # thm1 and thm2 check their certificates against the fraction route
+    from ellipta import elliptic as el
+
+    def built(n_max):
+        raise AssertionError("Viennot J's built by a certificate suite")
+
+    monkeypatch.setattr(el, "j_viennot", built)
+    (result,) = suites.run_suite(name, max_n=6)
+    assert result.ok
 
 
 def test_suite_inputs_serve_a_smaller_ask_with_the_same_lines():

@@ -46,9 +46,9 @@ def main():
         for label, ok in (
             ("g2_distribution vs G2 (Lemma 5)",
              g2 == gc.iterate(gc.G2, gc.G2.seed("x"), n)),
-            ("s_from_trees vs s", s.row(n) == s_tri.row(n)),
+            ("s_from_trees vs s", s == s_tri[n]),
             ("theta_table vs gamma",
-             to.gamma_row_from_theta(n, theta.row(n)) == gamma_row),
+             to.gamma_row_from_theta(n, theta) == gamma_row),
             ("p_bruteforce vs s", p == el.p_poly(n + 1, s_tri)),
             ("suite_lemma9", lemma9.ok),
         )

@@ -16,7 +16,7 @@ def main():
     print("J_n by route")
     seqs = {route: el.j_sequence(8, route) for route in el.J_ROUTES}
     for n in range(1, 9):
-        values = {uni_to_text(seq[n]) for seq in seqs.values()}
+        values = {uni_to_text(js[n]) for js in seqs.values()}
         assert len(values) == 1, f"route disagreement at J_{n}"
         print(f"  J_{n} = {values.pop()}")
 

@@ -18,13 +18,12 @@ from ellipta import elliptic as el
 
 def main():
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 120
-    seqs = []
+    seqs = {}
     for route in el.J_ROUTES:
         t0 = perf_counter()
-        seq = el.j_sequence(max_n, route)
+        seqs[route] = js = el.j_sequence(max_n, route)
         elapsed = perf_counter() - t0
-        el.validate_j_sequence(seq)
-        seqs.append(seq)
+        el.validate_j_sequence(route, js)
         print(f"{route:>10}: {elapsed * 1000:8.1f} ms")
     mismatch = el.first_route_mismatch(seqs)
     if mismatch:

@@ -6,8 +6,9 @@ Usage: python scripts/suite_timings.py [max_n]
 Each suite runs at min(its default range, max_n); with no max_n, at its
 default range, as `verify all` runs it. `verify all` runs the suites of
 `suites.FORKED_SUITES` in a forked process and the rest in the caller, so
-the script prints each suite's group and the sum of each group: the two
-sums should be about equal. The suites of one group share one SuiteInputs,
+the script prints each suite's group and the sum of each group, the
+wall time of `verify all` being about the larger sum. The suites of one
+group share one SuiteInputs,
 as they do in `verify all`. The script exits 1 unless every suite passes.
 """
 

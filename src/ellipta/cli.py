@@ -47,20 +47,20 @@ def _enumerated(row_of):
 def _gamma_rows_operator():
     """Gamma rows peeled out of P_n, row n of the operator's s triangle."""
     for n, row in el.s_rows_operator():
-        yield n, el.gamma_from_p(n, el.p_poly(n, el.Triangle({n: row}))).row(n)
+        yield n, el.gamma_from_p(n, el.p_poly(n, {n: row}))
 
 
 # (target, route) -> source(first, cap), an endless (n, row) iterator from `first`
 ROW_SOURCES = {
     ("s", "operator"): _stream(el.s_rows_operator),
     ("s", "recurrence"): _stream(el.s_rows_recurrence),
-    ("s", "trees"): _enumerated(lambda n, cap: to.s_from_trees(n, cap=cap).row(n)),
+    ("s", "trees"): _enumerated(lambda n, cap: to.s_from_trees(n, cap=cap)),
     ("gamma", "recurrence"): _stream(el.gamma_rows_recurrence),
     ("gamma", "operator"): _stream(_gamma_rows_operator),
     ("gamma", "trees"): _enumerated(
-        lambda n, cap: to.gamma_row_from_theta(n, to.theta_table(n, cap=cap).row(n))
+        lambda n, cap: to.gamma_row_from_theta(n, to.theta_table(n, cap=cap))
     ),
-    ("theta", "trees"): _enumerated(lambda n, cap: to.theta_table(n, cap=cap).row(n)),
+    ("theta", "trees"): _enumerated(lambda n, cap: to.theta_table(n, cap=cap)),
 }
 # The route of each triangle target when none is named
 DEFAULT_ROUTES = {"s": "recurrence", "gamma": "recurrence", "theta": "trees"}
@@ -245,7 +245,7 @@ def _cmd_compute(args, parser) -> int:
         _emit_unipoly(el.j_sequence(args.n, args.route)[args.n], fmt)
     elif args.target == "p":
         n, row = next(ROW_SOURCES["s", args.route](args.n, None))
-        _emit_multipoly(el.p_poly(n, el.Triangle({n: row})), fmt)
+        _emit_multipoly(el.p_poly(n, {n: row}), fmt)
     elif args.target == "t":
         _emit_multipoly(el.t_poly(args.n, args.route), fmt)
     elif args.target == "decompose":

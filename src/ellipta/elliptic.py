@@ -77,45 +77,14 @@ class RouteDisagreementError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the row-indexed triangle type
+# triangles: a triangle is a dict {n: {(i, j): c}} of rows; rows are shared,
+# not copied, so callers must not mutate them
 
 
-class Triangle:
-    """A number triangle held row by row: ``rows`` maps n to that row's
-    ``{(i, j): c}`` dict, so reading one row never scans the others.
-
-    ``len`` is the number of entries; an empty row reads as absent, also
-    in ``==``. Rows are shared, not copied: callers must not mutate them.
-    ``triangle_entries`` walks the entries in serialization order.
-    """
-
-    __slots__ = ("rows", "_size")
-
-    def __init__(self, rows: dict):
-        self.rows = rows
-        self._size = sum(len(r) for r in rows.values())
-
-    def row(self, n: int) -> dict:
-        """Row n as ``{(i, j): c}``; a missing row reads as empty."""
-        return self.rows.get(n, {})
-
-    def __len__(self):
-        return self._size
-
-    def __eq__(self, other):
-        if not isinstance(other, Triangle):
-            return NotImplemented
-        return _nonempty_rows(self) == _nonempty_rows(other)
-
-
-def _nonempty_rows(tri: Triangle) -> dict:
-    return {n: r for n, r in tri.rows.items() if r}
-
-
-def triangle_entries(tri: Triangle):
+def triangle_entries(tri: dict):
     """Every entry as (n, i, j, c), sorted by (n, i, j)."""
-    for n in sorted(tri.rows):
-        row = tri.rows[n]
+    for n in sorted(tri):
+        row = tri[n]
         for ij in sorted(row):
             yield (n, *ij, row[ij])
 
@@ -223,11 +192,11 @@ def _stencil_rows(bounds_of, weight_of, scale: int, _depth_of=None):
         }
 
 
-def _collect_rows(rows, n_max: int) -> Triangle:
-    """Rows 1 .. n_max of a row generator, as a Triangle."""
+def _collect_rows(rows, n_max: int) -> dict:
+    """Rows 1 .. n_max of a row generator, as a triangle."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return Triangle(dict(islice(rows, n_max)))
+    return dict(islice(rows, n_max))
 
 
 def s_rows_operator():
@@ -262,73 +231,58 @@ def s_rows_recurrence():
     return _stencil_rows(_s_bounds, lambda n: (n + 1, 2, 2), 1)
 
 
-def s_triangle_operator(n_max: int) -> Triangle:
+def s_triangle_operator(n_max: int) -> dict:
     """Rows 1 .. n_max of s read off the operator iterates."""
     return _collect_rows(s_rows_operator(), n_max)
 
 
-def s_triangle_recurrence(n_max: int) -> Triangle:
+def s_triangle_recurrence(n_max: int) -> dict:
     """Rows 1 .. n_max of s by Dumont's entrywise recurrence."""
     return _collect_rows(s_rows_recurrence(), n_max)
 
 
-def s_poly(n: int, triangle: Triangle) -> MultiPoly:
+def s_poly(n: int, triangle: dict) -> MultiPoly:
     """The homogeneous three-variable polynomial of total degree n // 2 whose
     coefficients are row n of the triangle."""
     half = n // 2
     return MultiPoly(
         S_VARS,
-        {(i, j, half - i - j): c for (i, j), c in triangle.row(n).items()},
+        {(i, j, half - i - j): c for (i, j), c in triangle.get(n, {}).items()},
     )
 
 
-def p_poly(n: int, triangle: Triangle) -> MultiPoly:
+def p_poly(n: int, triangle: dict) -> MultiPoly:
     """The cycle-peak polynomial P_n, the r -> 1 specialization of s_poly."""
-    return MultiPoly(P_VARS, triangle.row(n))
+    return MultiPoly(P_VARS, triangle.get(n, {}))
 
 
 # ---------------------------------------------------------------------------
-# J routes
+# J routes: each returns the tuple (J_0, ..., J_n_max) of UniPolys
 
 
-@dataclass(frozen=True)
-class JSequence:
-    """J_0 .. J_n as UniPolys, tagged with the route that produced them."""
-
-    route: str
-    polys: tuple
-
-    def __getitem__(self, n: int) -> UniPoly:
-        return self.polys[n]
-
-    def __len__(self):
-        return len(self.polys)
-
-
-def validate_j_sequence(seq: JSequence):
-    """Degree (n-1)//2 and nonnegative coefficients, for every n >= 1."""
-    if seq.polys[0] != UNI_ONE:
-        raise ValueError(f"route {seq.route}: J_0 must be 1")
-    for n, f in enumerate(seq.polys):
-        if n == 0:
-            continue
+def validate_j_sequence(route: str, js: tuple):
+    """Degree (n-1)//2 and nonnegative coefficients, for every n >= 1;
+    ``route`` names the sequence in the error."""
+    if js[0] != UNI_ONE:
+        raise ValueError(f"route {route}: J_0 must be 1")
+    for n, f in enumerate(js[1:], start=1):
         if len(f) - 1 != (n - 1) // 2:
             raise ValueError(
-                f"route {seq.route}: deg J_{n} is {len(f) - 1}, "
+                f"route {route}: deg J_{n} is {len(f) - 1}, "
                 f"expected {(n - 1) // 2}"
             )
         if any(c < 0 for c in f):
-            raise ValueError(f"route {seq.route}: negative coefficient in J_{n}")
+            raise ValueError(f"route {route}: negative coefficient in J_{n}")
 
 
-def j_from_p(n: int, triangle: Triangle) -> UniPoly:
+def j_from_p(n: int, triangle: dict) -> UniPoly:
     """J_n as P_n(x, 0) (even n) or P_n(0, x) (odd n): the j = 0 or i = 0
     line of row n. The same line of row n - 1 (P_0 = 1) must agree."""
     if n == 0:
         return UNI_ONE
     cells = [(k, 0) if n % 2 == 0 else (0, k) for k in range(n // 2 + 1)]
-    a = uni(triangle.row(n).get(ij, 0) for ij in cells)
-    b = UNI_ONE if n == 1 else uni(triangle.row(n - 1).get(ij, 0) for ij in cells)
+    a = uni(triangle.get(n, {}).get(ij, 0) for ij in cells)
+    b = UNI_ONE if n == 1 else uni(triangle.get(n - 1, {}).get(ij, 0) for ij in cells)
     if a != b:
         raise RouteDisagreementError(
             f"rows {n} and {n - 1} specialize differently for J_{n}"
@@ -336,26 +290,26 @@ def j_from_p(n: int, triangle: Triangle) -> UniPoly:
     return a
 
 
-def j_operator(n_max: int) -> JSequence:
+def j_operator(n_max: int) -> tuple:
     """J_n as the j = 0 (even n) or i = 0 (odd n) line of each s row."""
     js = [UNI_ONE]
     for n, row in islice(s_rows_operator(), n_max):
         line = ((k, 0) if n % 2 == 0 else (0, k) for k in range(n // 2 + 1))
         js.append(uni(row.get(ij, 0) for ij in line))
-    return JSequence("operator", tuple(js))
+    return tuple(js)
 
 
-def j_recurrence(n_max: int) -> JSequence:
+def j_recurrence(n_max: int) -> tuple:
     """J_n from rows n - 1 and n of s, the only two rows kept."""
     js = [UNI_ONE]
     prev: dict = {}
     for n, row in islice(s_rows_recurrence(), n_max):
-        js.append(j_from_p(n, Triangle({n - 1: prev, n: row})))
+        js.append(j_from_p(n, {n - 1: prev, n: row}))
         prev = row
-    return JSequence("recurrence", tuple(js))
+    return tuple(js)
 
 
-def j_viennot(n_max: int) -> JSequence:
+def j_viennot(n_max: int) -> tuple:
     """Binomial convolutions building each J from earlier ones and the
     reversals x^i J_{2i}(1/x)."""
     js = [UNI_ONE]
@@ -369,7 +323,7 @@ def j_viennot(n_max: int) -> JSequence:
         js.append(uni(acc))
         if n % 2 == 0:
             revs.append(uni_reverse(js[n], n // 2))
-    return JSequence("viennot", tuple(js))
+    return tuple(js)
 
 
 def _path_sums(steps: int, down: list, level: list | None) -> list:
@@ -399,7 +353,7 @@ def _path_sums(steps: int, down: list, level: list | None) -> list:
     return ends
 
 
-def j_fraction(n_max: int) -> JSequence:
+def j_fraction(n_max: int) -> tuple:
     """J_n as weighted lattice paths, read off the Stieltjes-Rogers
     continued fractions of cn and sn (Flajolet, Discrete Math. 32, 1980).
     J_{2m} sums the Dyck paths of length 2m, a down step from height h
@@ -417,7 +371,7 @@ def j_fraction(n_max: int) -> JSequence:
     js = [UNI_ONE]
     for n in range(1, n_max + 1):
         js.append(uni(motzkin[n // 2] if n % 2 else dyck[n]))
-    return JSequence("fraction", tuple(js))
+    return tuple(js)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +441,7 @@ def elliptic_series(order: int) -> EllipticSeries:
     return EllipticSeries(order=order, scale=scale, sn=sn, cn=cn, dn=dn)
 
 
-def j_series(n_max: int) -> JSequence:
+def j_series(n_max: int) -> tuple:
     """Read J_n off the exponential coefficients of the integrated series:
     strip the sign (-1)^(n//2), and cross-check the dn expansion against the
     reversal of the even J's."""
@@ -510,7 +464,7 @@ def j_series(n_max: int) -> JSequence:
             raise SeriesIntegrationError(
                 f"dn coefficient at u^{2 * k} is not the reversal of J_{2 * k}"
             )
-    return JSequence("series", tuple(js))
+    return tuple(js)
 
 
 @dataclass(frozen=True)
@@ -561,7 +515,7 @@ J_ROUTES = {
 J_DEFAULT_ROUTE = "recurrence"  # the route of `j_sequence` and `compute j|decompose`
 
 
-def j_sequence(n_max: int, route: str = J_DEFAULT_ROUTE) -> JSequence:
+def j_sequence(n_max: int, route: str = J_DEFAULT_ROUTE) -> tuple:
     if route not in J_ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if n_max < 0:
@@ -569,17 +523,16 @@ def j_sequence(n_max: int, route: str = J_DEFAULT_ROUTE) -> JSequence:
     return J_ROUTES[route](n_max)
 
 
-def first_route_mismatch(seqs):
-    """First (n, exponent, {route: coefficient}) where the sequences differ,
-    or None when they agree everywhere."""
-    n_max = min(len(s.polys) for s in seqs) - 1
+def first_route_mismatch(seqs: dict):
+    """First (n, exponent, {route: coefficient}) where the J sequences of
+    ``seqs`` ({route: js}) differ, or None when they agree everywhere."""
+    n_max = min(len(js) for js in seqs.values()) - 1
     for n in range(n_max + 1):
-        polys = [s.polys[n] for s in seqs]
-        width = max((len(f) for f in polys), default=0)
+        width = max((len(js[n]) for js in seqs.values()), default=0)
         for e in range(width):
             vals = {
-                s.route: (s.polys[n][e] if e < len(s.polys[n]) else 0)
-                for s in seqs
+                route: (js[n][e] if e < len(js[n]) else 0)
+                for route, js in seqs.items()
             }
             if len(set(vals.values())) > 1:
                 return n, e, vals
@@ -590,7 +543,7 @@ def first_route_mismatch(seqs):
 # gamma and t triangles
 
 
-def _gamma_bounds(n: int) -> tuple:
+def gamma_bounds(n: int) -> tuple:
     """Row n of gamma and t holds the cells 0 <= i <= (n - 1) // 2, 0 <= j,
     i + 2j <= n // 2, that is j <= (n - 2i) // 4."""
     return (n - 1) // 2, n // 2, 2
@@ -602,7 +555,7 @@ def _gamma_like_rows(scale: int, depth_of=None):
     scale^(i+j), and row 2 reducing to the seed 1. ``depth_of`` cuts the
     rows as in `_stencil_rows`."""
     rows = _stencil_rows(
-        _gamma_bounds,
+        gamma_bounds,
         lambda n: (scale * (n // 2 + 1), scale, 2 * scale),
         scale,
         depth_of,
@@ -625,18 +578,18 @@ def t_rows_recurrence():
     return _gamma_like_rows(1)
 
 
-def gamma_triangle_recurrence(n_max: int) -> Triangle:
+def gamma_triangle_recurrence(n_max: int) -> dict:
     return _collect_rows(gamma_rows_recurrence(), n_max)
 
 
-def t_triangle_recurrence(n_max: int) -> Triangle:
+def t_triangle_recurrence(n_max: int) -> dict:
     return _collect_rows(t_rows_recurrence(), n_max)
 
 
-def gamma_equals_scaled_t(gamma_tri: Triangle, t_tri: Triangle, n_max: int):
+def gamma_equals_scaled_t(gamma_tri: dict, t_tri: dict, n_max: int):
     """First discrepancy (n, i, j) between gamma and 4^(i+j) t, or None."""
-    for n in sorted(n for n in set(gamma_tri.rows) | set(t_tri.rows) if n <= n_max):
-        g, t = gamma_tri.row(n), t_tri.row(n)
+    for n in sorted(n for n in set(gamma_tri) | set(t_tri) if n <= n_max):
+        g, t = gamma_tri.get(n, {}), t_tri.get(n, {})
         for i, j in sorted(set(g) | set(t)):
             if g.get((i, j), 0) != 4 ** (i + j) * t.get((i, j), 0):
                 return (n, i, j)
@@ -675,8 +628,8 @@ def t_polys_recurrence(n_max: int) -> list:
     return out
 
 
-def t_poly_from_triangle(t_tri: Triangle, n: int) -> MultiPoly:
-    return MultiPoly(T_VARS, t_tri.row(n))
+def t_poly_from_triangle(t_tri: dict, n: int) -> MultiPoly:
+    return MultiPoly(T_VARS, t_tri.get(n, {}))
 
 
 def t_poly(n: int, route: str = "recurrence") -> MultiPoly:
@@ -693,7 +646,7 @@ def t_poly(n: int, route: str = "recurrence") -> MultiPoly:
     raise ValueError(f"unknown t route {route!r}")
 
 
-def gamma_from_p(n: int, pn: MultiPoly) -> Triangle:
+def gamma_from_p(n: int, pn: MultiPoly) -> dict:
     """Peel row n of the gamma triangle out of P_n: for every power i of p
     the q-coefficient polynomial must be symmetric about n//2 - i, and its
     gamma vector gives the j line. Every peeled entry must pass the gamma
@@ -712,12 +665,12 @@ def gamma_from_p(n: int, pn: MultiPoly) -> Triangle:
             ) from exc
         for j, g in enumerate(gv.gammas):
             if g:
-                _check_entry(n, i, j, g, _gamma_bounds(n), 4)
+                _check_entry(n, i, j, g, gamma_bounds(n), 4)
                 row[(i, j)] = g
-    return Triangle({n: row})
+    return row
 
 
-def gamma_operator_expansion(gamma_tri: Triangle, n: int) -> MultiPoly:
+def gamma_operator_expansion(gamma_tri: dict, n: int) -> MultiPoly:
     """Reassemble the operator iterate over {x, a, b, c} from gamma row n:
     x (even n) or c (odd n) times the sum of gamma * x^2i c^2j (a+b)^rest."""
     vs = G1.variables
@@ -726,7 +679,7 @@ def gamma_operator_expansion(gamma_tri: Triangle, n: int) -> MultiPoly:
     pow_cache = {}
     acc = MultiPoly.zero(vs)
     x_off, c_off = (1, 0) if n % 2 == 0 else (0, 1)
-    for (i, j), g in gamma_tri.row(n).items():
+    for (i, j), g in gamma_tri.get(n, {}).items():
         k = half - i - 2 * j
         if k not in pow_cache:
             pow_cache[k] = apb**k
@@ -739,7 +692,7 @@ def gamma_operator_expansion(gamma_tri: Triangle, n: int) -> MultiPoly:
 # gamma certificates for J
 
 
-def gamma_odd_lines(n_max: int) -> Triangle:
+def gamma_odd_lines(n_max: int) -> dict:
     """Rows 1, 3, ..., n_max of gamma, each cut to its i = 0 line: every
     entry the J certificates read.
 
@@ -751,15 +704,15 @@ def gamma_odd_lines(n_max: int) -> Triangle:
         raise ValueError("n_max must be at least 1")
     top = n_max - 1 + n_max % 2
     rows = islice(_gamma_like_rows(4, lambda n: (top - n) // 2), top)
-    return Triangle(
-        {n: {ij: c for ij, c in row.items() if ij[0] == 0} for n, row in rows if n % 2}
-    )
+    return {
+        n: {ij: c for ij, c in row.items() if ij[0] == 0} for n, row in rows if n % 2
+    }
 
 
-def j_odd_gamma(n: int, gamma_tri: Triangle) -> GammaVector:
+def j_odd_gamma(n: int, gamma_tri: dict) -> GammaVector:
     """Gamma vector of J_{2n+1} (center n), read from the i = 0 line of the
     gamma triangle row 2n+1 (a whole triangle or `gamma_odd_lines`)."""
-    row = gamma_tri.row(2 * n + 1)
+    row = gamma_tri.get(2 * n + 1)
     if not row:  # row 2n+1 of gamma is never empty
         raise ValueError(f"the gamma triangle has no row {2 * n + 1}")
     return GammaVector(n, tuple(row.get((0, j), 0) for j in range(n // 2 + 1)))
@@ -809,7 +762,7 @@ class EvenDecomposition:
         return self.decomposition.source()
 
 
-def j_even_decompositions(m_max: int, gamma_tri: Triangle | None = None) -> list:
+def j_even_decompositions(m_max: int, gamma_tri: dict | None = None) -> list:
     """Certificates for J_2, J_4, ..., J_{2m_max+2}: the bi-gamma chain
     seeded with the odd J's gamma vectors, J_{2m+2} weighting
     J_{2m+1-2i} by C(2m+1, 2i). ``gamma_tri`` defaults to
@@ -829,7 +782,7 @@ def j_even_decompositions(m_max: int, gamma_tri: Triangle | None = None) -> list
 
 
 def j_even_decomposition(
-    m: int, gamma_tri: Triangle | None = None
+    m: int, gamma_tri: dict | None = None
 ) -> EvenDecomposition:
     return j_even_decompositions(m, gamma_tri)[m]
 
@@ -949,8 +902,8 @@ def format_row(n: int, row: dict, fmt: str) -> str:
     return "".join([line % (n, i, j, row[i, j]) for i, j in sorted(row)])
 
 
-def triangle_to_jsonl(tri: Triangle) -> str:
-    return "".join([format_row(n, tri.rows[n], "json") for n in sorted(tri.rows)])
+def triangle_to_jsonl(tri: dict) -> str:
+    return "".join([format_row(n, tri[n], "json") for n in sorted(tri)])
 
 
 def jsonl_records(lines):
@@ -972,7 +925,7 @@ def jsonl_records(lines):
         yield lineno, n, ij, val
 
 
-def triangle_from_jsonl(text: str) -> Triangle:
+def triangle_from_jsonl(text: str) -> dict:
     rows: dict = {}
     for lineno, n, ij, val in jsonl_records(text.splitlines()):
         row = rows.setdefault(n, {})
@@ -981,38 +934,28 @@ def triangle_from_jsonl(text: str) -> Triangle:
                 f"duplicate triangle key {(n, *ij)} on line {lineno}"
             )
         row[ij] = val
-    return Triangle(rows)
+    return rows
 
 
-def triangle_to_csv(tri: Triangle) -> str:
-    return CSV_HEADER + "".join(
-        [format_row(n, tri.rows[n], "csv") for n in sorted(tri.rows)]
-    )
+def triangle_to_csv(tri: dict) -> str:
+    return CSV_HEADER + "".join([format_row(n, tri[n], "csv") for n in sorted(tri)])
 
 
-def triangle_row_run(tri: Triangle) -> int:
-    """The largest k with rows 1 .. k all nonempty, or 0 when row 1 is
-    empty; a stray row past a gap does not count."""
-    k = 0
-    while tri.row(k + 1):
-        k += 1
-    return k
-
-
-def validate_row_range(tri: Triangle):
-    """The nonempty rows must be exactly 1 .. n_max, for some n_max >= 1."""
-    present = sorted(_nonempty_rows(tri))
+def validate_row_range(tri: dict):
+    """The nonempty rows must be exactly 1 .. n_max, for some n_max >= 1; an
+    empty row reads as absent."""
+    present = sorted(n for n, row in tri.items() if row)
     if not present:
         raise ValueError("empty triangle")
     if present != list(range(1, present[-1] + 1)):
         raise ValueError(f"rows are not exactly 1 .. {present[-1]}")
 
 
-def validate_s_triangle(tri: Triangle):
+def validate_s_triangle(tri: dict):
     """Rows must be exactly 1 .. n_max, nonnegative, inside support, and
     sum to n factorial."""
     validate_row_range(tri)
-    for n, row in tri.rows.items():
+    for n, row in tri.items():
         bounds = _s_bounds(n)
         for (i, j), c in row.items():
             _check_entry(n, i, j, c, bounds, 1)
@@ -1020,20 +963,20 @@ def validate_s_triangle(tri: Triangle):
             raise ValueError(f"row {n} does not sum to {n}!")
 
 
-def validate_gamma_triangle(tri: Triangle, scale: int = 4):
+def validate_gamma_triangle(tri: dict, scale: int = 4):
     """Rows must be exactly 1 .. n_max, nonnegative, inside the gamma
     support, and divisible by scale^(i+j): 4 for gamma, 1 for t."""
     validate_row_range(tri)
-    for n, row in tri.rows.items():
-        bounds = _gamma_bounds(n)
+    for n, row in tri.items():
+        bounds = gamma_bounds(n)
         for (i, j), c in row.items():
             _check_entry(n, i, j, c, bounds, scale)
 
 
-def validate_theta_table(tri: Triangle):
+def validate_theta_table(tri: dict):
     """Orbit sizes force every present row n to satisfy
     sum of theta * 2^j = n factorial."""
-    for n, row in tri.rows.items():
+    for n, row in tri.items():
         total = 0
         for (i, j), c in row.items():
             if c < 0 or i < 0 or j < 0:

@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elliptic import Triangle, _gamma_bounds
+from .elliptic import gamma_bounds
 from .exactpoly import MultiPoly
 
 DEFAULT_PERM_CAP = 9
@@ -292,16 +292,16 @@ def g1_distribution(n: int, cap: int = DEFAULT_TREE_CAP) -> MultiPoly:
     return MultiPoly(G1_VARS, dict(counts))
 
 
-def theta_table(n: int, cap: int = DEFAULT_TREE_CAP) -> Triangle:
+def theta_table(n: int, cap: int = DEFAULT_TREE_CAP) -> dict:
     """Row n of theta: (evenp, des_o) -> #trees with no odd ascent pair."""
 
     def key(st):
         return None if st.asc_o else (st.evenp, st.des_o)
 
-    return Triangle({n: dict(sorted(_fold_trees(n, key, cap).items()))})
+    return dict(sorted(_fold_trees(n, key, cap).items()))
 
 
-def s_from_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> Triangle:
+def s_from_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> dict:
     """Row n of the s triangle read off tree statistics: the singleton count
     s carries i = s // 2 and w = evenp + 2*des_o carries j = w // 2; s has
     the parity opposite to n's, and w the parity of n."""
@@ -315,14 +315,14 @@ def s_from_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> Triangle:
             )
         return st.singleton // 2, w // 2
 
-    return Triangle({n: dict(sorted(_fold_trees(n, key, cap).items()))})
+    return dict(sorted(_fold_trees(n, key, cap).items()))
 
 
 def _corollary15_cells(n: int) -> dict:
     """Corollary 15's index change on row n, gamma(n, i, j) =
     theta(n, 2j + r, n//2 - i - 2j) with r = n mod 2: each cell of the gamma
-    support (`elliptic._gamma_bounds`) mapped to its theta cell."""
-    i_max, half, step = _gamma_bounds(n)
+    support (`elliptic.gamma_bounds`) mapped to its theta cell."""
+    i_max, half, step = gamma_bounds(n)
     return {
         (i, j): (2 * j + n % 2, half - i - 2 * j)
         for i in range(i_max + 1)

@@ -102,12 +102,12 @@ def test_criterion_03_worked_decomposition_of_j8():
 
 def test_criterion_04_four_route_agreement_to_24():
     with criterion(4, 30.0, "four-route agreement for n <= 24"):
-        seqs = [
-            el.j_sequence(24, route)
+        seqs = {
+            route: el.j_sequence(24, route)
             for route in ("operator", "recurrence", "viennot", "series")
-        ]
-        for seq in seqs:
-            el.validate_j_sequence(seq)
+        }
+        for route, js in seqs.items():
+            el.validate_j_sequence(route, js)
         assert el.first_route_mismatch(seqs) is None
 
 
@@ -118,7 +118,7 @@ def test_criterion_05_combinatorial_oracles():
             assert to.p_bruteforce(n) == el.p_poly(n, tri), f"P_{n}"
         for n in range(1, 9):
             row = to.s_from_trees(n)
-            assert row == el.Triangle({n: tri.row(n)}), f"s row {n}"
+            assert row == tri[n], f"s row {n}"
 
 
 def test_criterion_06_tree_distribution_and_theta_identities():
@@ -130,19 +130,19 @@ def test_criterion_06_tree_distribution_and_theta_identities():
             assert to.g2_distribution(n) == gc.iterate(gc.G2, gc.G2.seed("x"), n)
         for n in range(1, 9):
             theta = to.theta_table(n)
-            el.validate_theta_table(theta)
+            el.validate_theta_table({n: theta})
             acc = MultiPoly.zero(vs)
-            for (i, j), c in theta.row(n).items():
+            for (i, j), c in theta.items():
                 acc = acc + MultiPoly.monomial(
                     vs, (n + 1 - 2 * (i + j), 0, 0, i), c
                 ) * apb**j
             assert acc == gc.iterate(gc.G1, gc.G1.seed("x"), n)
             half = n // 2
-            for (i, j), g in gtri.row(n).items():
+            for (i, j), g in gtri[n].items():
                 if n % 2 == 0:
-                    assert theta.row(n)[(2 * j, half - i - 2 * j)] == g
+                    assert theta[(2 * j, half - i - 2 * j)] == g
                 else:
-                    assert theta.row(n)[(2 * j + 1, half - i - 2 * j)] == g
+                    assert theta[(2 * j + 1, half - i - 2 * j)] == g
 
 
 def test_criterion_07_theorem_certificates_to_60():
@@ -171,11 +171,9 @@ def test_criterion_08_consistency_triad():
         assert el.gamma_equals_scaled_t(gtri, ttri, 40) is None
         s16 = el.s_triangle_recurrence(16)
         for n in range(1, 17):
-            assert el.gamma_from_p(n, el.p_poly(n, s16)) == el.Triangle(
-                {n: gtri.row(n)}
-            )
+            assert el.gamma_from_p(n, el.p_poly(n, s16)) == gtri[n]
         for n in range(1, 13):
-            row_sum = sum(s16.row(n).values())
+            row_sum = sum(s16[n].values())
             assert row_sum == math.factorial(n)
             assert el.p_poly(n, s16).substitute({"p": 1, "q": 1}) == (
                 math.factorial(n),

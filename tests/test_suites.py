@@ -59,9 +59,9 @@ def test_routes_suite_names_the_first_disagreeing_coefficient(monkeypatch):
     from ellipta import elliptic as el
 
     def series(n_max):
-        polys = list(el.j_series(n_max).polys)
-        polys[5] = (1, 15, 1)  # J_5 is 1 + 14x + x^2
-        return el.JSequence("series", tuple(polys))
+        js = list(el.j_series(n_max))
+        js[5] = (1, 15, 1)  # J_5 is 1 + 14x + x^2
+        return tuple(js)
 
     monkeypatch.setitem(el.J_ROUTES, "series", series)
     (result,) = suites.run_suite("routes", max_n=6)
@@ -81,19 +81,18 @@ def test_routes_suite_names_the_first_disagreeing_coefficient(monkeypatch):
 ])
 def test_theorem13_suite_names_the_first_differing_cell(monkeypatch, changed,
                                                         missing, detail):
-    from ellipta import elliptic as el
     from ellipta import treeoracle as to
 
     real = to.s_from_trees
 
     def s_from_trees(n, cap=to.DEFAULT_TREE_CAP):
-        tri = real(n, cap)
+        row = real(n, cap)
         if n != 4:
-            return tri
-        row = dict(tri.row(4))
+            return row
+        row = dict(row)
         row[changed] += 1
         del row[missing]
-        return el.Triangle({4: row})
+        return row
 
     monkeypatch.setattr(to, "s_from_trees", s_from_trees)
     (result,) = suites.run_suite("theorem13", max_n=5)
@@ -267,7 +266,7 @@ def test_suite_inputs_rebuild_only_for_a_larger_n(monkeypatch):
     inputs = suites.SuiteInputs()
     for n in (5, 3, 9, 9):
         assert len(inputs.js(n)) > n
-        assert max(inputs.gamma_lines(n).rows) >= n - 1
+        assert max(inputs.gamma_lines(n)) >= n - 1
     assert js_asked == lines_asked == [5, 9]
 
 
@@ -293,7 +292,7 @@ def test_suite_inputs_serve_a_smaller_ask_with_the_same_lines():
     big = inputs.gamma_lines(81)
     assert inputs.gamma_lines(21) is big
     small = el.gamma_odd_lines(21)
-    assert {n: big.row(n) for n in small.rows} == small.rows
+    assert {n: big[n] for n in small} == small
     assert el.j_even_decompositions(10, big) == el.j_even_decompositions(10, small)
     for name in ("thm1", "thm2"):
         assert suites.SUITES[name](10, inputs).ok
@@ -320,18 +319,23 @@ def test_certificate_suites_hold_lines_not_the_gamma_triangle(name, max_n, budge
     assert peak < budget_mib * 1024 * 1024
 
 
-def test_suites_read_no_private_name_of_another_module():
-    # suites drives the other modules through their public functions only
-    source = Path(suites.__file__).read_text()
+def _private_reads(source: str):
+    """The modules that `source` imports as `from . import m`, and each of
+    its reads of another `ellipta` module's private name: `from .m import _x`
+    and `m._x`."""
     tree = ast.parse(source)
-    modules = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+    relative = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+    modules = {a.asname or a.name for n in relative if not n.module for a in n.names}
+    reads = [
+        f"from .{node.module} import {alias.name} (line {node.lineno})"
+        for node in relative
+        if node.module
         for alias in node.names
-    }
-    assert {"el", "gk", "gc", "to"} <= modules
-    private = [
+        if alias.name.startswith("_")
+    ] + [
         f"{node.value.id}.{node.attr} (line {node.lineno})"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
@@ -339,4 +343,27 @@ def test_suites_read_no_private_name_of_another_module():
         and node.value.id in modules
         and node.attr.startswith("_")
     ]
+    return modules, reads
+
+
+def test_suites_read_no_private_name_of_another_module():
+    # suites drives the other modules through their public functions only
+    modules, private = _private_reads(Path(suites.__file__).read_text())
+    assert {"el", "gk", "gc", "to"} <= modules
     assert not private, private
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # the probe sees both forms of a read
+    _, reads = _private_reads(
+        "from . import elliptic as el\n"
+        "from .elliptic import _s_bounds, gamma_bounds\n"
+        "el._stencil_rows\n"
+    )
+    assert reads == ["from .elliptic import _s_bounds (line 2)",
+                     "el._stencil_rows (line 3)"]
+    package = Path(suites.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert {p.stem for p in sources} >= {"cli", "elliptic", "suites", "treeoracle"}
+    private = {p.stem: _private_reads(p.read_text())[1] for p in sources}
+    assert not {m: r for m, r in private.items() if r}, private

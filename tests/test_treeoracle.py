@@ -225,21 +225,20 @@ def test_distributions_match_iterates():
 
 
 def test_theta_examples():
-    assert theta_table(3) == el.Triangle({3: {(1, 0): 4, (1, 1): 1}})
-    assert theta_table(1) == el.Triangle({1: {(1, 0): 1}})
+    assert theta_table(3) == {(1, 0): 4, (1, 1): 1}
+    assert theta_table(1) == {(1, 0): 1}
 
 
 def test_theta_cross_checks_gamma_triangle():
     gtri = el.gamma_triangle_recurrence(8)
     theta5 = theta_table(5)
-    assert isinstance(theta5, el.Triangle) and list(theta5.rows) == [5]
-    for (i, j), g in gtri.row(5).items():
-        assert theta5.row(5)[(2 * j + 1, 2 - i - 2 * j)] == g
-    assert gamma_row_from_theta(5, theta5.row(5)) == gtri.row(5)
-    theta8 = theta_table(8).row(8)
-    assert gamma_row_from_theta(8, theta8) == gtri.row(8)
-    assert theta_row_from_gamma(8, gtri.row(8)) == theta8
-    for n, g in gtri.rows.items():
+    for (i, j), g in gtri[5].items():
+        assert theta5[(2 * j + 1, 2 - i - 2 * j)] == g
+    assert gamma_row_from_theta(5, theta5) == gtri[5]
+    theta8 = theta_table(8)
+    assert gamma_row_from_theta(8, theta8) == gtri[8]
+    assert theta_row_from_gamma(8, gtri[8]) == theta8
+    for n, g in gtri.items():
         assert gamma_row_from_theta(n, theta_row_from_gamma(n, g)) == g
     # gamma cell (1, 1) of row 4 has i + 2j = 3 > 4 // 2
     with pytest.raises(ValueError):
@@ -248,7 +247,7 @@ def test_theta_cross_checks_gamma_triangle():
 
 def test_corollary15_maps_round_trip_every_gamma_row():
     gtri = el.gamma_triangle_recurrence(40)
-    for n, g in gtri.rows.items():
+    for n, g in gtri.items():
         theta = theta_row_from_gamma(n, g)
         assert len(theta) == len(g), n
         assert gamma_row_from_theta(n, theta) == g, n
@@ -267,13 +266,11 @@ def test_corollary15_maps_reject_cells_outside_the_gamma_support():
 def test_s_from_trees_matches_triangle():
     tri = el.s_triangle_recurrence(6)
     for n in range(1, 7):
-        row = s_from_trees(n)
-        assert isinstance(row, el.Triangle) and list(row.rows) == [n]
-        assert row.row(n) == tri.row(n)
+        assert s_from_trees(n) == tri[n]
 
 
 def test_gamma_row_from_theta_rejects_stray_cells(monkeypatch):
-    good = theta_table(4).row(4)
+    good = theta_table(4)
     # row 4 needs even i; (1, 0) has the wrong parity
     with pytest.raises(StatisticsDefectError):
         gamma_row_from_theta(4, {**good, (1, 0): 1})
@@ -284,10 +281,10 @@ def test_gamma_row_from_theta_rejects_stray_cells(monkeypatch):
     real = treeoracle.theta_table
 
     def planted(n, cap=treeoracle.DEFAULT_TREE_CAP):
-        tri = real(n, cap)
+        row = real(n, cap)
         if n != 3:
-            return tri
-        return el.Triangle({3: {**tri.row(3), (0, 0): 1}})
+            return row
+        return {**row, (0, 0): 1}
 
     monkeypatch.setattr(treeoracle, "theta_table", planted)
     result = suites.suite_corollary15(4)

@@ -18,7 +18,7 @@ import json
 import os
 import random
 import sys
-from itertools import chain, count, islice
+from itertools import count, islice
 
 from . import elliptic as el
 from . import gammakit as gk
@@ -73,7 +73,8 @@ def _theta_rows_from_gamma():
 
 
 # The row source of each cache file, an endless (n, row) generator from row 1
-# on: a file is served only if it is byte for byte rows 1 .. k of its source
+# on: a file is served only if it is byte for byte rows 1 .. k of its source,
+# which a read checks by its key (`_serve_keyed`) or else by a compare
 CACHE_ROWS = {
     "s": el.s_rows_recurrence,
     "gamma": el.gamma_rows_recurrence,
@@ -81,6 +82,10 @@ CACHE_ROWS = {
     "theta": _theta_rows_from_gamma,
 }
 CACHE_TARGETS = tuple(CACHE_ROWS)
+# A cache file's key, a user extended attribute set by its writer: the code
+# key, the sha256 of the file's bytes and its row count, space separated
+CACHE_KEY_ATTR = "user.ellipta.key"
+CACHE_BLOCK = 1 << 16  # the bytes a keyed read hashes or serves at a time
 
 
 def _warn(msg: str):
@@ -347,12 +352,78 @@ def _row_run(path: str) -> int:
     return next(k for k in count(1) if k not in rows) - 1
 
 
+def _code_key() -> str:
+    """The sha256 of this package's source: every *.py file, by name."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                source = fh.read()
+            digest.update(b"%s %d\n" % (os.fsencode(name), len(source)) + source)
+    return digest.hexdigest()
+
+
+def _serve_keyed(path: str, fmt: str, want) -> bool:
+    """Serve the cache file at path in format fmt, building no row, if its
+    key vouches for it: the key parses, names this code, counts at least
+    `want` rows, and its digest is the sha256 of the bytes read now. Hashes,
+    then serves, block by block from one descriptor; json goes out as it
+    stands, csv and text by swapping the literal pieces of the json row
+    format for theirs. Returns False, having written nothing, for any other
+    file."""
+    import hashlib
+
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return False
+    with fh:
+        try:
+            key = os.getxattr(fh.fileno(), CACHE_KEY_ATTR).decode("ascii")
+            code, digest, rows = key.split(" ")
+            if code != _code_key() or int(rows) < (want or 0):
+                return False
+        except (AttributeError, OSError, ValueError):  # no key, or no xattrs
+            return False
+        sha = hashlib.sha256()
+        while block := fh.read(CACHE_BLOCK):
+            sha.update(block)
+        if sha.hexdigest() != digest:
+            return False
+        fh.seek(0)
+        rest = b""
+        while block := fh.read(CACHE_BLOCK):
+            block = rest + block
+            cut = block.rfind(b"\n") + 1  # whole records only
+            text, rest = block[:cut].decode("ascii"), block[cut:]
+            if text and fmt != "json":
+                text = _json_records_as(fmt, text)
+            sys.stdout.write(text)
+    return True
+
+
+def _json_records_as(fmt: str, text: str) -> str:
+    """Whole records of the json row format, rewritten in format fmt: each
+    literal piece of the json format is swapped for fmt's, the last piece of
+    a record and the first of the next as one."""
+    old, new = el.ROW_FORMATS["json"].split("%d"), el.ROW_FORMATS[fmt].split("%d")
+    text = text[len(old[0]):-len(old[-1])]
+    for piece, swap in [(old[-1] + old[0], new[-1] + new[0]),
+                        *zip(old[1:-1], new[1:-1])]:
+        text = text.replace(piece, swap)
+    return new[0] + text + new[-1]
+
+
 def _read_rows(path: str, target: str, fmt: str, want):
     """Serve the cache file at path while its rows are, byte for byte, the
     rows of its source, holding only the row being compared. Yields nothing
-    if the file is whole and long enough; else warns why and yields its
-    replacement from the same row stream: the matched bytes, copied from the
-    file, then the rows from the first one not served, serving each."""
+    if the file is whole and long enough; else warns why and yields the row
+    count of its replacement, then the replacement from the same row stream:
+    the matched bytes, copied from the file, then the rows from the first one
+    not served, serving each."""
     served = kept = size = last = 0  # last: the replacement's last row, if any
     try:
         fh = open(path, encoding="ascii", newline="")
@@ -360,6 +431,7 @@ def _read_rows(path: str, target: str, fmt: str, want):
     except FileNotFoundError:  # rebuilt from row 1 on; nothing is compared
         _warn(f"cache file {path} missing; rebuilding")
         fh, last = io.StringIO(), want or CACHE_DEFAULT_ROWS[target]
+        yield last
     with fh:
         for n, row in CACHE_ROWS[target]():
             chunk = el.format_row(n, row, "json")
@@ -382,6 +454,7 @@ def _read_rows(path: str, target: str, fmt: str, want):
                         return
                     _warn(f"rebuild: file has {served} rows, {want} requested")
                 last = max(served, want or CACHE_DEFAULT_ROWS[target])
+                yield last
                 for at in range(0, kept, 1 << 16):  # the rows that matched
                     yield os.pread(fh.fileno(), min(1 << 16, kept - at), at).decode()
             if served < n <= last:
@@ -391,19 +464,32 @@ def _read_rows(path: str, target: str, fmt: str, want):
                 return
 
 
-def _write_atomic(path: str, chunks) -> int:
-    """Replace path with the text chunks in one step: write them one by one
-    to a temporary file in the same directory, then rename it over path, so
-    a reader never sees a partial file and a failed write leaves the old one
-    intact. Returns the number of lines written."""
+def _write_atomic(path: str, chunks, rows: int) -> int:
+    """Replace path with the text chunks, rows 1 .. rows of a cache file, in
+    one step: write them one by one to a temporary file in the same
+    directory, set its key (CACHE_KEY_ATTR) from the bytes written, then
+    rename it over path, so a reader never sees a partial file or a key of
+    other bytes, and a failed write leaves the old one intact. Returns the
+    number of lines written."""
+    import hashlib
+
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
-    lines = 0
+    digest = hashlib.sha256()
     try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-                lines += chunk.count("\n")
+        with open(tmp, "wb") as fh:
+            def put(chunk: str) -> int:
+                data = chunk.encode("ascii")
+                fh.write(data)
+                digest.update(data)
+                return data.count(b"\n")
+
+            lines = sum(map(put, chunks))  # no chunk is held while the next is made
+            key = f"{_code_key()} {digest.hexdigest()} {rows}"
+            try:
+                os.setxattr(fh.fileno(), CACHE_KEY_ATTR, key.encode("ascii"))
+            except (AttributeError, OSError):  # no xattrs: reads compare the file
+                pass
         os.replace(tmp, path)
         return lines
     except BaseException:
@@ -427,22 +513,26 @@ def _cmd_cache(args, parser) -> int:
 
     path = os.path.join(directory, f"{args.target}.jsonl")
     if args.action == "write":
-        rows = islice(CACHE_ROWS[args.target](), args.max_n or
-                      CACHE_DEFAULT_ROWS[args.target])
+        last = args.max_n or CACHE_DEFAULT_ROWS[args.target]
+        rows = islice(CACHE_ROWS[args.target](), last)
         records = _write_atomic(
-            path, (el.format_row(n, row, "json") for n, row in rows)
+            path, (el.format_row(n, row, "json") for n, row in rows), last
         )
         print(f"wrote {records} records to {path}")
         return 0
 
-    # read: serve the rows that match; a missing, short or differing file is
-    # replaced from the same row stream, which serves the rows not served yet
+    # read: a keyed file is served as it stands; any other is compared with
+    # its row source, serving the rows that match, and a missing, short or
+    # differing file is replaced from the same row stream, which serves the
+    # rows not served yet
     if args.format == "csv":
         sys.stdout.write(el.CSV_HEADER)
+    if _serve_keyed(path, args.format, args.max_n):
+        return 0
     chunks = _read_rows(path, args.target, args.format, args.max_n)
-    first = next(chunks, None)
-    if first is not None:  # the file is not served whole
-        _write_atomic(path, chain((first,), chunks))
+    last = next(chunks, None)
+    if last is not None:  # the file is not served whole
+        _write_atomic(path, chunks, last)
     return 0
 
 

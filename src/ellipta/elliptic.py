@@ -9,14 +9,14 @@ compute the same sequence:
               of the product-rule derivative operator on {x, y, z};
   recurrence  build the same triangle from Dumont's entrywise recurrence and
               read J_n = P_n(x, 0) or P_n(0, x) off one line of rows n
-              and n - 1, requiring agreement (the default route);
+              and n - 1, requiring agreement;
   viennot     binomial convolution of earlier J's with their reversals;
   series      integrate the defining differential system for sn, cn, dn as
               truncated exponential series: binomial convolutions, no
               division;
   fraction    weighted Dyck and Motzkin paths read off the continued
               fractions of cn and sn: no product of two polynomials (the
-              reference of the theorem certificates).
+              default route, and the reference of the theorem certificates).
 
 The module also builds the gamma and t triangles with their entrywise and
 polynomial recurrences, peels gamma rows directly out of P_n, constructs the
@@ -512,7 +512,7 @@ J_ROUTES = {
     "series": j_series,
     "fraction": j_fraction,
 }
-J_DEFAULT_ROUTE = "recurrence"  # the route of `j_sequence` and `compute j|decompose`
+J_DEFAULT_ROUTE = "fraction"  # the route of `j_sequence` and `compute j|decompose`
 
 
 def j_sequence(n_max: int, route: str = J_DEFAULT_ROUTE) -> tuple:

@@ -1,9 +1,10 @@
 import contextlib
+import errno
 import json
 import os
 import subprocess
 import sys
-from itertools import count
+from itertools import count, islice
 from pathlib import Path
 
 import pytest
@@ -793,6 +794,143 @@ def test_cache_write_failing_after_some_rows_keeps_previous_file(
     assert files_at_failure[1].endswith(".tmp")
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
+
+
+@pytest.fixture
+def keyed_dir(tmp_path):
+    """tmp_path, where a cache file can carry its key: skips unless the
+    file system keeps user extended attributes."""
+    probe = tmp_path / "probe"
+    probe.write_bytes(b"")
+    try:
+        os.setxattr(probe, "user.ellipta.probe", b"1")
+    except (AttributeError, OSError) as exc:
+        pytest.skip(f"no user extended attributes on {tmp_path}: {exc}")
+    finally:
+        probe.unlink()
+    return tmp_path
+
+
+def _rows_built(monkeypatch, target):
+    """The row numbers that cache actions take from target's row source."""
+    from ellipta import cli
+
+    real, built = cli.CACHE_ROWS[target], []
+
+    def counting():
+        for n, row in real():
+            built.append(n)
+            yield n, row
+
+    monkeypatch.setitem(cli.CACHE_ROWS, target, counting)
+    return built
+
+
+@pytest.mark.parametrize("target", ["s", "gamma", "t", "theta"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_cache_hit_builds_no_row(keyed_dir, capsys, monkeypatch, target, fmt):
+    from ellipta import cli
+    from ellipta import elliptic as el
+
+    cache_dir = str(keyed_dir)
+    run(capsys, "cache", "write", "--target", target, "--max-n", "9",
+        "--cache-dir", cache_dir)
+    want = (el.CSV_HEADER if fmt == "csv" else "") + "".join(
+        el.format_row(n, row, fmt) for n, row in islice(cli.CACHE_ROWS[target](), 9))
+
+    def no_rows():
+        raise AssertionError("a keyed hit must build no row")
+
+    for name in cli.CACHE_ROWS:
+        monkeypatch.setitem(cli.CACHE_ROWS, name, no_rows)
+    for max_n in ((), ("--max-n", "9")):
+        code, out, err = run(capsys, "cache", "read", "--target", target, *max_n,
+                             "--format", fmt, "--cache-dir", cache_dir)
+        assert (code, err) == (0, "")
+        assert out == want
+
+
+def test_cache_file_edited_in_place_is_rebuilt_then_served_by_key(
+        keyed_dir, capsys, monkeypatch):
+    from ellipta import cli
+
+    cache_dir = str(keyed_dir)
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "5",
+        "--cache-dir", cache_dir)
+    path = keyed_dir / "s.jsonl"
+    good, key = path.read_bytes(), os.getxattr(path, cli.CACHE_KEY_ATTR)
+    with open(path, "r+b") as fh:  # same file, same key, one byte changed
+        fh.seek(good.index(b'{"n":3,"i":1,"j":0,"coeff":"4"}') + 28)
+        fh.write(b"5")
+    assert os.getxattr(path, cli.CACHE_KEY_ATTR) == key
+    built = _rows_built(monkeypatch, "s")
+    code, out, err = run(capsys, "cache", "read", "--target", "s",
+                         "--cache-dir", cache_dir)
+    assert code == 0
+    assert err == (f"warning: cache file {path} corrupted "
+                   "(row 3 differs from the reference); rebuilding\n")
+    assert out == good.decode("ascii") and path.read_bytes() == good
+    assert os.getxattr(path, cli.CACHE_KEY_ATTR) == key  # the rebuild's own
+    built.clear()
+    code, again, err = run(capsys, "cache", "read", "--target", "s",
+                           "--cache-dir", cache_dir)
+    assert (code, err, again, built) == (0, "", out, [])
+
+
+@pytest.mark.parametrize("key", ["other-code", "not-a-key", "none"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cache_file_with_another_key_is_compared(keyed_dir, capsys, monkeypatch,
+                                                 key, fmt):
+    from ellipta import cli
+
+    cache_dir = str(keyed_dir)
+    run(capsys, "cache", "write", "--target", "gamma", "--max-n", "7",
+        "--cache-dir", cache_dir)
+    path = keyed_dir / "gamma.jsonl"
+    _, want, _ = run(capsys, "compute", "gamma", "--max-n", "7", "--format", fmt)
+    good, attrs = path.read_bytes(), {a: os.getxattr(path, a) for a in os.listxattr(path)}
+    if key == "other-code":
+        monkeypatch.setattr(cli, "_code_key", lambda: "0" * 64)
+    elif key == "not-a-key":
+        os.setxattr(path, cli.CACHE_KEY_ATTR, b"not a key")
+        attrs[cli.CACHE_KEY_ATTR] = b"not a key"
+    else:
+        os.removexattr(path, cli.CACHE_KEY_ATTR)
+        del attrs[cli.CACHE_KEY_ATTR]
+    built = _rows_built(monkeypatch, "gamma")
+    code, out, err = run(capsys, "cache", "read", "--target", "gamma",
+                         "--format", fmt, "--cache-dir", cache_dir)
+    assert (code, err, out) == (0, "", want)
+    assert built == list(range(1, 8))
+    # a compare that matches serves the file and leaves it as it was
+    assert path.read_bytes() == good
+    assert {a: os.getxattr(path, a) for a in os.listxattr(path)} == attrs
+
+
+def test_cache_on_a_file_system_without_xattrs(keyed_dir, capsys, monkeypatch):
+    from ellipta import cli
+
+    keyed, bare = keyed_dir / "keyed", keyed_dir / "bare"
+    _, wrote, _ = run(capsys, "cache", "write", "--target", "t", "--max-n", "8",
+                      "--cache-dir", str(keyed))
+    good = (keyed / "t.jsonl").read_bytes()
+
+    def unsupported(*args):
+        raise OSError(errno.ENOTSUP, os.strerror(errno.ENOTSUP))
+
+    monkeypatch.setattr(os, "setxattr", unsupported)
+    code, out, err = run(capsys, "cache", "write", "--target", "t", "--max-n", "8",
+                         "--cache-dir", str(bare))
+    assert (code, err) == (0, "")
+    assert out == wrote.replace(str(keyed), str(bare))
+    assert (bare / "t.jsonl").read_bytes() == good
+    assert cli.CACHE_KEY_ATTR not in os.listxattr(bare / "t.jsonl")
+    assert sorted(p.name for p in bare.iterdir()) == ["t.jsonl"]
+    built = _rows_built(monkeypatch, "t")
+    code, out, err = run(capsys, "cache", "read", "--target", "t",
+                         "--cache-dir", str(bare))
+    assert (code, err, out) == (0, "", good.decode("ascii"))
+    assert built == list(range(1, 9))
 
 
 def test_unexpected_error_is_one_line_exit_1(capsys, monkeypatch):

@@ -6,10 +6,13 @@ Usage: python scripts/suite_timings.py [max_n]
 Each suite runs at min(its default range, max_n); with no max_n, at its
 default range, as `verify all` runs it. `verify all` runs the suites of
 `suites.FORKED_SUITES` in a forked process and the rest in the caller, so
-the script prints each suite's group and the sum of each group, the
-wall time of `verify all` being about the larger sum. The suites of one
-group share one SuiteInputs,
-as they do in `verify all`. The script exits 1 unless every suite passes.
+the script prints each suite's group and the sum of each group. The wall
+time of `verify all` is about the larger sum, its critical path: the last
+line before the verdict names that group and the gap between the sums, as
+a percentage of the larger. A new suite goes in the group that keeps the
+gap smallest, next to the suites it shares inputs with. The suites of one
+group share one SuiteInputs, as they do in `verify all`. The script exits
+1 unless every suite passes.
 """
 
 import sys
@@ -41,6 +44,10 @@ def main():
             failed.append(name)
     for group, ms in totals.items():
         print(f"{group} group: {ms:8.1f} ms")
+    slow, fast = sorted(totals, key=totals.get, reverse=True)
+    gap = totals[slow] - totals[fast]
+    print(f"critical path: {slow} group, {gap:.1f} ms "
+          f"({100 * gap / totals[slow]:.1f}%) over the {fast} group")
     if failed:
         print(f"FAILED: {', '.join(failed)}")
         return 1

@@ -42,12 +42,14 @@ class SuiteInputs:
     the suites of one `run_suite` call. It dies with that call, so no run
     reads what an earlier one built.
 
-    Each input is held at the largest n asked for so far: a smaller ask
-    reads it, a larger one rebuilds it."""
+    The J's and the gamma lines are held at the largest n asked for so
+    far: a smaller ask reads them, a larger one rebuilds them. The tree
+    profiles are held for each n asked for."""
 
     def __init__(self):
         self._js = None
         self._lines = (0, None)  # (n_max, gamma_odd_lines(n_max))
+        self._profiles = {}  # n -> tree_profiles(n)
 
     def js(self, n_max: int) -> tuple:
         """J_0 .. J_n_max (or further) by the continued-fraction paths,
@@ -63,6 +65,13 @@ class SuiteInputs:
         if lines is None or built < n_max:
             self._lines = n_max, el.gamma_odd_lines(n_max)
         return self._lines[1]
+
+    def tree_profiles(self, n: int) -> dict:
+        """`to.tree_profiles(n)`: the Counter of the records of T_n, which
+        the tree distributions are key maps over."""
+        if n not in self._profiles:
+            self._profiles[n] = to.tree_profiles(n, cap=max(n, to.DEFAULT_TREE_CAP))
+        return self._profiles[n]
 
 
 def _result(name, scope, checks) -> SuiteResult:
@@ -193,10 +202,11 @@ def suite_thm2(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
 
 def suite_lemma5(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Tree-statistics distribution equals the six-letter grammar iterate."""
+    inputs = inputs or SuiteInputs()
     seed_x = gc.G2.seed("x")
     checks = []
     for n in range(max_n + 1):
-        dist = to.g2_distribution(n, cap=max(n, to.DEFAULT_TREE_CAP))
+        dist = to.g2_distribution(n, profiles=inputs.tree_profiles(n))
         it = gc.iterate(gc.G2, seed_x, n)
         ok = dist == it
         checks.append(
@@ -211,10 +221,11 @@ def suite_lemma5(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
 
 def suite_theorem13(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Singleton/even-pair statistics on trees reproduce the s triangle."""
+    inputs = inputs or SuiteInputs()
     tri = el.s_triangle_recurrence(max_n)
     checks = []
     for n in range(1, max_n + 1):
-        row = to.s_from_trees(n, cap=max(n, to.DEFAULT_TREE_CAP))
+        row = to.s_from_trees(n, profiles=inputs.tree_profiles(n))
         ok, detail = _compare_rows(n, row, tri[n], "trees", "triangle")
         checks.append(Check(f"s row {n} from trees", ok, detail))
     return _result("theorem13", f"n <= {max_n}", checks)
@@ -223,13 +234,14 @@ def suite_theorem13(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResul
 def suite_corollary15(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Theta counts assemble the four-letter iterate and match the gamma
     triangle through the index change."""
+    inputs = inputs or SuiteInputs()
     gtri = el.gamma_triangle_recurrence(max_n)
     vs = gc.G1.variables
     apb = MultiPoly.variable(vs, "a") + MultiPoly.variable(vs, "b")
     seed_x = gc.G1.seed("x")
     checks = []
     for n in range(1, max_n + 1):
-        theta = to.theta_table(n, cap=max(n, to.DEFAULT_TREE_CAP))
+        theta = to.theta_table(n, profiles=inputs.tree_profiles(n))
         try:
             el.validate_theta_table({n: theta})
             checks.append(Check(f"theta row {n} orbit-weighted sum", True))
@@ -325,7 +337,8 @@ def suite_closure(
 
 
 # Every suite takes (max_n, inputs); `inputs` is the run's SuiteInputs,
-# read by thm1 and thm2.
+# whose J's and gamma lines thm1 and thm2 read, and whose tree profiles
+# lemma5, theorem13 and corollary15 read.
 SUITES = {
     "routes": suite_routes,
     "dumont": suite_dumont,
@@ -359,12 +372,16 @@ SEEDED_SUITES = ("closure",)
 
 
 # `verify all` runs these suites in a process made with os.fork while the
-# caller runs the others. The groups are not balanced: in process the
-# caller group took 0.96-1.08 s and this one 0.81-0.89 s (Python 3.11.7,
-# 2 cores; scripts/suite_timings.py prints both sums). thm1 and thm2 stay
-# in one process, so they share one build of J_0 .. J_121 and of the gamma
-# lines.
-FORKED_SUITES = ("routes", "dumont", "lemma5", "theorem13", "corollary15", "closure")
+# caller runs the others (routes, viennot-symmetry, lemma9). The groups are
+# split by measured cost: in process, best of 7, this group took 472 ms and
+# the caller's 474 ms (Python 3.11.7, 2 cores; scripts/suite_timings.py
+# prints both sums and the gap between them). Suites that share an input
+# stay in one group, so one build serves them all: thm1 and thm2 share
+# J_0 .. J_121 and the gamma lines, and lemma5, theorem13 and corollary15
+# the tree profiles of T_0 .. T_8.
+FORKED_SUITES = (
+    "dumont", "thm1", "thm2", "lemma5", "theorem13", "corollary15", "closure",
+)
 
 
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list:

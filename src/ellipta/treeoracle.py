@@ -18,12 +18,15 @@ children exist, as descent or ascent pairs according to which endpoint is
 the parent of the largest outside child. Unmatched vertices are singletons
 and are always leaves.
 
-The distributions score each tree in O(1) as the enumeration builds it:
+`tree_profiles` scores each tree in O(1) as the enumeration builds it:
 vertices 1..n are added in order, and the matching is fixed when each vertex
 is inserted, because v is a second endpoint exactly when it is the first
 child of a parent that is still unmatched. So inserting w under p either
 opens the zero pair (p, w) or gives p's pair w as its new largest outside
 child, and the five pair-class counters are updated and undone in place.
+The distributions are key maps over the Counter of records it returns, so
+a caller that holds that Counter reads every distribution of T_n from one
+fold.
 `tree_stats`, `tree_matching` and `children_table` stay the direct
 definition that the tests compare against. There `_pair_classes` gives each
 pair its class as its `TreeStats` field index, the fold's numbering; `_stats`
@@ -75,10 +78,11 @@ class StatisticsDefectError(ValueError):
 def cpk_stats(perm) -> tuple:
     """Counts of odd and even cycle peaks of a permutation given in one-line
     form (perm[i-1] is the image of i)."""
-    odd = even = 0
-    for pos0, v in enumerate(perm):
-        if pos0 + 1 < v and perm[v - 1] < v:
-            if v % 2:
+    odd = even = pos = 0
+    for v in perm:
+        pos += 1
+        if pos < v and perm[v - 1] < v:
+            if v & 1:
                 odd += 1
             else:
                 even += 1
@@ -157,7 +161,7 @@ def _matching(parents, children) -> tuple:
 
 
 class TreeStats(NamedTuple):
-    """A tree's statistics, in the order of `_fold_trees`' counters."""
+    """A tree's statistics, in the order of `tree_profiles`' counters."""
 
     singleton: int
     zerop: int
@@ -186,7 +190,7 @@ def _largest_outside_child(children, pair) -> int:
 
 def _pair_classes(parents, children, pairs) -> list:
     """Class of each matched pair as its `TreeStats` field index, the
-    numbering of `_fold_trees`' tally: 1 zero, 2 des_o, 3 des_e, 4 asc_o,
+    numbering of `tree_profiles`' tally: 1 zero, 2 des_o, 3 des_e, 4 asc_o,
     5 asc_e. A pair is odd or even with its outside-child count, so an odd
     index is an even pair."""
     classes = []
@@ -213,13 +217,13 @@ def tree_stats(parents) -> TreeStats:
     return _stats(parents, children, _matching(parents, children))
 
 
-def _fold_trees(n: int, keyfn, cap: int) -> Counter:
-    """Fold keyfn over the `TreeStats` of every tree in T_n; a None key
-    leaves the tree uncounted. Keys keep the order of their first tree.
+def tree_profiles(n: int, cap: int = DEFAULT_TREE_CAP) -> Counter:
+    """Counter of the `TreeStats` of the trees in T_n, each record in the
+    order of its first tree.
 
     One depth-first pass adds vertices 1..n in the order of
     `tree_enumerate` and keeps the statistics of the tree built so far, so
-    each tree is scored in O(1) and keyfn runs once per distinct record."""
+    each tree is scored in O(1)."""
     _check_cap(n, cap, "tree")
     profiles: Counter = Counter()
     # tally holds the TreeStats fields of the finished tree, in their order:
@@ -262,22 +266,37 @@ def _fold_trees(n: int, keyfn, cap: int) -> Counter:
                 c[0] = old
 
     grow(1)
+    return Counter({TreeStats._make(p): c for p, c in profiles.items()})
+
+
+def _fold_trees(n: int, keyfn, cap: int, profiles=None) -> Counter:
+    """Fold keyfn over `profiles`, by default `tree_profiles(n, cap)`; a
+    None key leaves the trees of its record uncounted. Keys keep the order
+    of their first tree, and keyfn runs once per distinct record."""
+    if profiles is None:
+        profiles = tree_profiles(n, cap)
     counts: Counter = Counter()
-    for profile, c in profiles.items():
-        key = keyfn(TreeStats(*profile))
+    for st, c in profiles.items():
+        key = keyfn(st)
         if key is not None:
             counts[key] += c
     return counts
 
 
-def g2_distribution(n: int, cap: int = DEFAULT_TREE_CAP) -> MultiPoly:
+# The distributions below are key maps over the records of T_n.
+# g2_distribution, theta_table and s_from_trees take `profiles`, the
+# `tree_profiles(n, cap)` a caller has already built, and fold T_n
+# themselves only without it.
+
+
+def g2_distribution(n: int, cap: int = DEFAULT_TREE_CAP, profiles=None) -> MultiPoly:
     """Sum over T_n of x^singleton c^zerop a^des_o b^asc_o g^des_e h^asc_e,
     over the alphabet (x, a, b, c, g, h)."""
 
     def key(st):
         return st.singleton, st.des_o, st.asc_o, st.zerop, st.des_e, st.asc_e
 
-    counts = _fold_trees(n, key, cap)
+    counts = _fold_trees(n, key, cap, profiles)
     return MultiPoly(G2_VARS, dict(counts))
 
 
@@ -292,16 +311,16 @@ def g1_distribution(n: int, cap: int = DEFAULT_TREE_CAP) -> MultiPoly:
     return MultiPoly(G1_VARS, dict(counts))
 
 
-def theta_table(n: int, cap: int = DEFAULT_TREE_CAP) -> dict:
+def theta_table(n: int, cap: int = DEFAULT_TREE_CAP, profiles=None) -> dict:
     """Row n of theta: (evenp, des_o) -> #trees with no odd ascent pair."""
 
     def key(st):
         return None if st.asc_o else (st.evenp, st.des_o)
 
-    return dict(sorted(_fold_trees(n, key, cap).items()))
+    return dict(sorted(_fold_trees(n, key, cap, profiles).items()))
 
 
-def s_from_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> dict:
+def s_from_trees(n: int, cap: int = DEFAULT_TREE_CAP, profiles=None) -> dict:
     """Row n of the s triangle read off tree statistics: the singleton count
     s carries i = s // 2 and w = evenp + 2*des_o carries j = w // 2; s has
     the parity opposite to n's, and w the parity of n."""
@@ -315,7 +334,7 @@ def s_from_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> dict:
             )
         return st.singleton // 2, w // 2
 
-    return dict(sorted(_fold_trees(n, key, cap).items()))
+    return dict(sorted(_fold_trees(n, key, cap, profiles).items()))
 
 
 def _corollary15_cells(n: int) -> dict:
@@ -511,6 +530,7 @@ def lemma9_defects(n: int, cap: int = DEFAULT_TREE_CAP) -> tuple:
                 images[mask][0] for mask in range(1 << k) if not mask & even_mask
             ]
         else:
+            images = None
             once = [_phi(parents, children, pair) for pair in matching]
         for a in range(k):
             if _matching(*once[a]) != matching and not preserve:
@@ -518,7 +538,11 @@ def lemma9_defects(n: int, cap: int = DEFAULT_TREE_CAP) -> tuple:
             if _phi(*once[a], matching[a])[0] != parents and not involution:
                 involution = f"not involutive at {parents} pair {a + 1}"
             for b in range(a + 1, k):
-                ab = _phi(*once[a], matching[b])[0]
+                # phi_b after phi_a is the image of the subset {a, b}
+                if images:
+                    ab = images[1 << a | 1 << b][0]
+                else:
+                    ab = _phi(*once[a], matching[b])[0]
                 ba = _phi(*once[b], matching[a])[0]
                 if ab != ba and not commutation:
                     commutation = (

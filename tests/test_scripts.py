@@ -1,5 +1,6 @@
 """The helper scripts under scripts/ run end to end and report agreement."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,17 @@ def test_suite_timings_pass_and_name_both_groups():
     assert "dumont(4) forked:" in out and "viennot-symmetry(4) caller:" in out
     assert "forked group:" in out and "caller group:" in out
     assert out.count("  PASS\n") == 10
+    # the critical path is the larger group sum, and the gap is measured
+    # against it
+    sums = {g: float(ms) for g, ms in
+            re.findall(r"^(forked|caller) group: +([0-9.]+) ms$", out, re.M)}
+    ((slow, gap, pct, fast),) = re.findall(
+        r"^critical path: (\w+) group, ([0-9.]+) ms \(([0-9.]+)%\)"
+        r" over the (\w+) group$", out, re.M)
+    assert {slow, fast} == set(sums) and sums[slow] >= sums[fast] - 0.1
+    # the printed sums are rounded to 0.1 ms
+    assert abs(float(gap) - (sums[slow] - sums[fast])) <= 0.15
+    assert abs(float(pct) - 100 * float(gap) / sums[slow]) <= 0.1 + 10 / sums[slow]
 
 
 @pytest.mark.slow

@@ -85,8 +85,8 @@ def test_theorem13_suite_names_the_first_differing_cell(monkeypatch, changed,
 
     real = to.s_from_trees
 
-    def s_from_trees(n, cap=to.DEFAULT_TREE_CAP):
-        row = real(n, cap)
+    def s_from_trees(n, cap=to.DEFAULT_TREE_CAP, profiles=None):
+        row = real(n, cap, profiles)
         if n != 4:
             return row
         row = dict(row)
@@ -125,35 +125,39 @@ def test_thm2_builds_no_j_it_does_not_read(monkeypatch, max_n, largest):
     assert asked == [largest]
 
 
-def _recording(monkeypatch, name):
-    """Replace `el.<name>` by a wrapper that records its first argument."""
+def _recording(monkeypatch, name, module=None):
+    """Replace `<module>.<name>` (by default `el.<name>`) by a wrapper that
+    records its first argument."""
     from ellipta import elliptic as el
 
+    module = module or el
     asked = []
-    real = getattr(el, name)
+    real = getattr(module, name)
 
-    def recording(n_max, *args):
+    def recording(n_max, *args, **kwargs):
         asked.append(n_max)
-        return real(n_max, *args)
+        return real(n_max, *args, **kwargs)
 
-    monkeypatch.setattr(el, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return asked
 
 
-def _recording_to_file(monkeypatch, name, path):
-    """Replace `el.<name>` by a wrapper that appends its first argument to
-    the file at path, so that calls in a forked process are recorded too;
-    returns a function that reads the arguments recorded so far."""
+def _recording_to_file(monkeypatch, name, path, module=None):
+    """Replace `<module>.<name>` (by default `el.<name>`) by a wrapper that
+    appends its first argument to the file at path, so that calls in a
+    forked process are recorded too; returns a function that reads the
+    arguments recorded so far."""
     from ellipta import elliptic as el
 
-    real = getattr(el, name)
+    module = module or el
+    real = getattr(module, name)
 
-    def recording(n_max, *args):
+    def recording(n_max, *args, **kwargs):
         with open(path, "a", encoding="ascii") as fh:
             fh.write(f"{n_max}\n")
-        return real(n_max, *args)
+        return real(n_max, *args, **kwargs)
 
-    monkeypatch.setattr(el, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return lambda: [int(line) for line in path.read_text().split()] if path.exists() else []
 
 
@@ -161,8 +165,14 @@ def test_run_all_builds_each_shared_input_once(monkeypatch, tmp_path):
     # thm1 asks for J_0 .. J_121 first and thm2 reads that build;
     # viennot-symmetry builds its own Viennot J's. The routes suite reaches
     # both routes through J_ROUTES, which the patches do not touch. Only
-    # corollary15 builds full gamma rows.
+    # corollary15 builds full gamma rows. lemma5 folds T_0 .. T_8, and
+    # theorem13 and corollary15 read those folds.
+    from ellipta import treeoracle as to
+
     js_asked = _recording_to_file(monkeypatch, "j_fraction", tmp_path / "js")
+    profiles_asked = _recording_to_file(
+        monkeypatch, "tree_profiles", tmp_path / "profiles", to
+    )
     viennot_asked = _recording_to_file(monkeypatch, "j_viennot", tmp_path / "viennot")
     gamma_asked = _recording_to_file(
         monkeypatch, "gamma_triangle_recurrence", tmp_path / "gamma"
@@ -172,6 +182,35 @@ def test_run_all_builds_each_shared_input_once(monkeypatch, tmp_path):
     assert js_asked() == [121]
     assert viennot_asked() == [121]
     assert gamma_asked() == [8]
+    assert profiles_asked() == list(range(9))
+
+
+@pytest.mark.parametrize("name, folds", [
+    ("lemma5", list(range(9))),
+    ("theorem13", list(range(1, 9))),
+    ("corollary15", list(range(1, 9))),
+])
+def test_each_tree_suite_run_alone_folds_its_own_trees(capsys, monkeypatch, name,
+                                                       folds):
+    # `verify <name>` at its default range; a second run folds again
+    from ellipta import treeoracle as to
+    from ellipta.cli import main
+
+    asked = _recording(monkeypatch, "tree_profiles", to)
+    for _ in range(2):
+        assert main(["verify", name]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith(f"suite {name}: PASS (")
+    assert asked == folds + folds
+
+
+def test_suites_that_share_an_input_run_in_one_process():
+    # thm1 and thm2 share the J's and the gamma lines; lemma5, theorem13
+    # and corollary15 share the tree profiles
+    forked = set(suites.FORKED_SUITES)
+    assert forked <= set(suites.SUITES)
+    for sharing in ({"thm1", "thm2"}, {"lemma5", "theorem13", "corollary15"}):
+        assert sharing <= forked or not sharing & forked, sharing
 
 
 def _assert_no_child_left():

@@ -53,6 +53,35 @@ def test_cpk_identity_and_transposition():
     assert cpk_stats((2, 1)) == (0, 1)
 
 
+def cycle_peaks(perm) -> tuple:
+    """(odd, even) cycle peaks read off the cycle decomposition: walk each
+    cycle in order and count an element larger than both of its cyclic
+    neighbours."""
+    seen = set()
+    odd = even = 0
+    for start in range(1, len(perm) + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        while perm[cycle[-1] - 1] != start:
+            cycle.append(perm[cycle[-1] - 1])
+        seen.update(cycle)
+        for k, v in enumerate(cycle):
+            if cycle[k - 1] < v > cycle[(k + 1) % len(cycle)]:
+                odd += v % 2
+                even += 1 - v % 2
+    return odd, even
+
+
+def test_cpk_stats_equals_the_cycle_reading():
+    import itertools
+
+    assert cycle_peaks(perm_from_cycles([(1, 3, 5), (2, 8, 4, 7, 6, 9)], 9)) == (3, 1)
+    for n in range(8):
+        for perm in itertools.permutations(range(1, n + 1)):
+            assert cpk_stats(perm) == cycle_peaks(perm), perm
+
+
 def test_p_bruteforce_small():
     assert p_bruteforce(1) == MultiPoly(("p", "q"), {(0, 0): 1})
     assert p_bruteforce(3) == MultiPoly(
@@ -158,9 +187,9 @@ def captured_key(monkeypatch, public, n):
     real = treeoracle._fold_trees
     keys = []
 
-    def spy(n, keyfn, cap):
+    def spy(n, keyfn, cap, profiles=None):
         keys.append(keyfn)
-        return real(n, keyfn, cap)
+        return real(n, keyfn, cap, profiles)
 
     with monkeypatch.context() as m:
         m.setattr(treeoracle, "_fold_trees", spy)
@@ -280,8 +309,8 @@ def test_gamma_row_from_theta_rejects_stray_cells(monkeypatch):
 
     real = treeoracle.theta_table
 
-    def planted(n, cap=treeoracle.DEFAULT_TREE_CAP):
-        row = real(n, cap)
+    def planted(n, cap=treeoracle.DEFAULT_TREE_CAP, profiles=None):
+        row = real(n, cap, profiles)
         if n != 3:
             return row
         return {**row, (0, 0): 1}

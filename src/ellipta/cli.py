@@ -13,7 +13,6 @@ collection is sorted, and randomized paths take an explicit --seed.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import random
@@ -73,8 +72,8 @@ def _theta_rows_from_gamma():
 
 
 # The row source of each cache file, an endless (n, row) generator from row 1
-# on: a file is served only if it is byte for byte rows 1 .. k of its source,
-# which a read checks by its key (`_serve_keyed`) or else by a compare
+# on: a file is served only if its key file vouches that it is byte for byte
+# rows 1 .. k of its source (`_serve_keyed`); any other is rebuilt from row 1
 CACHE_ROWS = {
     "s": el.s_rows_recurrence,
     "gamma": el.gamma_rows_recurrence,
@@ -82,9 +81,9 @@ CACHE_ROWS = {
     "theta": _theta_rows_from_gamma,
 }
 CACHE_TARGETS = tuple(CACHE_ROWS)
-# A cache file's key, a user extended attribute set by its writer: the code
+# A cache file's key file, <file>.key, written after it by its writer: the code
 # key, the sha256 of the file's bytes and its row count, space separated
-CACHE_KEY_ATTR = "user.ellipta.key"
+CACHE_KEY_SUFFIX = ".key"
 CACHE_BLOCK = 1 << 16  # the bytes a keyed read hashes or serves at a time
 
 
@@ -321,37 +320,6 @@ def _cache_dir(args, parser) -> str:
     return path
 
 
-def _row_run(path: str) -> int:
-    """The unbroken run of rows 1 .. k in a cache file, or 0 when a record
-    does not parse or an (n, i, j) key repeats. Records are read one at a
-    time: while the keys ascend, as every writer leaves them, only row
-    numbers are held; a key out of order starts a second pass that holds
-    every key, to find a repeated one."""
-
-    def keys():
-        with open(path, encoding="ascii", newline="") as fh:
-            lines = (line for chunk in fh for line in chunk.splitlines())
-            for _, n, (i, j), _ in el.jsonl_records(lines):
-                yield n, i, j
-
-    try:
-        rows, last = set(), None
-        for key in keys():
-            if last is not None and key <= last:
-                seen = set()
-                for again in keys():
-                    if again in seen:
-                        return 0
-                    seen.add(again)
-                rows = {n for n, _, _ in seen}
-                break
-            rows.add(key[0])
-            last = key
-    except ValueError:
-        return 0
-    return next(k for k in count(1) if k not in rows) - 1
-
-
 def _code_key() -> str:
     """The sha256 of this package's source: every *.py file, by name."""
     import hashlib
@@ -366,33 +334,42 @@ def _code_key() -> str:
     return digest.hexdigest()
 
 
-def _serve_keyed(path: str, fmt: str, want) -> bool:
+def _serve_keyed(path: str, fmt: str, want):
     """Serve the cache file at path in format fmt, building no row, if its
-    key vouches for it: the key parses, names this code, counts at least
-    `want` rows, and its digest is the sha256 of the bytes read now. Hashes,
-    then serves, block by block from one descriptor; json goes out as it
-    stands, csv and text by swapping the literal pieces of the json row
-    format for theirs. Returns False, having written nothing, for any other
-    file."""
+    key file vouches for it: the key parses, names this code, counts at
+    least `want` rows, and its digest is the sha256 of the bytes read now.
+    Hashes, then serves (see `_json_records_as`), block by block from one
+    descriptor. Returns None once the file is served; else, having written
+    nothing, the warning that says why the key does not vouch and the key's
+    row count if it parses and the file has that many lines, else None."""
     import hashlib
 
     try:
         fh = open(path, "rb")
-    except OSError:
-        return False
+    except FileNotFoundError:
+        return f"cache file {path} missing; rebuilding", None
     with fh:
         try:
-            key = os.getxattr(fh.fileno(), CACHE_KEY_ATTR).decode("ascii")
-            code, digest, rows = key.split(" ")
-            if code != _code_key() or int(rows) < (want or 0):
-                return False
-        except (AttributeError, OSError, ValueError):  # no key, or no xattrs
-            return False
+            with open(path + CACHE_KEY_SUFFIX, encoding="ascii") as key:
+                code, digest, count = key.read().split(" ")
+            rows = int(count)
+        except FileNotFoundError:
+            return f"cache file {path} has no key; rebuilding", None
+        except ValueError:  # not three fields, a count that is no int, or not ascii
+            return f"cache file {path} has a malformed key; rebuilding", None
+        ours = code == _code_key()
         sha = hashlib.sha256()
         while block := fh.read(CACHE_BLOCK):
             sha.update(block)
-        if sha.hexdigest() != digest:
-            return False
+        if not ours or sha.hexdigest() != digest:
+            why = ("corrupted (its bytes differ from its key)" if ours
+                   else "is keyed by other code")
+            fh.seek(0)  # lines are counted on a miss only; a row has one or more
+            lines = sum(b.count(b"\n") for b in iter(lambda: fh.read(CACHE_BLOCK), b""))
+            return (f"cache file {path} {why}; rebuilding",
+                    rows if 0 < rows <= lines else None)
+        if rows < (want or 0):
+            return f"rebuild: file has {rows} rows, {want} requested", rows
         fh.seek(0)
         rest = b""
         while block := fh.read(CACHE_BLOCK):
@@ -402,7 +379,7 @@ def _serve_keyed(path: str, fmt: str, want) -> bool:
             if text and fmt != "json":
                 text = _json_records_as(fmt, text)
             sys.stdout.write(text)
-    return True
+    return None
 
 
 def _json_records_as(fmt: str, text: str) -> str:
@@ -417,122 +394,83 @@ def _json_records_as(fmt: str, text: str) -> str:
     return new[0] + text + new[-1]
 
 
-def _read_rows(path: str, target: str, fmt: str, want):
-    """Serve the cache file at path while its rows are, byte for byte, the
-    rows of its source, holding only the row being compared. Yields nothing
-    if the file is whole and long enough; else warns why and yields the row
-    count of its replacement, then the replacement from the same row stream:
-    the matched bytes, copied from the file, then the rows from the first one
-    not served, serving each."""
-    served = kept = size = last = 0  # last: the replacement's last row, if any
-    try:
-        fh = open(path, encoding="ascii", newline="")
-        size = os.fstat(fh.fileno()).st_size
-    except FileNotFoundError:  # rebuilt from row 1 on; nothing is compared
-        _warn(f"cache file {path} missing; rebuilding")
-        fh, last = io.StringIO(), want or CACHE_DEFAULT_ROWS[target]
-        yield last
-    with fh:
-        for n, row in CACHE_ROWS[target]():
-            chunk = el.format_row(n, row, "json")
-            text = chunk if fmt == "json" else el.format_row(n, row, fmt)
-            if not last:
-                try:
-                    defect = (fh.read(len(chunk)) != chunk
-                              and f"row {n} differs from the reference")
-                except UnicodeDecodeError as exc:
-                    defect = str(exc)
-                if defect:
-                    _warn(f"cache file {path} corrupted ({defect}); rebuilding")
-                    want = want or _row_run(path)
-                else:
-                    sys.stdout.write(text)
-                    served, kept = n, kept + len(chunk)
-                    if kept < size:
-                        continue
-                    if not want or served >= want:
-                        return
-                    _warn(f"rebuild: file has {served} rows, {want} requested")
-                last = max(served, want or CACHE_DEFAULT_ROWS[target])
-                yield last
-                for at in range(0, kept, 1 << 16):  # the rows that matched
-                    yield os.pread(fh.fileno(), min(1 << 16, kept - at), at).decode()
-            if served < n <= last:
-                sys.stdout.write(text)
-                yield chunk
-            if n >= last:
-                return
-
-
-def _write_atomic(path: str, chunks, rows: int) -> int:
-    """Replace path with the text chunks, rows 1 .. rows of a cache file, in
-    one step: write them one by one to a temporary file in the same
-    directory, set its key (CACHE_KEY_ATTR) from the bytes written, then
-    rename it over path, so a reader never sees a partial file or a key of
-    other bytes, and a failed write leaves the old one intact. Returns the
-    number of lines written."""
-    import hashlib
-
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def _replace(path: str, blocks):
+    """Replace path in one step: write the byte blocks one by one to a
+    temporary file in the same directory, then rename it over path, so a
+    reader never sees a partial file and a failed write leaves the old one
+    intact."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            def put(chunk: str) -> int:
-                data = chunk.encode("ascii")
-                fh.write(data)
-                digest.update(data)
-                return data.count(b"\n")
-
-            lines = sum(map(put, chunks))  # no chunk is held while the next is made
-            key = f"{_code_key()} {digest.hexdigest()} {rows}"
-            try:
-                os.setxattr(fh.fileno(), CACHE_KEY_ATTR, key.encode("ascii"))
-            except (AttributeError, OSError):  # no xattrs: reads compare the file
-                pass
+            fh.writelines(blocks)  # no block is held while the next is made
         os.replace(tmp, path)
-        return lines
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
 
 
+def _write_atomic(path: str, target: str, rows: int, echo=None) -> int:
+    """Replace path with rows 1 .. rows of target's cache file, each row
+    written as it is built (and first printed in format `echo`, if given),
+    then its key file with the key of the bytes written, each in one step.
+    The file lands first, so a reader that finds it beside the old key sees
+    a digest that differs and rebuilds: a torn pair is never served.
+    Returns the number of lines written."""
+    import hashlib
+
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    digest, lines = hashlib.sha256(), 0
+
+    def encoded(item) -> bytes:
+        nonlocal lines
+        n, row = item
+        chunk = el.format_row(n, row, "json")
+        if echo:
+            sys.stdout.write(chunk if echo == "json" else el.format_row(n, row, echo))
+        data = chunk.encode("ascii")
+        digest.update(data)
+        lines += len(row)  # one line per entry
+        return data
+
+    _replace(path, map(encoded, islice(CACHE_ROWS[target](), rows)))
+    key = f"{_code_key()} {digest.hexdigest()} {rows}"
+    _replace(path + CACHE_KEY_SUFFIX, [key.encode("ascii")])
+    return lines
+
+
 def _cmd_cache(args, parser) -> int:
     directory = _cache_dir(args, parser)
     if args.action == "clear":
         targets = (args.target,) if args.target else CACHE_TARGETS
-        removed = []
+        removed = 0
         for target in targets:
             path = os.path.join(directory, f"{target}.jsonl")
-            if os.path.exists(path):
-                os.remove(path)
-                removed.append(target)
-        print(f"cleared {len(removed)} cache file(s)")
+            for name in (path + CACHE_KEY_SUFFIX, path):
+                if os.path.exists(name):
+                    os.remove(name)
+                    removed += name == path
+        print(f"cleared {removed} cache file(s)")
         return 0
 
     path = os.path.join(directory, f"{args.target}.jsonl")
     if args.action == "write":
         last = args.max_n or CACHE_DEFAULT_ROWS[args.target]
-        rows = islice(CACHE_ROWS[args.target](), last)
-        records = _write_atomic(
-            path, (el.format_row(n, row, "json") for n, row in rows), last
-        )
+        records = _write_atomic(path, args.target, last)
         print(f"wrote {records} records to {path}")
         return 0
 
-    # read: a keyed file is served as it stands; any other is compared with
-    # its row source, serving the rows that match, and a missing, short or
-    # differing file is replaced from the same row stream, which serves the
-    # rows not served yet
+    # read: a file that its key vouches for is served as it stands; any
+    # other is rebuilt from row 1 and written keyed, serving each row of the
+    # one row stream as it is built
     if args.format == "csv":
         sys.stdout.write(el.CSV_HEADER)
-    if _serve_keyed(path, args.format, args.max_n):
-        return 0
-    chunks = _read_rows(path, args.target, args.format, args.max_n)
-    last = next(chunks, None)
-    if last is not None:  # the file is not served whole
-        _write_atomic(path, chunks, last)
+    missed = _serve_keyed(path, args.format, args.max_n)
+    if missed:
+        why, rows = missed
+        _warn(why)
+        last = args.max_n or rows or CACHE_DEFAULT_ROWS[args.target]
+        _write_atomic(path, args.target, last, args.format)
     return 0
 
 

@@ -292,6 +292,8 @@ def j_from_p(n: int, triangle: dict) -> UniPoly:
 
 def j_operator(n_max: int) -> tuple:
     """J_n as the j = 0 (even n) or i = 0 (odd n) line of each s row."""
+    if n_max < 0:
+        raise ValueError("n_max must be at least 0")
     js = [UNI_ONE]
     for n, row in islice(s_rows_operator(), n_max):
         line = ((k, 0) if n % 2 == 0 else (0, k) for k in range(n // 2 + 1))
@@ -301,6 +303,8 @@ def j_operator(n_max: int) -> tuple:
 
 def j_recurrence(n_max: int) -> tuple:
     """J_n from rows n - 1 and n of s, the only two rows kept."""
+    if n_max < 0:
+        raise ValueError("n_max must be at least 0")
     js = [UNI_ONE]
     prev: dict = {}
     for n, row in islice(s_rows_recurrence(), n_max):
@@ -312,6 +316,8 @@ def j_recurrence(n_max: int) -> tuple:
 def j_viennot(n_max: int) -> tuple:
     """Binomial convolutions building each J from earlier ones and the
     reversals x^i J_{2i}(1/x)."""
+    if n_max < 0:
+        raise ValueError("n_max must be at least 0")
     js = [UNI_ONE]
     revs = [UNI_ONE]  # revs[i] = x^i J_{2i}(1/x), built once per even J
     for n in range(1, n_max + 1):
@@ -361,6 +367,8 @@ def j_fraction(n_max: int) -> tuple:
     length m, a level step at h weighing (2h+1)^2 (1 + x) and a down step
     from h weighing (2h-1)(2h)^2(2h+1) x. Every weight is an integer times
     1, x or 1 + x, so no two polynomials are multiplied."""
+    if n_max < 0:
+        raise ValueError("n_max must be at least 0")
     half, odd_steps = n_max // 2, (n_max - 1) // 2
     dyck = _path_sums(2 * half, [(h * h, 1 - h % 2) for h in range(half + 1)], None)
     motzkin = _path_sums(
@@ -445,6 +453,8 @@ def j_series(n_max: int) -> tuple:
     """Read J_n off the exponential coefficients of the integrated series:
     strip the sign (-1)^(n//2), and cross-check the dn expansion against the
     reversal of the even J's."""
+    if n_max < 0:
+        raise ValueError("n_max must be at least 0")
     sn, cn, dn = _elliptic_egf(max(1, n_max))
     for m in range(len(sn)):
         if m % 2 == 0 and sn[m]:
@@ -518,8 +528,6 @@ J_DEFAULT_ROUTE = "fraction"  # the route of `j_sequence` and `compute j|decompo
 def j_sequence(n_max: int, route: str = J_DEFAULT_ROUTE) -> tuple:
     if route not in J_ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    if n_max < 0:
-        raise ValueError("n_max must be at least 0")
     return J_ROUTES[route](n_max)
 
 
@@ -906,13 +914,14 @@ def triangle_to_jsonl(tri: dict) -> str:
     return "".join([format_row(n, tri[n], "json") for n in sorted(tri)])
 
 
-def jsonl_records(lines):
-    """(line number, n, (i, j), c) for each record of JSON-lines text given
-    line by line, as `str.splitlines` splits it; blank lines are skipped and
-    a line that is not a record raises ValueError."""
+def triangle_from_jsonl(text: str) -> dict:
+    """The triangle of JSON-lines text, one record per line; blank lines
+    are skipped, and a line that is not a record or repeats an (n, i, j)
+    key raises ValueError."""
     import json
 
-    for lineno, line in enumerate(lines, start=1):
+    rows: dict = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -922,12 +931,6 @@ def jsonl_records(lines):
             val = int(obj["coeff"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"bad triangle record on line {lineno}") from exc
-        yield lineno, n, ij, val
-
-
-def triangle_from_jsonl(text: str) -> dict:
-    rows: dict = {}
-    for lineno, n, ij, val in jsonl_records(text.splitlines()):
         row = rows.setdefault(n, {})
         if ij in row:
             raise ValueError(

@@ -74,6 +74,12 @@ class SuiteInputs:
         return self._profiles[n]
 
 
+def _check_range(max_n: int):
+    """Every suite's range is n <= max_n from n = 1 on, as the CLI's is."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
+
+
 def _result(name, scope, checks) -> SuiteResult:
     return SuiteResult(name=name, scope=scope, checks=tuple(checks))
 
@@ -91,6 +97,7 @@ def _compare_rows(n: int, got: dict, ref: dict, got_name: str, ref_name: str):
 
 def suite_routes(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """All J routes agree coefficient for coefficient."""
+    _check_range(max_n)
     checks = []
     seqs = {}
     for route in el.J_ROUTES:
@@ -117,6 +124,7 @@ def suite_routes(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
 
 def suite_dumont(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Permutation brute force equals the triangle-backed P_n."""
+    _check_range(max_n)
     tri = el.s_triangle_recurrence(max_n)
     checks = []
     for n in range(1, max_n + 1):
@@ -133,6 +141,7 @@ def suite_viennot_symmetry(
 ) -> SuiteResult:
     """Odd-index J's built by the Viennot convolutions are symmetric about
     their degree."""
+    _check_range(max_n)
     js = el.j_viennot(2 * max_n + 1)
     checks = []
     for n in range(max_n + 1):
@@ -150,6 +159,7 @@ def suite_viennot_symmetry(
 
 def suite_thm1(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Odd-index J's carry nonnegative gamma vectors that reconstruct them."""
+    _check_range(max_n)
     inputs = inputs or SuiteInputs()
     lines = inputs.gamma_lines(2 * max_n + 1)
     js = inputs.js(2 * max_n + 1)
@@ -172,9 +182,10 @@ def suite_thm1(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
 def suite_thm2(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Even-index J's split into two gamma-positive symmetric parts that
     coincide with the unique symmetric decomposition."""
-    m_max = max(0, max_n - 1)
+    _check_range(max_n)
+    m_max = max_n - 1
     inputs = inputs or SuiteInputs()
-    js = inputs.js(max(2, 2 * max_n))
+    js = inputs.js(2 * max_n)
     decs = el.j_even_decompositions(m_max, inputs.gamma_lines(2 * m_max + 1))
     checks = [Check("J_0 trivially certified", js[0] == (1,))]
     for m in range(m_max + 1):
@@ -202,6 +213,7 @@ def suite_thm2(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
 
 def suite_lemma5(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Tree-statistics distribution equals the six-letter grammar iterate."""
+    _check_range(max_n)
     inputs = inputs or SuiteInputs()
     seed_x = gc.G2.seed("x")
     checks = []
@@ -221,6 +233,7 @@ def suite_lemma5(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
 
 def suite_theorem13(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Singleton/even-pair statistics on trees reproduce the s triangle."""
+    _check_range(max_n)
     inputs = inputs or SuiteInputs()
     tri = el.s_triangle_recurrence(max_n)
     checks = []
@@ -234,6 +247,7 @@ def suite_theorem13(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResul
 def suite_corollary15(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Theta counts assemble the four-letter iterate and match the gamma
     triangle through the index change."""
+    _check_range(max_n)
     inputs = inputs or SuiteInputs()
     gtri = el.gamma_triangle_recurrence(max_n)
     vs = gc.G1.variables
@@ -271,6 +285,7 @@ def suite_corollary15(max_n: int, inputs: SuiteInputs | None = None) -> SuiteRes
 def suite_lemma9(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Pair involutions (Lemma 9): the five checks of
     `treeoracle.lemma9_defects` for each n."""
+    _check_range(max_n)
     names = ("involutions", "commutation", "matching preserved",
              "statistic transport", "orbit partition")
     checks = []
@@ -303,6 +318,7 @@ def suite_closure(
     """Randomized closure sweep: every constructed polynomial must be
     alternatingly increasing with certificates equal to the unique
     symmetric decomposition."""
+    _check_range(max_n)
     rng = random.Random(seed)
     checks = []
     for trial in range(CLOSURE_INSTANCES):

@@ -518,11 +518,13 @@ def lemma9_defects(n: int, cap: int = DEFAULT_TREE_CAP) -> tuple:
             once = [images[1 << t] for t in range(k)]
             classes = _pair_classes(parents, children, matching)
             even_mask = sum((c & 1) << t for t, c in enumerate(classes))
+            kept = []  # kept[mask]: the image of mask has the same matching
             for mask in range(1 << k):
                 flipped_odd = (mask & ~even_mask).bit_count()
                 report = _orbit_check(
                     parents, matching, before, flipped_odd, *images[mask]
                 )
+                kept.append(report.matching_preserved)
                 if not report.ok and not transport:
                     subset = {t + 1 for t in range(k) if mask >> t & 1}
                     transport = f"transport failed at {parents} S={subset}"
@@ -533,7 +535,8 @@ def lemma9_defects(n: int, cap: int = DEFAULT_TREE_CAP) -> tuple:
             images = None
             once = [_phi(parents, children, pair) for pair in matching]
         for a in range(k):
-            if _matching(*once[a]) != matching and not preserve:
+            same = kept[1 << a] if images else _matching(*once[a]) == matching
+            if not same and not preserve:
                 preserve = f"matching broken at {parents} pair {a + 1}"
             if _phi(*once[a], matching[a])[0] != parents and not involution:
                 involution = f"not involutive at {parents} pair {a + 1}"

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import count, islice
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -401,50 +401,6 @@ def test_cache_read_of_a_missing_file_builds_it(tmp_path, capsys, max_n, rows):
     assert code == 0 and err == "" and again == out
 
 
-def test_cache_read_of_a_non_ascii_file_rebuilds_the_default_rows(tmp_path, capsys):
-    cache_dir = str(tmp_path)
-    run(capsys, "cache", "write", "--target", "s", "--max-n", "5",
-        "--cache-dir", cache_dir)
-    path = tmp_path / "s.jsonl"
-    data = path.read_bytes()
-    at = data.index(b'"coeff":"4"') + len(b'"coeff":"')
-    path.write_bytes(data[:at] + b"\xe9" + data[at + 1:])
-    code, out, err = run(capsys, "cache", "read", "--target", "s",
-                         "--cache-dir", cache_dir)
-    assert code == 0
-    assert err.startswith(f"warning: cache file {path} corrupted ('ascii' codec "
-                          "can't decode byte 0xe9 in position ")
-    assert err.endswith("); rebuilding\n")
-    # the file does not decode, so its row run is 0 and the default size holds
-    assert {json.loads(line)["n"] for line in out.splitlines()} == set(range(1, 13))
-    assert path.read_text() == out
-
-
-@pytest.mark.parametrize(
-    "cut, warning",
-    [
-        (lambda text: "", "row 1 differs from the reference"),
-        # inside the last record of row 5: rows 1 .. 4 still match, and the
-        # rebuild has max(4, 12) rows
-        (lambda text: text[:-5], "row 5 differs from the reference"),
-    ],
-    ids=["empty-file", "cut-inside-row-5"],
-)
-def test_cache_read_of_a_cut_file_rebuilds_the_default_rows(tmp_path, capsys,
-                                                           cut, warning):
-    cache_dir = str(tmp_path)
-    run(capsys, "cache", "write", "--target", "s", "--max-n", "5",
-        "--cache-dir", cache_dir)
-    path = tmp_path / "s.jsonl"
-    path.write_text(cut(path.read_text()))
-    code, out, err = run(capsys, "cache", "read", "--target", "s",
-                         "--cache-dir", cache_dir)
-    assert code == 0
-    assert err == f"warning: cache file {path} corrupted ({warning}); rebuilding\n"
-    _, want, _ = run(capsys, "compute", "s", "--max-n", "12")
-    assert out == want and path.read_text() == want
-
-
 def _edit_record(text, cell, coeff=None):
     """Delete the record of cell (n, i, j), or set its coeff."""
     head = '{"n":%d,"i":%d,"j":%d,' % cell
@@ -530,20 +486,16 @@ STRAY = '{"n":100000,"i":0,"j":0,"coeff":"1"}\n'
 
 
 @pytest.mark.parametrize(
-    "file_rows, tail, max_n, rows, warning, taken_rows",
+    "file_rows, tail, max_n, rows, warning",
     [
-        # row 6 is built to find the stray record; the rebuild stops at row 5
-        (5, STRAY, (), 5, "corrupted (row 6 differs", [6]),
-        # the six rows that match are kept, and rows 7 .. 10 follow them
-        (6, "", ("--max-n", "10"), 10, "rebuild: file has 6 rows, 10 requested",
-         [10]),
-        (None, "", (), 12, "missing; rebuilding", [12]),
+        (5, STRAY, (), 5, "corrupted (its bytes differ from its key)"),
+        (6, "", ("--max-n", "10"), 10, "rebuild: file has 6 rows, 10 requested"),
+        (None, "", (), 12, "missing; rebuilding"),
     ],
     ids=["stray-record", "short-file", "missing-file"],
 )
-def test_cache_verifier_builds_one_row_past_the_match(
-        tmp_path, capsys, monkeypatch, file_rows, tail, max_n, rows, warning,
-        taken_rows):
+def test_cache_rebuild_takes_one_row_stream(
+        tmp_path, capsys, monkeypatch, file_rows, tail, max_n, rows, warning):
     from ellipta import elliptic as el
 
     cache_dir = str(tmp_path)
@@ -569,7 +521,7 @@ def test_cache_verifier_builds_one_row_past_the_match(
     assert code == 0 and warning in err
     assert out == want and path.read_text() == want
     # one row stream, and no row of it built twice
-    assert taken == taken_rows
+    assert taken == [rows]
 
 
 def test_cache_theta_file_is_gamma_under_corollary_15(tmp_path, capsys):
@@ -584,73 +536,9 @@ def test_cache_theta_file_is_gamma_under_corollary_15(tmp_path, capsys):
     assert json.loads(text[len(trees):].splitlines()[0])["n"] == 9
 
 
-def test_cache_corrupt_read_serves_every_matched_row(tmp_path, capsys):
-    cache_dir = str(tmp_path)
-    run(capsys, "cache", "write", "--target", "s", "--max-n", "6",
-        "--cache-dir", cache_dir)
-    path = tmp_path / "s.jsonl"
-    good = path.read_text()
-    five = "".join(line for line in good.splitlines(keepends=True)
-                   if json.loads(line)["n"] <= 5)
-    path.write_text(_edit_record(good, (6, 0, 0)))
-    # --max-n 3 asks for fewer rows than already matched and served
-    code, out, err = run(capsys, "cache", "read", "--target", "s", "--max-n", "3",
-                         "--cache-dir", cache_dir)
-    assert code == 0
-    assert "corrupted (row 6 differs from the reference); rebuilding" in err
-    assert out == five and path.read_text() == five
-
-
-def _move_row_to_end(text, n):
-    lines = text.splitlines(keepends=True)
-    row = [line for line in lines if json.loads(line)["n"] == n]
-    return "".join([line for line in lines if line not in row] + row)
-
-
-@pytest.mark.parametrize("edit, run_", [
-    (lambda text: text, 6),
-    (lambda text: text[:-5], 0),  # cut inside the last record
-    (lambda text: "", 0),
-    # row 4 gone: rows 5 and 6 are strays past the gap
-    (lambda text: "".join(line for line in text.splitlines(keepends=True)
-                          if json.loads(line)["n"] != 4), 3),
-    (lambda text: text.replace("\n", "\nnot json\n", 1), 0),
-    (lambda text: text.replace("\n", "\n\n  \n", 1), 6),  # blank lines
-    (lambda text: text.replace("\n", "\r\n"), 6),
-    (lambda text: text.replace("\n", "\r"), 6),
-    (lambda text: text.replace("\n", "\x0b", 1), 6),  # a line break to splitlines
-    (lambda text: text + text.splitlines(keepends=True)[2], 0),  # duplicate key
-    (lambda text: text.replace("\n", "\n" + text.splitlines()[0] + "\n", 1), 0),
-    # row 1 again after row 6, with a new key and with a repeated one
-    (lambda text: text + '{"n":1,"i":5,"j":5,"coeff":"1"}\n', 6),
-    (lambda text: _move_row_to_end(text, 1), 6),
-    (lambda text: _move_row_to_end(text, 1) + '{"n":1,"i":0,"j":0,"coeff":"1"}\n', 0),
-    (lambda text: text.replace('"coeff":"4"', '"coeff":"\xe9"', 1), 0),
-], ids=["whole", "cut-inside-a-record", "empty", "stray-rows-after-a-gap",
-        "unparseable-line", "blank-lines", "crlf", "cr", "vertical-tab",
-        "duplicate-key-at-end", "duplicate-key-in-order", "row-1-again",
-        "row-1-moved-to-the-end", "row-1-again-with-a-repeated-key", "non-ascii"])
-def test_row_run_reads_one_record_at_a_time_as_the_whole_parse_did(
-        tmp_path, capsys, edit, run_):
-    from ellipta import cli
-    from ellipta import elliptic as el
-
-    run(capsys, "cache", "write", "--target", "s", "--max-n", "6",
-        "--cache-dir", str(tmp_path))
-    path = tmp_path / "s.jsonl"
-    path.write_bytes(edit(path.read_text()).encode("latin-1"))
-    try:
-        tri = el.triangle_from_jsonl(path.read_bytes().decode("ascii"))
-        # the largest k with rows 1 .. k all nonempty, as the whole parse counted
-        whole = next(k for k in count() if not tri.get(k + 1))
-    except ValueError:
-        whole = 0
-    assert cli._row_run(str(path)) == whole == run_
-
-
 def test_corrupt_cache_read_holds_one_row(tmp_path, capsys):
-    # with no --max-n, the rebuild size is the file's run of rows 1 .. 100,
-    # counted without holding the file or its parse
+    # with no --max-n, the rebuild has the key's 100 rows, built and written
+    # one at a time
     import hashlib
     import tracemalloc
 
@@ -671,7 +559,7 @@ def test_corrupt_cache_read_holds_one_row(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0
     assert capsys.readouterr().err == (f"warning: cache file {path} corrupted "
-                                       "(row 60 differs from the reference); rebuilding\n")
+                                       "(its bytes differ from its key); rebuilding\n")
     assert sink.digest.digest() == hashlib.sha256(want.encode("ascii")).digest()
     assert peak <= len(good) // 3
     assert path.read_text() == good
@@ -702,7 +590,7 @@ def test_cache_hit_holds_one_row(tmp_path, capsys, fmt):
     path = tmp_path / "s.jsonl"
     _, want, _ = run(capsys, "compute", "s", "--max-n", "100", "--format", fmt)
     # a hit of 100 rows, then a short file of 90 rows, beside a stale
-    # temporary file, whose rebuild copies the 90 rows kept
+    # temporary file, rebuilt from row 1
     for file_rows, warning in (
             (100, ""), (90, "warning: rebuild: file has 90 rows, 100 requested\n")):
         run(capsys, "cache", "write", "--target", "s", "--max-n", str(file_rows),
@@ -722,7 +610,6 @@ def test_cache_hit_holds_one_row(tmp_path, capsys, fmt):
             tracemalloc.stop()
         assert code == 0 and capsys.readouterr().err == warning
         assert sink.digest.digest() == hashlib.sha256(want.encode("ascii")).digest()
-        # the kept rows, two thirds of the file, were not held either
         assert peak <= len(good) // 3
         # a rebuild replaces the stale file; it does not append to it
         assert path.read_text() == good
@@ -752,8 +639,8 @@ def test_cache_failed_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
     cache_dir = str(tmp_path)
     run(capsys, "cache", "write", "--target", "s", "--max-n", "4",
         "--cache-dir", cache_dir)
-    path = tmp_path / "s.jsonl"
-    before = path.read_bytes()
+    path, key = tmp_path / "s.jsonl", tmp_path / "s.jsonl.key"
+    before, keyed = path.read_bytes(), key.read_bytes()
     # a serialized row that cannot be encoded fails inside the write
     real = el.format_row
     monkeypatch.setattr(el, "format_row",
@@ -761,8 +648,8 @@ def test_cache_failed_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "cache", "write", "--target", "s", "--max-n", "6",
                        "--cache-dir", cache_dir)
     assert code == 1 and err.startswith("error: ")
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
+    assert (path.read_bytes(), key.read_bytes()) == (before, keyed)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl", "s.jsonl.key"]
 
 
 def test_cache_write_failing_after_some_rows_keeps_previous_file(
@@ -772,8 +659,8 @@ def test_cache_write_failing_after_some_rows_keeps_previous_file(
     cache_dir = str(tmp_path)
     run(capsys, "cache", "write", "--target", "s", "--max-n", "4",
         "--cache-dir", cache_dir)
-    path = tmp_path / "s.jsonl"
-    before = path.read_bytes()
+    path, key = tmp_path / "s.jsonl", tmp_path / "s.jsonl.key"
+    before, keyed = path.read_bytes(), key.read_bytes()
     real = el.format_row
     files_at_failure = []
 
@@ -788,27 +675,13 @@ def test_cache_write_failing_after_some_rows_keeps_previous_file(
                          "--cache-dir", cache_dir)
     assert code == 1 and out == ""
     assert err == "error: No space left on device\n"
-    # the write had a temporary file open beside the old one
-    assert len(files_at_failure) == 2 and files_at_failure[0] == "s.jsonl"
+    # the write had a temporary file open beside the old file and its key
+    assert len(files_at_failure) == 3 and files_at_failure[0] == "s.jsonl"
     assert files_at_failure[1].startswith("s.jsonl.")
     assert files_at_failure[1].endswith(".tmp")
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
-
-
-@pytest.fixture
-def keyed_dir(tmp_path):
-    """tmp_path, where a cache file can carry its key: skips unless the
-    file system keeps user extended attributes."""
-    probe = tmp_path / "probe"
-    probe.write_bytes(b"")
-    try:
-        os.setxattr(probe, "user.ellipta.probe", b"1")
-    except (AttributeError, OSError) as exc:
-        pytest.skip(f"no user extended attributes on {tmp_path}: {exc}")
-    finally:
-        probe.unlink()
-    return tmp_path
+    assert files_at_failure[2] == "s.jsonl.key"
+    assert (path.read_bytes(), key.read_bytes()) == (before, keyed)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl", "s.jsonl.key"]
 
 
 def _rows_built(monkeypatch, target):
@@ -828,11 +701,11 @@ def _rows_built(monkeypatch, target):
 
 @pytest.mark.parametrize("target", ["s", "gamma", "t", "theta"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-def test_cache_hit_builds_no_row(keyed_dir, capsys, monkeypatch, target, fmt):
+def test_cache_hit_builds_no_row(tmp_path, capsys, monkeypatch, target, fmt):
     from ellipta import cli
     from ellipta import elliptic as el
 
-    cache_dir = str(keyed_dir)
+    cache_dir = str(tmp_path)
     run(capsys, "cache", "write", "--target", target, "--max-n", "9",
         "--cache-dir", cache_dir)
     want = (el.CSV_HEADER if fmt == "csv" else "") + "".join(
@@ -851,86 +724,122 @@ def test_cache_hit_builds_no_row(keyed_dir, capsys, monkeypatch, target, fmt):
 
 
 def test_cache_file_edited_in_place_is_rebuilt_then_served_by_key(
-        keyed_dir, capsys, monkeypatch):
-    from ellipta import cli
-
-    cache_dir = str(keyed_dir)
+        tmp_path, capsys, monkeypatch):
+    cache_dir = str(tmp_path)
     run(capsys, "cache", "write", "--target", "s", "--max-n", "5",
         "--cache-dir", cache_dir)
-    path = keyed_dir / "s.jsonl"
-    good, key = path.read_bytes(), os.getxattr(path, cli.CACHE_KEY_ATTR)
+    path, key = tmp_path / "s.jsonl", tmp_path / "s.jsonl.key"
+    good, keyed = path.read_bytes(), key.read_bytes()
     with open(path, "r+b") as fh:  # same file, same key, one byte changed
         fh.seek(good.index(b'{"n":3,"i":1,"j":0,"coeff":"4"}') + 28)
         fh.write(b"5")
-    assert os.getxattr(path, cli.CACHE_KEY_ATTR) == key
+    assert key.read_bytes() == keyed
     built = _rows_built(monkeypatch, "s")
     code, out, err = run(capsys, "cache", "read", "--target", "s",
                          "--cache-dir", cache_dir)
     assert code == 0
     assert err == (f"warning: cache file {path} corrupted "
-                   "(row 3 differs from the reference); rebuilding\n")
+                   "(its bytes differ from its key); rebuilding\n")
     assert out == good.decode("ascii") and path.read_bytes() == good
-    assert os.getxattr(path, cli.CACHE_KEY_ATTR) == key  # the rebuild's own
+    assert key.read_bytes() == keyed  # the rebuild's own
     built.clear()
     code, again, err = run(capsys, "cache", "read", "--target", "s",
                            "--cache-dir", cache_dir)
     assert (code, err, again, built) == (0, "", out, [])
 
 
-@pytest.mark.parametrize("key", ["other-code", "not-a-key", "none"])
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_cache_file_with_another_key_is_compared(keyed_dir, capsys, monkeypatch,
-                                                 key, fmt):
+def _edit_key(field, value):
+    """An edit that sets one field of a cache file's key: 0 the code key,
+    1 the digest, 2 the row count."""
+    def edit(path):
+        key = Path(f"{path}.key")
+        fields = key.read_text().split(" ")
+        fields[field] = value
+        key.write_text(" ".join(fields))
+
+    return edit
+
+
+def _edit_bytes(edit):
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
+
+
+CORRUPTED = "cache file {path} corrupted (its bytes differ from its key); rebuilding"
+# Each way a key can fail to vouch for a 5-row s file of 17 lines:
+# (edit of the file at path, --max-n, warning, rows of the rebuild)
+NOT_VOUCHED = {
+    "missing": (lambda path: path.unlink(), None,
+                "cache file {path} missing; rebuilding", 12),
+    "no-key": (lambda path: Path(f"{path}.key").unlink(), None,
+               "cache file {path} has no key; rebuilding", 12),
+    "not-a-key": (lambda path: Path(f"{path}.key").write_text("not a key"), None,
+                  "cache file {path} has a malformed key; rebuilding", 12),
+    "other-code": (_edit_key(0, "0" * 64), None,
+                   "cache file {path} is keyed by other code; rebuilding", 5),
+    "non-ascii": (_edit_bytes(lambda data: data.replace(b'"4"', b'"\xe9"', 1)),
+                  None, CORRUPTED, 5),
+    "cut-inside-row-5": (_edit_bytes(lambda data: data[:-5]), None, CORRUPTED, 5),
+    # --max-n 3 asks for fewer rows than the file has
+    "edited-row-5": (_edit_bytes(lambda data: data.replace(b'"44"', b'"45"', 1)),
+                     "3", CORRUPTED, 3),
+    # a key that counts more rows than the file has lines does not size the
+    # rebuild
+    "empty-file": (_edit_bytes(lambda data: b""), None, CORRUPTED, 12),
+    "key-counts-more-rows-than-lines": (
+        _edit_bytes(lambda data: b"".join(data.splitlines(keepends=True)[:4])),
+        None, CORRUPTED, 12),
+    "short": (lambda path: None, "7", "rebuild: file has 5 rows, 7 requested", 7),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_VOUCHED)
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_cache_read_rebuilds_a_file_no_key_vouches_for(tmp_path, capsys, monkeypatch,
+                                                       fmt, kind):
+    import hashlib
+
     from ellipta import cli
 
-    cache_dir = str(keyed_dir)
-    run(capsys, "cache", "write", "--target", "gamma", "--max-n", "7",
+    edit, max_n, warning, rows = NOT_VOUCHED[kind]
+    cache_dir = str(tmp_path)
+    path = tmp_path / "s.jsonl"
+    run(capsys, "cache", "write", "--target", "s", "--max-n", "5",
         "--cache-dir", cache_dir)
-    path = keyed_dir / "gamma.jsonl"
-    _, want, _ = run(capsys, "compute", "gamma", "--max-n", "7", "--format", fmt)
-    good, attrs = path.read_bytes(), {a: os.getxattr(path, a) for a in os.listxattr(path)}
-    if key == "other-code":
-        monkeypatch.setattr(cli, "_code_key", lambda: "0" * 64)
-    elif key == "not-a-key":
-        os.setxattr(path, cli.CACHE_KEY_ATTR, b"not a key")
-        attrs[cli.CACHE_KEY_ATTR] = b"not a key"
-    else:
-        os.removexattr(path, cli.CACHE_KEY_ATTR)
-        del attrs[cli.CACHE_KEY_ATTR]
-    built = _rows_built(monkeypatch, "gamma")
-    code, out, err = run(capsys, "cache", "read", "--target", "gamma",
-                         "--format", fmt, "--cache-dir", cache_dir)
-    assert (code, err, out) == (0, "", want)
-    assert built == list(range(1, 8))
-    # a compare that matches serves the file and leaves it as it was
-    assert path.read_bytes() == good
-    assert {a: os.getxattr(path, a) for a in os.listxattr(path)} == attrs
+    edit(path)
+    _, want, _ = run(capsys, "compute", "s", "--max-n", str(rows), "--format", fmt)
+    _, good, _ = run(capsys, "compute", "s", "--max-n", str(rows))
+    argv = ["cache", "read", "--target", "s", "--format", fmt, "--cache-dir",
+            cache_dir, *(("--max-n", max_n) if max_n else ())]
+    built = _rows_built(monkeypatch, "s")
+    code, out, err = run(capsys, *argv)
+    # one warning, one row stream from row 1, the rows asked for, a new key
+    assert (code, err) == (0, f"warning: {warning.format(path=path)}\n")
+    assert built == list(range(1, rows + 1))
+    assert out == want and path.read_text() == good
+    digest = hashlib.sha256(good.encode("ascii")).hexdigest()
+    assert Path(f"{path}.key").read_text() == f"{cli._code_key()} {digest} {rows}"
+    # so the next read is a silent hit that builds no row
+    built.clear()
+    assert (run(capsys, *argv), built) == ((0, out, ""), [])
 
 
-def test_cache_on_a_file_system_without_xattrs(keyed_dir, capsys, monkeypatch):
-    from ellipta import cli
-
-    keyed, bare = keyed_dir / "keyed", keyed_dir / "bare"
-    _, wrote, _ = run(capsys, "cache", "write", "--target", "t", "--max-n", "8",
-                      "--cache-dir", str(keyed))
-    good = (keyed / "t.jsonl").read_bytes()
-
+def test_cache_on_a_file_system_without_xattrs(tmp_path, capsys, monkeypatch):
+    # the key is a file beside the cache file, so a file system that keeps
+    # no extended attributes still serves a hit
     def unsupported(*args):
         raise OSError(errno.ENOTSUP, os.strerror(errno.ENOTSUP))
 
-    monkeypatch.setattr(os, "setxattr", unsupported)
-    code, out, err = run(capsys, "cache", "write", "--target", "t", "--max-n", "8",
-                         "--cache-dir", str(bare))
-    assert (code, err) == (0, "")
-    assert out == wrote.replace(str(keyed), str(bare))
-    assert (bare / "t.jsonl").read_bytes() == good
-    assert cli.CACHE_KEY_ATTR not in os.listxattr(bare / "t.jsonl")
-    assert sorted(p.name for p in bare.iterdir()) == ["t.jsonl"]
+    for name in ("setxattr", "getxattr"):
+        monkeypatch.setattr(os, name, unsupported, raising=False)
+    cache_dir = str(tmp_path)
+    run(capsys, "cache", "write", "--target", "t", "--max-n", "8",
+        "--cache-dir", cache_dir)
+    good = (tmp_path / "t.jsonl").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl", "t.jsonl.key"]
     built = _rows_built(monkeypatch, "t")
     code, out, err = run(capsys, "cache", "read", "--target", "t",
-                         "--cache-dir", str(bare))
-    assert (code, err, out) == (0, "", good.decode("ascii"))
-    assert built == list(range(1, 9))
+                         "--cache-dir", cache_dir)
+    assert (code, err, out, built) == (0, "", good, [])
 
 
 def test_unexpected_error_is_one_line_exit_1(capsys, monkeypatch):
@@ -976,6 +885,16 @@ def test_cache_clear_removes_files(tmp_path, capsys):
     code, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
     assert code == 0 and "cleared 1" in out
     assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_cache_clear_removes_each_file_and_its_key(tmp_path, capsys):
+    for target in ("s", "t"):
+        run(capsys, "cache", "write", "--target", target, "--max-n", "3",
+            "--cache-dir", str(tmp_path))
+    (tmp_path / "t.jsonl").unlink()  # a key file left without its data file
+    code, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+    assert (code, out) == (0, "cleared 1 cache file(s)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point():

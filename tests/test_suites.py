@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ellipta import elliptic as el
 from ellipta import suites
 
 
@@ -108,7 +109,7 @@ def test_certificate_suites_pass_through_150(name):
     assert len(result.checks) >= 150
 
 
-@pytest.mark.parametrize("max_n, largest", [(0, 2), (1, 2), (2, 4), (6, 12)])
+@pytest.mark.parametrize("max_n, largest", [(1, 2), (2, 4), (6, 12)])
 def test_thm2_builds_no_j_it_does_not_read(monkeypatch, max_n, largest):
     from ellipta import elliptic as el
 
@@ -123,6 +124,19 @@ def test_thm2_builds_no_j_it_does_not_read(monkeypatch, max_n, largest):
     (result,) = suites.run_suite("thm2", max_n=max_n)
     assert result.ok
     assert asked == [largest]
+
+
+@pytest.mark.parametrize("build, below, message", [
+    *(pytest.param(build, -1, "n_max must be at least 0", id=f"route-{name}")
+      for name, build in el.J_ROUTES.items()),
+    *(pytest.param(build, below, "max_n must be at least 1", id=f"suite-{name}-{below}")
+      for name, build in suites.SUITES.items() for below in (0, -1)),
+])
+def test_each_route_and_suite_rejects_n_below_its_range(build, below, message):
+    # one contract: J routes start at J_0, suites at n = 1 (the CLI's
+    # --max-n); below that each raises rather than passing on nothing
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(below)
 
 
 def _recording(monkeypatch, name, module=None):

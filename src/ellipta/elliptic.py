@@ -27,9 +27,9 @@ generalization to arbitrary seed data (`bi_gamma_closure`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice
 from math import comb, factorial
+from typing import NamedTuple
 
 from .exactpoly import (
     DegreeExceedsCenterError,
@@ -386,8 +386,7 @@ def j_fraction(n_max: int) -> tuple:
 # the series route
 
 
-@dataclass(frozen=True)
-class EllipticSeries:
+class EllipticSeries(NamedTuple):
     """Truncated expansions of sn, cn, dn in u, with UniPoly coefficients in
     the modulus square x.
 
@@ -477,8 +476,7 @@ def j_series(n_max: int) -> tuple:
     return tuple(js)
 
 
-@dataclass(frozen=True)
-class SeriesIdentityReport:
+class SeriesIdentityReport(NamedTuple):
     order: int
     pythagorean: bool  # sn^2 + cn^2 = 1 through the stored order
     modulus: bool  # dn^2 + x sn^2 = 1 through the stored order
@@ -553,7 +551,9 @@ def first_route_mismatch(seqs: dict):
 
 def gamma_bounds(n: int) -> tuple:
     """Row n of gamma and t holds the cells 0 <= i <= (n - 1) // 2, 0 <= j,
-    i + 2j <= n // 2, that is j <= (n - 2i) // 4."""
+    i + 2j <= n // 2, that is j <= (n - 2i) // 4. The rows start at 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return (n - 1) // 2, n // 2, 2
 
 
@@ -756,8 +756,7 @@ def _bi_gamma_chain(gvecs, weight, count: int):
         yield ga, gb, SymDecomp(a=ga.to_poly(), b=gb.to_poly(), n=n)
 
 
-@dataclass(frozen=True)
-class EvenDecomposition:
+class EvenDecomposition(NamedTuple):
     """Constructive certificate for an even-index J: gamma vectors of both
     symmetric parts, plus the assembled decomposition."""
 
@@ -799,8 +798,7 @@ def j_even_decomposition(
 # the general closure
 
 
-@dataclass(frozen=True)
-class ClosureItem:
+class ClosureItem(NamedTuple):
     index: int
     poly: UniPoly
     decomposition: SymDecomp
@@ -971,6 +969,8 @@ def validate_gamma_triangle(tri: dict, scale: int = 4):
     support, and divisible by scale^(i+j): 4 for gamma, 1 for t."""
     validate_row_range(tri)
     for n, row in tri.items():
+        if not row:  # absent, and below the range of gamma_bounds if n < 1
+            continue
         bounds = gamma_bounds(n)
         for (i, j), c in row.items():
             _check_entry(n, i, j, c, bounds, scale)

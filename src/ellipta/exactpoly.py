@@ -16,7 +16,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 UniPoly = tuple  # tuple of int coefficients, lowest exponent first
 
@@ -123,11 +123,15 @@ def uni_shift(f: UniPoly, k: int) -> UniPoly:
 def uni_mul(f: UniPoly, g: UniPoly) -> UniPoly:
     if not f or not g:
         return UNI_ZERO
+    if len(f) < len(g):
+        f, g = g, f
     out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
+    # the outer loop runs over the shorter operand, so the inner loops
+    # are fewer and longer
+    for i, b in enumerate(g):
+        if b:
+            for k, a in enumerate(f, i):
+                out[k] += a * b
     return uni(out)
 
 
@@ -272,6 +276,9 @@ class MultiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        return MultiPoly, (self.vars, self.terms)
 
     @classmethod
     def zero(cls, variables) -> "MultiPoly":
@@ -489,18 +496,22 @@ class MultiPoly:
 # truncated formal series
 
 
-@dataclass(frozen=True)
-class FormalSeries:
+class FormalSeries(NamedTuple("FormalSeries", [("order", int), ("coeffs", tuple)])):
     """Series truncated at u**order; coeffs[m] is the UniPoly coefficient of
     u**m. Exactly order+1 entries are stored."""
 
-    order: int
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __new__(cls, order: int, coeffs: tuple):
+        if order < 0:
             raise ExactPolyError("order must be nonnegative")
-        if len(self.coeffs) != self.order + 1:
+        if len(coeffs) != order + 1:
             raise ExactPolyError(
-                f"expected {self.order + 1} coefficients, got {len(self.coeffs)}"
+                f"expected {order + 1} coefficients, got {len(coeffs)}"
             )
+        return super().__new__(cls, order, coeffs)
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__'s checks, and so is _replace
+        return cls(*iterable)

@@ -16,7 +16,7 @@ All verdicts come with certificates that reconstruct the input exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactpoly import (
     DegreeExceedsCenterError,
@@ -54,26 +54,29 @@ def is_symmetric(f: UniPoly, n: int) -> bool:
     return all(uni_coeff(f, i) == uni_coeff(f, n - i) for i in range(n // 2 + 1))
 
 
-@dataclass(frozen=True)
-class GammaVector:
+class GammaVector(NamedTuple("GammaVector", [("center", int), ("gammas", tuple)])):
     """Expansion of a symmetric polynomial in the basis x^k (1+x)^(center-2k).
 
     A center of -1 carries an empty vector and stands for the zero
     polynomial (the b-part of a symmetric input with declared degree 0).
     """
 
-    center: int
-    gammas: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.center < -1:
-            raise ValueError(f"center {self.center} out of range")
-        expected = 0 if self.center < 0 else self.center // 2 + 1
-        if len(self.gammas) != expected:
+    def __new__(cls, center: int, gammas: tuple):
+        if center < -1:
+            raise ValueError(f"center {center} out of range")
+        expected = 0 if center < 0 else center // 2 + 1
+        if len(gammas) != expected:
             raise ValueError(
-                f"center {self.center} needs {expected} entries, "
-                f"got {len(self.gammas)}"
+                f"center {center} needs {expected} entries, got {len(gammas)}"
             )
+        return super().__new__(cls, center, gammas)
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__'s checks, and so is _replace
+        return cls(*iterable)
 
     def is_nonnegative(self) -> bool:
         return all(g >= 0 for g in self.gammas)
@@ -112,8 +115,7 @@ def gamma_expand(f: UniPoly, n: int) -> GammaVector:
     return GammaVector(n, tuple(gammas))
 
 
-@dataclass(frozen=True)
-class SymDecomp:
+class SymDecomp(NamedTuple):
     """The unique split f = a + x*b with a, b symmetric about n and n-1."""
 
     a: UniPoly
@@ -185,8 +187,7 @@ def is_alternatingly_increasing(f: UniPoly, n: int) -> bool:
     return all(x <= y for x, y in zip(vals, vals[1:]))
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """All verdicts for one polynomial at one declared center, with the
     certificates that back the positive ones."""
 

@@ -14,7 +14,6 @@ integer coefficients and ^ for powers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import add
 
@@ -30,20 +29,23 @@ class GrammarParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Grammar:
-    """Ordered alphabet plus one replacement rule per letter."""
+    """Ordered alphabet plus one replacement rule per letter: `rules` holds
+    one MultiPoly per letter, aligned with `variables`.
 
-    variables: tuple
-    rules: tuple  # MultiPoly per letter, aligned with `variables`
+    An immutable record of those two fields, equal and hashed by them. It
+    also holds derive_once's tables, which are not fields, so it is a
+    slotted class rather than a NamedTuple."""
 
-    def __post_init__(self):
-        if len(self.rules) != len(self.variables):
+    __slots__ = ("variables", "rules", "_deltas", "_max_delta")
+
+    def __init__(self, variables: tuple, rules: tuple):
+        if len(rules) != len(variables):
             raise ValueError("need exactly one rule per letter")
-        for rule in self.rules:
-            if rule.vars != self.variables:
+        for rule in rules:
+            if rule.vars != variables:
                 raise AlphabetMismatchError(
-                    f"rule alphabet {rule.vars} differs from {self.variables}"
+                    f"rule alphabet {rule.vars} differs from {variables}"
                 )
         # derive_once's tables, not fields: for letter k, the (delta, coeff)
         # of every term of its rule, delta = rule exponent - e_k; and the
@@ -53,11 +55,33 @@ class Grammar:
                 (exp[:k] + (exp[k] - 1,) + exp[k + 1 :], c)
                 for exp, c in rule.terms.items()
             )
-            for k, rule in enumerate(self.rules)
+            for k, rule in enumerate(rules)
         )
         components = [x for ds in deltas for d, _ in ds for x in d]
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_deltas", deltas)
         object.__setattr__(self, "_max_delta", max(components, default=0))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Grammar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Grammar is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.variables, self.rules) == (other.variables, other.rules)
+
+    def __hash__(self):
+        return hash((self.variables, self.rules))
+
+    def __repr__(self):
+        return f"Grammar(variables={self.variables!r}, rules={self.rules!r})"
+
+    def __reduce__(self):
+        return Grammar, (self.variables, self.rules)
 
     @classmethod
     def from_dict(cls, variables, rules: dict) -> "Grammar":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import random
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import elliptic as el
 from . import gammakit as gk
@@ -19,15 +19,13 @@ from . import treeoracle as to
 from .exactpoly import MultiPoly, uni_to_text
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     label: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     scope: str
     checks: tuple

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .elliptic import gamma_bounds
@@ -204,17 +203,19 @@ def _pair_classes(parents, children, pairs) -> list:
     return classes
 
 
-def _stats(parents, children, pairs) -> TreeStats:
-    """Statistics of a tree from its children table and matching."""
+def _stats(parents, children, pairs) -> tuple:
+    """Statistics of a tree from its children table and matching, and the
+    `_pair_classes` they were counted from."""
     tally = [len(parents) + 1 - 2 * len(pairs), 0, 0, 0, 0, 0]
-    for c in _pair_classes(parents, children, pairs):
+    classes = _pair_classes(parents, children, pairs)
+    for c in classes:
         tally[c] += 1
-    return TreeStats(*tally)
+    return TreeStats(*tally), classes
 
 
 def tree_stats(parents) -> TreeStats:
     children = children_table(parents)
-    return _stats(parents, children, _matching(parents, children))
+    return _stats(parents, children, _matching(parents, children))[0]
 
 
 def tree_profiles(n: int, cap: int = DEFAULT_TREE_CAP) -> Counter:
@@ -423,8 +424,7 @@ def phi_subset(parents, matching, indices):
     return _apply(parents, children, matching, indices)[0]
 
 
-@dataclass(frozen=True)
-class OrbitCheck:
+class OrbitCheck(NamedTuple):
     ok: bool
     start: tuple
     image: tuple
@@ -451,7 +451,7 @@ def _orbit_check(start, pairs, before, flipped_odd, image, children) -> OrbitChe
     ascent-free tree `start`, whose matching is `pairs` and statistics
     `before`. The image's matching and statistics come from its own table."""
     image_pairs = _matching(image, children)
-    after = _stats(image, children, image_pairs)
+    after = _stats(image, children, image_pairs)[0]
     matching_preserved = image_pairs == pairs
     ok = (
         matching_preserved
@@ -479,12 +479,11 @@ def phi_orbit_check(parents, indices) -> OrbitCheck:
     descents to ascents."""
     children = children_table(parents)
     pairs = _matching(parents, children)
-    before = _stats(parents, children, pairs)
+    before, classes = _stats(parents, children, pairs)
     if before.asc_o:
         raise ValueError("tree must have no odd ascent pair")
     chosen = set(indices)
     image = _apply(parents, children, pairs, chosen)
-    classes = _pair_classes(parents, children, pairs)
     flipped_odd = sum(not classes[k - 1] & 1 for k in chosen)
     return _orbit_check(parents, pairs, before, flipped_odd, *image)
 
@@ -507,7 +506,7 @@ def lemma9_defects(n: int, cap: int = DEFAULT_TREE_CAP) -> tuple:
         matching = _matching(parents, children)
         groups.setdefault(matching, []).append(parents)
         k = len(matching)
-        before = _stats(parents, children, matching)
+        before, classes = _stats(parents, children, matching)
         if before.asc_o == 0:
             # images[S] is the image of S minus its top pair, moved by the
             # top pair: the order in which `_apply` applies them
@@ -516,7 +515,6 @@ def lemma9_defects(n: int, cap: int = DEFAULT_TREE_CAP) -> tuple:
                 top = mask.bit_length() - 1
                 images.append(_phi(*images[mask ^ 1 << top], matching[top]))
             once = [images[1 << t] for t in range(k)]
-            classes = _pair_classes(parents, children, matching)
             even_mask = sum((c & 1) << t for t, c in enumerate(classes))
             kept = []  # kept[mask]: the image of mask has the same matching
             for mask in range(1 << k):

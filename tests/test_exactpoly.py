@@ -61,6 +61,35 @@ def test_uni_mul_commutative(f, g):
     assert uni_mul(f, g) == uni_mul(g, f)
 
 
+def _schoolbook_mul(f, g):
+    out = [0] * (len(f) + len(g))
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return uni(out)
+
+
+@pytest.mark.parametrize("f, g", [
+    ((0, 0, 3), (1, 2, 0, 0, 5, 7)),
+    ((2, 0, 1), (0, 4)),
+    ((5,), (0, 0, 0, 1)),
+    ((3, 0, 0, 0, 0, 0, 0, 2), (0, 1, 0, -1)),
+    ((0, 10**30, 0, -1), (7, 0, 0, 0, 0, 0, 0, 0, 0, 3)),
+])
+def test_uni_mul_matches_the_schoolbook_double_loop(f, g):
+    # unequal lengths, zeros in either operand, either operand first
+    assert uni_mul(f, g) == _schoolbook_mul(f, g)
+    assert uni_mul(g, f) == _schoolbook_mul(g, f)
+
+
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(-10**30, 10**30)), max_size=12).map(uni),
+    st.lists(st.one_of(st.just(0), st.integers(-10**30, 10**30)), max_size=12).map(uni),
+)
+def test_uni_mul_matches_the_schoolbook_double_loop_on_random_operands(f, g):
+    assert uni_mul(f, g) == _schoolbook_mul(f, g)
+
+
 @given(unipolys, unipolys, unipolys)
 def test_uni_mul_associative(f, g, h):
     assert uni_mul(uni_mul(f, g), h) == uni_mul(f, uni_mul(g, h))

@@ -1,11 +1,14 @@
 import ast
+import inspect
 import os
 from pathlib import Path
 
 import pytest
 
 from ellipta import elliptic as el
+from ellipta import gammakit as gk
 from ellipta import suites
+from ellipta import treeoracle as to
 
 
 def test_every_named_suite_passes_at_small_range():
@@ -137,6 +140,71 @@ def test_each_route_and_suite_rejects_n_below_its_range(build, below, message):
     # --max-n); below that each raises rather than passing on nothing
     with pytest.raises(ValueError, match=f"^{message}$"):
         build(below)
+
+
+# The first n of each public function of elliptic, gammakit and treeoracle
+# whose only required argument is an int; a new such function is added here.
+FIRST_N = {
+    "elliptic.elliptic_series": 1,
+    "elliptic.gamma_bounds": 1,
+    "elliptic.gamma_odd_lines": 1,
+    "elliptic.gamma_triangle_recurrence": 1,
+    "elliptic.j_even_decomposition": 0,
+    "elliptic.j_even_decompositions": 0,
+    "elliptic.j_fraction": 0,
+    "elliptic.j_operator": 0,
+    "elliptic.j_recurrence": 0,
+    "elliptic.j_sequence": 0,
+    "elliptic.j_series": 0,
+    "elliptic.j_viennot": 0,
+    "elliptic.s_triangle_operator": 1,
+    "elliptic.s_triangle_recurrence": 1,
+    "elliptic.series_identity_checks": 1,
+    "elliptic.t_poly": 1,
+    "elliptic.t_polys_recurrence": 1,
+    "elliptic.t_triangle_recurrence": 1,
+    "treeoracle.g1_distribution": 0,
+    "treeoracle.g2_distribution": 0,
+    "treeoracle.lemma9_defects": 0,
+    "treeoracle.p_bruteforce": 0,
+    "treeoracle.s_from_trees": 0,
+    "treeoracle.theta_table": 0,
+    "treeoracle.tree_enumerate": 0,
+    "treeoracle.tree_profiles": 0,
+}
+
+
+def _int_n_functions() -> dict:
+    found = {}
+    for module in (el, gk, to):
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            if fn.__module__ != module.__name__:
+                continue
+            required = [p for p in inspect.signature(fn).parameters.values()
+                        if p.default is p.empty]
+            if len(required) == 1 and required[0].annotation in ("int", int):
+                found[f"{module.__name__.rsplit('.', 1)[1]}.{name}"] = fn
+    return found
+
+
+def test_the_range_sweep_covers_every_function_of_n():
+    assert sorted(_int_n_functions()) == sorted(FIRST_N)
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_N))
+def test_each_function_of_n_rejects_n_below_its_range(name):
+    fn = _int_n_functions()[name]
+
+    def run(n):
+        result = fn(n)
+        return list(result) if inspect.isgenerator(result) else result
+
+    for below in range(-1, FIRST_N[name]):
+        with pytest.raises(ValueError):
+            run(below)
+    run(FIRST_N[name])
 
 
 def _recording(monkeypatch, name, module=None):

@@ -4,7 +4,7 @@ every cache file they write or read, one `digest  invocation` line each.
 
 Run it on two checkouts and `diff` the outputs: equal lines mean
 byte-identical output. The cache commands run in a temporary directory,
-shown as DIR.
+shown as DIR. Help is formatted for 80 columns, whatever the terminal.
 
 Usage: python scripts/output_digests.py
 """
@@ -12,6 +12,7 @@ Usage: python scripts/output_digests.py
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -64,6 +65,22 @@ def invocations():
                 yield cache("read", target, *rows, *fmt)
             if not rows:
                 yield cache("read", target, "--max-n", "40")
+    # the help of the program, of each verb and of each of its leaves
+    yield ["--help"]
+    for verb in commands():
+        yield [verb, "--help"]
+        for leaf in commands(verb):
+            yield [verb, leaf, "--help"]
+
+
+def commands(*verb):
+    """The commands that the usage line of `ellipta *verb --help` offers,
+    {a,b,...}: read off the program, so any checkout lists its own."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main([*verb, "--help"])
+    usage = out.getvalue()
+    return usage[usage.index("{") + 1:usage.index("}")].split(",")
 
 
 def cache(action, target, *options):
@@ -75,6 +92,7 @@ def sha256(data: bytes) -> str:
 
 
 def main():
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width
     with tempfile.TemporaryDirectory() as cache_dir:
         for argv in invocations():
             out = io.StringIO()
@@ -85,7 +103,7 @@ def main():
             text = out.getvalue().replace(cache_dir, "DIR")
             line = f"{sha256(text.encode('ascii'))}  {' '.join(argv)}"
             print(line if code == 0 else f"{line}  (exit {code})")
-            if argv[0] == "cache":
+            if "DIR" in argv:  # a cache command: digest its file too
                 name = f"{argv[3]}.jsonl"
                 data = Path(cache_dir, name).read_bytes()
                 print(f"{sha256(data)}  DIR/{name}")

@@ -13,24 +13,28 @@ collection is sorted, and randomized paths take an explicit --seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
+from functools import partial
 from itertools import count, islice
 
-from . import elliptic as el
-from . import gammakit as gk
-from . import suites as vsuites
-from . import treeoracle as to
-from .exactpoly import (
-    MultiPoly,
-    uni_to_json,
-    uni_to_text,
-)
+# Each function imports the package modules it runs, and each parser the
+# modules its options name, so a process compiles only its command's
+# modules: a keyed json `cache read` loads no other module of the package.
 
 CACHE_ENV = "ELLIPTA_CACHE_DIR"
 CACHE_DEFAULT_ROWS = {"s": 12, "gamma": 12, "t": 12, "theta": 7}
+
+
+def _elliptic_rows(name):
+    """The row generator `name` of `elliptic` (an endless (n, row) generator
+    from row 1 on), looked up when it is called."""
+    def rows():
+        from . import elliptic
+
+        return getattr(elliptic, name)()
+
+    return rows
 
 
 def _stream(rows):
@@ -39,27 +43,35 @@ def _stream(rows):
 
 
 def _enumerated(row_of):
-    """A tree enumeration as a row source; only the rows taken are built."""
-    return lambda first, cap: ((n, row_of(n, cap)) for n in count(first))
+    """A tree enumeration as a row source; only the rows taken are built.
+    row_of(to, n, cap) is row n, built by `treeoracle` (passed as to)."""
+    def source(first, cap):
+        from . import treeoracle as to
+
+        return ((n, row_of(to, n, cap)) for n in count(first))
+
+    return source
 
 
 def _gamma_rows_operator():
     """Gamma rows peeled out of P_n, row n of the operator's s triangle."""
+    from . import elliptic as el
+
     for n, row in el.s_rows_operator():
         yield n, el.gamma_from_p(n, el.p_poly(n, {n: row}))
 
 
 # (target, route) -> source(first, cap), an endless (n, row) iterator from `first`
 ROW_SOURCES = {
-    ("s", "operator"): _stream(el.s_rows_operator),
-    ("s", "recurrence"): _stream(el.s_rows_recurrence),
-    ("s", "trees"): _enumerated(lambda n, cap: to.s_from_trees(n, cap=cap)),
-    ("gamma", "recurrence"): _stream(el.gamma_rows_recurrence),
+    ("s", "operator"): _stream(_elliptic_rows("s_rows_operator")),
+    ("s", "recurrence"): _stream(_elliptic_rows("s_rows_recurrence")),
+    ("s", "trees"): _enumerated(lambda to, n, cap: to.s_from_trees(n, cap=cap)),
+    ("gamma", "recurrence"): _stream(_elliptic_rows("gamma_rows_recurrence")),
     ("gamma", "operator"): _stream(_gamma_rows_operator),
     ("gamma", "trees"): _enumerated(
-        lambda n, cap: to.gamma_row_from_theta(n, to.theta_table(n, cap=cap))
+        lambda to, n, cap: to.gamma_row_from_theta(n, to.theta_table(n, cap=cap))
     ),
-    ("theta", "trees"): _enumerated(lambda n, cap: to.theta_table(n, cap=cap)),
+    ("theta", "trees"): _enumerated(lambda to, n, cap: to.theta_table(n, cap=cap)),
 }
 # The route of each triangle target when none is named
 DEFAULT_ROUTES = {"s": "recurrence", "gamma": "recurrence", "theta": "trees"}
@@ -67,6 +79,9 @@ DEFAULT_ROUTES = {"s": "recurrence", "gamma": "recurrence", "theta": "trees"}
 
 def _theta_rows_from_gamma():
     """Theta rows from row 1 on: each gamma row under Corollary 15."""
+    from . import elliptic as el
+    from . import treeoracle as to
+
     for n, row in el.gamma_rows_recurrence():
         yield n, to.theta_row_from_gamma(n, row)
 
@@ -75,9 +90,9 @@ def _theta_rows_from_gamma():
 # on: a file is served only if its key file vouches that it is byte for byte
 # rows 1 .. k of its source (`_serve_keyed`); any other is rebuilt from row 1
 CACHE_ROWS = {
-    "s": el.s_rows_recurrence,
-    "gamma": el.gamma_rows_recurrence,
-    "t": el.t_rows_recurrence,
+    "s": _elliptic_rows("s_rows_recurrence"),
+    "gamma": _elliptic_rows("gamma_rows_recurrence"),
+    "t": _elliptic_rows("t_rows_recurrence"),
     "theta": _theta_rows_from_gamma,
 }
 CACHE_TARGETS = tuple(CACHE_ROWS)
@@ -106,25 +121,106 @@ def _at_least(k: int):
 FORMATS = ("json", "csv", "text")
 
 
-def _leaf(commands, name: str, about=None, formats=(), cap=False):
-    """The parser of one command: it records itself as `leaf`, so a usage
-    error found after parsing shows this command's usage line, and it takes
-    --format (one of formats) and --cap only where its code reads them."""
+def _leaf(commands, argv, name: str, about=None, formats=(), cap=False):
+    """Add the parser of command `name` and return it, or None if argv does
+    not name it: parsing argv never reaches its options, so none are
+    declared. The parser records itself as `leaf`, so a usage error found
+    after parsing shows this command's usage line, and it takes --format
+    (one of formats) and --cap only where its code reads them."""
     leaf = commands.add_parser(name, help=about)
+    if name not in argv[1:]:
+        return None
     leaf.set_defaults(leaf=leaf)
     if formats:
         leaf.add_argument("--format", choices=formats, default="json")
     if cap:
+        from .treeoracle import DEFAULT_TREE_CAP
+
         leaf.add_argument("--cap", type=int, default=None,
                           help="raise the tree enumeration cap "
-                          f"(default {to.DEFAULT_TREE_CAP}; warns above 10)")
+                          f"(default {DEFAULT_TREE_CAP}; warns above 10)")
     return leaf
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One leaf parser per compute target, verify suite and cache action,
-    each with only the options its code reads; argparse rejects every other
-    option."""
+def _compute_leaves(leaf):
+    """Declare each compute target, through leaf (a partial `_leaf`)."""
+    if j := leaf("j", "J_n, the coefficients of sn and cn", FORMATS):
+        from . import elliptic as el
+
+        j.add_argument("--n", type=_at_least(0), required=True)
+        j.add_argument("--route", choices=tuple(el.J_ROUTES),
+                       default=el.J_DEFAULT_ROUTE)
+    if p := leaf("p", "the cycle-peak polynomial P_n", FORMATS):
+        p.add_argument("--n", type=_at_least(1), required=True)
+        p.add_argument("--route", choices=("recurrence", "operator"),
+                       default="recurrence")
+    if t := leaf("t", "the reduced polynomial t_n", FORMATS):
+        t.add_argument("--n", type=_at_least(1), required=True)
+        t.add_argument("--route", choices=("recurrence", "poly"), default="recurrence")
+    for target in ("s", "gamma", "theta"):
+        if tri := leaf(target, f"rows of the {target} triangle", FORMATS, cap=True):
+            rows = tri.add_mutually_exclusive_group(required=True)
+            rows.add_argument("--n", type=_at_least(1), help="row n alone")
+            rows.add_argument("--max-n", type=_at_least(1), help="rows 1 .. max-n")
+            routes = tuple(route for tgt, route in ROW_SOURCES if tgt == target)
+            tri.add_argument("--route", choices=routes, default=DEFAULT_ROUTES[target])
+    if dec := leaf("decompose", "the bi-gamma certificate of J_n", ("json", "text")):
+        dec.add_argument("--n", type=_at_least(0), required=True)
+    if clo := leaf("closure", "a random instance of the bi-gamma closure",
+                   ("json", "text")):
+        clo.add_argument("--max-n", type=_at_least(0), default=6)
+        clo.add_argument("--seed", type=int, default=0)
+
+
+def _verify_leaves(leaf):
+    """Declare each verify suite, through leaf (a partial `_leaf`)."""
+    from . import suites as vsuites
+
+    for name in (*vsuites.SUITES, "all"):
+        if suite := leaf(name):
+            if name != "all":  # verify all runs each suite at its own range
+                suite.add_argument("--max-n", type=_at_least(1),
+                                   default=vsuites.SUITE_DEFAULT_RANGE[name])
+            if name in (*vsuites.SEEDED_SUITES, "all"):
+                suite.add_argument("--seed", type=int, default=0)
+
+
+def _cache_leaves(leaf):
+    """Declare each cache action, through leaf (a partial `_leaf`)."""
+    for action, about in (("write", "build a triangle file"),
+                          ("read", "serve a triangle file, rebuilt unless verified"),
+                          ("clear", "delete triangle files")):
+        files = action != "clear"  # write and read: one file of one target
+        if cmd := leaf(action, about, FORMATS if action == "read" else ()):
+            cmd.add_argument("--target", choices=CACHE_TARGETS, required=files)
+            if files:
+                cmd.add_argument("--max-n", type=_at_least(1), default=None)
+            cmd.add_argument("--cache-dir", default=None, help=f"default: ${CACHE_ENV}")
+
+
+# verb -> (help, dest of its leaf's name, the function declaring its leaves)
+VERBS = {
+    "compute": ("emit a polynomial or triangle", "target", _compute_leaves),
+    "verify": ("run a verification suite", "suite", _verify_leaves),
+    "cache": ("persist or load triangle files", "action", _cache_leaves),
+}
+
+
+def leaf_names(verb: str) -> tuple:
+    """The names of the leaves of verb, in the order its parser lists them."""
+    names = []
+    VERBS[verb][2](lambda name, *rest, **options: names.append(name))
+    return tuple(names)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of argv: one leaf parser per compute target, verify suite
+    and cache action, each with only the options its code reads; argparse
+    rejects every other option. Only what parsing argv reads is built: the
+    leaves of the verb argv[0], with options only on a leaf that argv names.
+    The options are read off the computation modules (the J routes, the
+    suites), so a parse loads only its own command's; the help and the
+    errors of every parser are as with the whole tree."""
     parser = argparse.ArgumentParser(
         prog="ellipta",
         description=(
@@ -134,57 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    comp = sub.add_parser("compute", help="emit a polynomial or triangle")
-    targets = comp.add_subparsers(dest="target", required=True)
-    j = _leaf(targets, "j", "J_n, the coefficients of sn and cn", FORMATS)
-    j.add_argument("--n", type=_at_least(0), required=True)
-    j.add_argument("--route", choices=tuple(el.J_ROUTES),
-                   default=el.J_DEFAULT_ROUTE)
-    p = _leaf(targets, "p", "the cycle-peak polynomial P_n", FORMATS)
-    p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--route", choices=("recurrence", "operator"),
-                   default="recurrence")
-    t = _leaf(targets, "t", "the reduced polynomial t_n", FORMATS)
-    t.add_argument("--n", type=_at_least(1), required=True)
-    t.add_argument("--route", choices=("recurrence", "poly"), default="recurrence")
-    for target in ("s", "gamma", "theta"):
-        tri = _leaf(targets, target, f"rows of the {target} triangle", FORMATS,
-                    cap=True)
-        rows = tri.add_mutually_exclusive_group(required=True)
-        rows.add_argument("--n", type=_at_least(1), help="row n alone")
-        rows.add_argument("--max-n", type=_at_least(1), help="rows 1 .. max-n")
-        routes = tuple(route for tgt, route in ROW_SOURCES if tgt == target)
-        tri.add_argument("--route", choices=routes, default=DEFAULT_ROUTES[target])
-    dec = _leaf(targets, "decompose", "the bi-gamma certificate of J_n",
-                ("json", "text"))
-    dec.add_argument("--n", type=_at_least(0), required=True)
-    clo = _leaf(targets, "closure", "a random instance of the bi-gamma closure",
-                ("json", "text"))
-    clo.add_argument("--max-n", type=_at_least(0), default=6)
-    clo.add_argument("--seed", type=int, default=0)
-
-    ver = sub.add_parser("verify", help="run a verification suite")
-    suites = ver.add_subparsers(dest="suite", required=True)
-    for name in (*vsuites.SUITES, "all"):
-        suite = _leaf(suites, name)
-        if name != "all":  # verify all runs each suite at its own range
-            suite.add_argument("--max-n", type=_at_least(1),
-                               default=vsuites.SUITE_DEFAULT_RANGE[name])
-        if name in (*vsuites.SEEDED_SUITES, "all"):
-            suite.add_argument("--seed", type=int, default=0)
-
-    cache = sub.add_parser("cache", help="persist or load triangle files")
-    actions = cache.add_subparsers(dest="action", required=True)
-    for action, about in (("write", "build a triangle file"),
-                          ("read", "serve a triangle file, rebuilt unless verified"),
-                          ("clear", "delete triangle files")):
-        files = action != "clear"  # write and read: one file of one target
-        leaf = _leaf(actions, action, about, FORMATS if action == "read" else ())
-        leaf.add_argument("--target", choices=CACHE_TARGETS, required=files)
-        if files:
-            leaf.add_argument("--max-n", type=_at_least(1), default=None)
-        leaf.add_argument("--cache-dir", default=None, help=f"default: ${CACHE_ENV}")
+    for verb, (about, dest, leaves) in VERBS.items():
+        command = sub.add_parser(verb, help=about)
+        if argv[:1] == [verb]:
+            commands = command.add_subparsers(dest=dest, required=True)
+            leaves(partial(_leaf, commands, argv))
     return parser
 
 
@@ -197,13 +247,19 @@ def _enum_cap(args, route: str, parser):
             parser.error(f"--cap: route {route} enumerates no trees")
         return None
     if args.cap is None:
-        return to.DEFAULT_TREE_CAP
+        from .treeoracle import DEFAULT_TREE_CAP
+
+        return DEFAULT_TREE_CAP
     if args.cap > 10:
         _warn(f"enumeration cap {args.cap} is above 10; expect long runtimes")
     return args.cap
 
 
 def _emit_unipoly(f, fmt: str):
+    import json
+
+    from .exactpoly import uni_to_json, uni_to_text
+
     if fmt == "text":
         print(uni_to_text(f))
     elif fmt == "csv":
@@ -214,7 +270,9 @@ def _emit_unipoly(f, fmt: str):
         print(json.dumps(uni_to_json(f), sort_keys=True))
 
 
-def _emit_multipoly(f: MultiPoly, fmt: str):
+def _emit_multipoly(f, fmt: str):
+    import json
+
     if fmt == "text":
         print(f.to_text())
     elif fmt == "csv":
@@ -227,6 +285,8 @@ def _emit_multipoly(f: MultiPoly, fmt: str):
 
 def _emit_rows(rows, fmt: str):
     """Write each (n, row) as it arrives, in the row format of fmt."""
+    from . import elliptic as el
+
     if fmt == "csv":
         sys.stdout.write(el.CSV_HEADER)
     for n, row in rows:
@@ -240,10 +300,22 @@ def _take_rows(args, parser):
     first, last = (1, args.max_n) if args.n is None else (args.n, args.n)
     cap = _enum_cap(args, args.route, parser)
     rows = islice(ROW_SOURCES[args.target, args.route](first, cap), last + 1 - first)
-    return list(rows) if args.route == "trees" else rows
+    if args.route != "trees":
+        return rows
+    from .treeoracle import CapExceededError
+
+    try:
+        return list(rows)
+    except CapExceededError as exc:  # a usage error: exit 2
+        parser.exit(2, f"error: {exc}\n")
 
 
 def _cmd_compute(args, parser) -> int:
+    import json
+
+    from . import elliptic as el
+    from .exactpoly import uni_to_json, uni_to_text
+
     fmt = args.format
     if args.target == "j":
         _emit_unipoly(el.j_sequence(args.n, args.route)[args.n], fmt)
@@ -253,9 +325,11 @@ def _cmd_compute(args, parser) -> int:
     elif args.target == "t":
         _emit_multipoly(el.t_poly(args.n, args.route), fmt)
     elif args.target == "decompose":
+        from .gammakit import analyze
+
         f = el.j_sequence(args.n)[args.n]
         center = max(0, (args.n - 1) // 2)
-        report = gk.analyze(f, center)
+        report = analyze(f, center)
         if fmt == "text":
             dec = report.decomposition
             print(f"a = {uni_to_text(dec.a)}")
@@ -265,8 +339,11 @@ def _cmd_compute(args, parser) -> int:
             payload.update(report.to_json())
             print(json.dumps(payload, sort_keys=True))
     elif args.target == "closure":
-        rng = random.Random(args.seed)
-        gammas, weights = vsuites.random_closure_instance(rng, args.max_n)
+        import random
+
+        from .suites import random_closure_instance
+
+        gammas, weights = random_closure_instance(random.Random(args.seed), args.max_n)
         items = el.bi_gamma_closure(gammas, weights, args.max_n)
         if fmt == "text":
             for item in items:
@@ -290,6 +367,8 @@ def _cmd_compute(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from . import suites as vsuites
+
     if args.suite in vsuites.ENUMERATION_SUITES and args.max_n > 10:
         _warn(
             f"suite {args.suite} enumerates all objects up to n={args.max_n}; "
@@ -386,7 +465,9 @@ def _json_records_as(fmt: str, text: str) -> str:
     """Whole records of the json row format, rewritten in format fmt: each
     literal piece of the json format is swapped for fmt's, the last piece of
     a record and the first of the next as one."""
-    old, new = el.ROW_FORMATS["json"].split("%d"), el.ROW_FORMATS[fmt].split("%d")
+    from .elliptic import ROW_FORMATS
+
+    old, new = ROW_FORMATS["json"].split("%d"), ROW_FORMATS[fmt].split("%d")
     text = text[len(old[0]):-len(old[-1])]
     for piece, swap in [(old[-1] + old[0], new[-1] + new[0]),
                         *zip(old[1:-1], new[1:-1])]:
@@ -419,15 +500,17 @@ def _write_atomic(path: str, target: str, rows: int, echo=None) -> int:
     Returns the number of lines written."""
     import hashlib
 
+    from .elliptic import format_row
+
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     digest, lines = hashlib.sha256(), 0
 
     def encoded(item) -> bytes:
         nonlocal lines
         n, row = item
-        chunk = el.format_row(n, row, "json")
+        chunk = format_row(n, row, "json")
         if echo:
-            sys.stdout.write(chunk if echo == "json" else el.format_row(n, row, echo))
+            sys.stdout.write(chunk if echo == "json" else format_row(n, row, echo))
         data = chunk.encode("ascii")
         digest.update(data)
         lines += len(row)  # one line per entry
@@ -464,7 +547,9 @@ def _cmd_cache(args, parser) -> int:
     # other is rebuilt from row 1 and written keyed, serving each row of the
     # one row stream as it is built
     if args.format == "csv":
-        sys.stdout.write(el.CSV_HEADER)
+        from .elliptic import CSV_HEADER
+
+        sys.stdout.write(CSV_HEADER)
     missed = _serve_keyed(path, args.format, args.max_n)
     if missed:
         why, rows = missed
@@ -479,7 +564,8 @@ def main(argv=None) -> int:
         # Only the command's own parser is kept (as args.leaf), so the rest
         # of the parser tree is garbage before the work starts. Every error
         # after parsing goes to it: its usage line shows the command's options.
-        args, extra = build_parser().parse_known_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args, extra = build_parser(argv).parse_known_args(argv)
         if extra:
             args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.verb == "compute":
@@ -489,9 +575,6 @@ def main(argv=None) -> int:
         return _cmd_cache(args, args.leaf)
     except SystemExit as exc:  # a usage error, from argparse or a handler
         return exc.code if isinstance(exc.code, int) else 2
-    except to.CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import count, islice
 from math import comb, factorial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exactpoly import (
     DegreeExceedsCenterError,
@@ -48,14 +48,12 @@ from .exactpoly import (
     uni_shift,
     uni_to_json,
 )
-from .gammakit import (
-    GammaVector,
-    NotSymmetricError,
-    SymDecomp,
-    gamma_expand,
-    is_alternatingly_increasing,
-)
-from .grammarcalc import G1, G_SD, derive_once
+
+# gammakit and grammarcalc are imported by the functions that use them: the
+# J routes other than operator, the triangles' rows and their formats load
+# neither. The annotations name gammakit's types for type checkers alone.
+if TYPE_CHECKING:
+    from .gammakit import GammaVector, SymDecomp
 
 P_VARS = ("p", "q")
 S_VARS = ("p", "q", "r")
@@ -203,6 +201,8 @@ def s_rows_operator():
     """Read s_{n,i,j} off the exponent patterns of the operator iterates,
     as an endless generator of (n, row) from row 1 on: even rows carry
     x^(2i+1) y^(2j), odd rows x^(2i) y^(2j+1)."""
+    from .grammarcalc import G_SD, derive_once
+
     f = G_SD.seed("x")
     for n in count(1):
         f = derive_once(G_SD, f)
@@ -244,6 +244,8 @@ def s_triangle_recurrence(n_max: int) -> dict:
 def s_poly(n: int, triangle: dict) -> MultiPoly:
     """The homogeneous three-variable polynomial of total degree n // 2 whose
     coefficients are row n of the triangle."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     half = n // 2
     return MultiPoly(
         S_VARS,
@@ -253,6 +255,8 @@ def s_poly(n: int, triangle: dict) -> MultiPoly:
 
 def p_poly(n: int, triangle: dict) -> MultiPoly:
     """The cycle-peak polynomial P_n, the r -> 1 specialization of s_poly."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return MultiPoly(P_VARS, triangle.get(n, {}))
 
 
@@ -278,6 +282,8 @@ def validate_j_sequence(route: str, js: tuple):
 def j_from_p(n: int, triangle: dict) -> UniPoly:
     """J_n as P_n(x, 0) (even n) or P_n(0, x) (odd n): the j = 0 or i = 0
     line of row n. The same line of row n - 1 (P_0 = 1) must agree."""
+    if n < 0:
+        raise ValueError("n must be at least 0")
     if n == 0:
         return UNI_ONE
     cells = [(k, 0) if n % 2 == 0 else (0, k) for k in range(n // 2 + 1)]
@@ -637,6 +643,8 @@ def t_polys_recurrence(n_max: int) -> list:
 
 
 def t_poly_from_triangle(t_tri: dict, n: int) -> MultiPoly:
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return MultiPoly(T_VARS, t_tri.get(n, {}))
 
 
@@ -659,6 +667,9 @@ def gamma_from_p(n: int, pn: MultiPoly) -> dict:
     the q-coefficient polynomial must be symmetric about n//2 - i, and its
     gamma vector gives the j line. Every peeled entry must pass the gamma
     triangle's entry check."""
+    from .gammakit import NotSymmetricError, gamma_expand
+
+    bounds = gamma_bounds(n)  # raises for n < 1
     slices: dict = {}
     for (i, j), c in pn.terms.items():
         slices.setdefault(i, {})[j] = c
@@ -673,7 +684,7 @@ def gamma_from_p(n: int, pn: MultiPoly) -> dict:
             ) from exc
         for j, g in enumerate(gv.gammas):
             if g:
-                _check_entry(n, i, j, g, gamma_bounds(n), 4)
+                _check_entry(n, i, j, g, bounds, 4)
                 row[(i, j)] = g
     return row
 
@@ -681,6 +692,10 @@ def gamma_from_p(n: int, pn: MultiPoly) -> dict:
 def gamma_operator_expansion(gamma_tri: dict, n: int) -> MultiPoly:
     """Reassemble the operator iterate over {x, a, b, c} from gamma row n:
     x (even n) or c (odd n) times the sum of gamma * x^2i c^2j (a+b)^rest."""
+    from .grammarcalc import G1
+
+    if n < 1:
+        raise ValueError("n must be at least 1")
     vs = G1.variables
     apb = MultiPoly.variable(vs, "a") + MultiPoly.variable(vs, "b")
     half = n // 2 if n % 2 == 0 else (n - 1) // 2
@@ -720,6 +735,10 @@ def gamma_odd_lines(n_max: int) -> dict:
 def j_odd_gamma(n: int, gamma_tri: dict) -> GammaVector:
     """Gamma vector of J_{2n+1} (center n), read from the i = 0 line of the
     gamma triangle row 2n+1 (a whole triangle or `gamma_odd_lines`)."""
+    from .gammakit import GammaVector
+
+    if n < 0:
+        raise ValueError("n must be at least 0")
     row = gamma_tri.get(2 * n + 1)
     if not row:  # row 2n+1 of gamma is never empty
         raise ValueError(f"the gamma triangle has no row {2 * n + 1}")
@@ -737,6 +756,8 @@ def _bi_gamma_chain(gvecs, weight, count: int):
     a-part landing in the new b and the x-shifted b-part landing one gamma
     index up in the new a.
     """
+    from .gammakit import GammaVector, SymDecomp
+
     alphas: list = [None]  # alphas[i], betas[i]: the certificate of f_i
     betas: list = [None]
     for n in range(count):
@@ -831,6 +852,8 @@ def bi_gamma_closure(g_gammas, weights, n_max: int) -> list:
     chain as the even-index J construction, cross-checked against direct
     polynomial evaluation.
     """
+    from .gammakit import GammaVector, SymDecomp, is_alternatingly_increasing
+
     gv_list = list(g_gammas)
     if len(gv_list) < n_max:
         raise ValueError(f"need seed vectors for degrees 0 .. {n_max - 1}")

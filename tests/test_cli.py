@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ellipta.cli import build_parser, main
+from ellipta.cli import VERBS, build_parser, leaf_names, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -225,7 +225,7 @@ NO_OP_OPTIONS = [
     ids=[" ".join(base + extra) for base, extra in NO_OP_OPTIONS])
 def test_option_a_command_does_not_read_is_a_usage_error(
         tmp_path, capsys, monkeypatch, base, extra):
-    build_parser().parse_args(list(base))  # valid without the option
+    build_parser(list(base)).parse_args(list(base))  # valid without the option
     monkeypatch.setenv("ELLIPTA_CACHE_DIR", str(tmp_path))
     code, out, _ = run(capsys, *base, *extra)
     assert code == 2 and out == ""
@@ -259,7 +259,8 @@ def test_verify_seed_is_read_by_closure_and_all(capsys):
     assert outs[0][1] != outs[1][1]
     assert "seed 2" in outs[1][1]
     # the oracle benchmark workload runs verify all --seed S
-    args = build_parser().parse_args(["verify", "all", "--seed", "5"])
+    argv = ["verify", "all", "--seed", "5"]
+    args = build_parser(argv).parse_args(argv)
     assert (args.suite, args.seed) == ("all", 5) and "max_n" not in args
 
 
@@ -906,3 +907,78 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 + 44x + 16x^2\n"
+
+
+def _run_module(*argv):
+    """Run ellipta as `python -I -B -m ellipta ARGV` does, with this tree's
+    src first on the path (`-I` ignores PYTHONPATH, so `runpy` stands in
+    for `-m`): `main` gets no argv and parses sys.argv. Returns the process
+    and the sorted names of the modules it left loaded, printed to stderr
+    as it exits."""
+    code = (
+        "import atexit, runpy, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+        "runpy.run_module('ellipta', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", code, *argv],
+                          capture_output=True, text=True)
+    return proc, proc.stderr.splitlines()[-1].split()
+
+
+ALL_MODULES = ["cli", "elliptic", "exactpoly", "gammakit", "grammarcalc",
+               "suites", "treeoracle"]
+COMMAND_MODULES = [
+    # a keyed json hit hashes and streams the file: no row, no row format
+    (("cache", "read", "--target", "gamma"), ["cli"]),
+    # csv and text rewrite the json records with elliptic's row formats
+    (("cache", "read", "--target", "gamma", "--format", "csv"),
+     ["cli", "elliptic", "exactpoly"]),
+    (("cache", "clear", "--target", "t"), ["cli"]),
+    (("cache", "write", "--target", "s", "--max-n", "6"),
+     ["cli", "elliptic", "exactpoly"]),
+    (("compute", "j", "--n", "30", "--route", "recurrence"),
+     ["cli", "elliptic", "exactpoly"]),
+    (("compute", "j", "--n", "30", "--route", "operator"),
+     ["cli", "elliptic", "exactpoly", "grammarcalc"]),
+    (("compute", "decompose", "--n", "9"), ["cli", "elliptic", "exactpoly", "gammakit"]),
+    # suites imports every module it dispatches to, so `verify all` has
+    # loaded all that its forked process runs before it forks
+    (("verify", "thm1", "--max-n", "3"), ALL_MODULES),
+    (("--help",), ["cli"]),
+    (("verify", "--help"), ALL_MODULES),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                         ids=[" ".join(argv) for argv, _ in COMMAND_MODULES])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, capsys, argv, modules):
+    if argv[0] == "cache":
+        argv += ("--cache-dir", str(tmp_path))
+        assert run(capsys, "cache", "write", "--target", "gamma", "--max-n", "3",
+                   "--cache-dir", str(tmp_path))[0] == 0
+    proc, loaded = _run_module(*argv)
+    assert proc.returncode == 0 and "warning: " not in proc.stderr
+    assert [m for m in loaded if m.split(".")[0] == "ellipta"] == [
+        "ellipta", *(f"ellipta.{m}" for m in modules)]
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    if argv[:2] == ("cache", "read"):  # served as in process, by the key
+        assert proc.stdout == run(capsys, *argv)[1]
+
+
+def test_help_of_every_verb_lists_its_leaves(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: ellipta [-h] {compute,verify,cache} ...\n")
+    for verb in VERBS:
+        code, out, err = run(capsys, verb, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: ellipta {verb} [-h]")
+        assert "{" + ",".join(leaf_names(verb)) + "}" in out
+
+
+@pytest.mark.parametrize("verb, leaf", [(verb, leaf) for verb in VERBS
+                                        for leaf in leaf_names(verb)])
+def test_help_of_every_leaf_prints_its_usage(capsys, verb, leaf):
+    code, out, err = run(capsys, verb, leaf, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: ellipta {verb} {leaf} [-h]")

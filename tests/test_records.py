@@ -123,7 +123,7 @@ def test_a_cli_run_imports_neither_dataclasses_nor_inspect():
         "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-c", code],
+        [sys.executable, "-I", "-B", "-c", code],
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.splitlines()[-1] == "0 []"

@@ -174,8 +174,9 @@ FIRST_N = {
 }
 
 
-def _int_n_functions() -> dict:
-    found = {}
+def _public_functions():
+    """(module.name, function, its required parameters) of every public
+    function of elliptic, gammakit and treeoracle."""
     for module in (el, gk, to):
         for name, fn in vars(module).items():
             if name.startswith("_") or not inspect.isfunction(fn):
@@ -184,9 +185,14 @@ def _int_n_functions() -> dict:
                 continue
             required = [p for p in inspect.signature(fn).parameters.values()
                         if p.default is p.empty]
-            if len(required) == 1 and required[0].annotation in ("int", int):
-                found[f"{module.__name__.rsplit('.', 1)[1]}.{name}"] = fn
-    return found
+            yield f"{module.__name__.rsplit('.', 1)[1]}.{name}", fn, required
+
+
+def _int_n_functions() -> dict:
+    return {
+        name: fn for name, fn, required in _public_functions()
+        if len(required) == 1 and required[0].annotation in ("int", int)
+    }
 
 
 def test_the_range_sweep_covers_every_function_of_n():
@@ -205,6 +211,49 @@ def test_each_function_of_n_rejects_n_below_its_range(name):
         with pytest.raises(ValueError):
             run(below)
     run(FIRST_N[name])
+
+
+# The first n of each public function of n and a triangle, one of its rows
+# or a polynomial read off one (the "(n, triangle)" functions), with a
+# builder of an argument that is valid at that n; a new such function is
+# added here.
+TRIANGLE_FIRST_N = {
+    "elliptic.gamma_from_p": (1, lambda: el.p_poly(1, el.s_triangle_recurrence(1))),
+    "elliptic.gamma_operator_expansion": (1, lambda: el.gamma_triangle_recurrence(1)),
+    "elliptic.j_from_p": (0, lambda: el.s_triangle_recurrence(1)),
+    "elliptic.j_odd_gamma": (0, lambda: el.gamma_triangle_recurrence(1)),
+    "elliptic.p_poly": (1, lambda: el.s_triangle_recurrence(1)),
+    "elliptic.s_poly": (1, lambda: el.s_triangle_recurrence(1)),
+    "elliptic.t_poly_from_triangle": (1, lambda: el.t_triangle_recurrence(1)),
+    "treeoracle.gamma_row_from_theta": (1, lambda: to.theta_table(1)),
+    "treeoracle.theta_row_from_gamma": (1, lambda: el.gamma_triangle_recurrence(1)[1]),
+}
+
+
+def _n_triangle_functions() -> dict:
+    """Each (n, triangle) function with the name of its other parameter."""
+    found = {}
+    for name, fn, required in _public_functions():
+        ints = [p.name for p in required if p.annotation in ("int", int)]
+        other = [p for p in required if p.annotation in ("dict", "MultiPoly")]
+        if len(required) == 2 and ints == ["n"] and len(other) == 1:
+            found[name] = fn, other[0].name
+    return found
+
+
+def test_the_range_sweep_covers_every_function_of_n_and_a_triangle():
+    assert sorted(_n_triangle_functions()) == sorted(TRIANGLE_FIRST_N)
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGLE_FIRST_N))
+def test_each_function_of_n_and_a_triangle_rejects_n_below_its_range(name):
+    fn, other = _n_triangle_functions()[name]
+    first, build = TRIANGLE_FIRST_N[name]
+    argument = build()
+    for below in range(-1, first):
+        with pytest.raises(ValueError, match=f"^n must be at least {first}$"):
+            fn(**{"n": below, other: argument})
+    fn(**{"n": first, other: argument})
 
 
 def _recording(monkeypatch, name, module=None):

@@ -79,14 +79,6 @@ class RouteDisagreementError(ValueError):
 # not copied, so callers must not mutate them
 
 
-def triangle_entries(tri: dict):
-    """Every entry as (n, i, j, c), sorted by (n, i, j)."""
-    for n in sorted(tri):
-        row = tri[n]
-        for ij in sorted(row):
-            yield (n, *ij, row[ij])
-
-
 # ---------------------------------------------------------------------------
 # the s triangle (two constructions) and the polynomials S_n, P_n
 

@@ -37,8 +37,8 @@ class SuiteResult(NamedTuple):
 
 class SuiteInputs:
     """Inputs that several suites read, built on first use and shared by
-    the suites of one `run_suite` call. It dies with that call, so no run
-    reads what an earlier one built.
+    the suites of one unit of `verify all`, or used by one run of one
+    suite. It dies with them, so no run reads what another built.
 
     The J's and the gamma lines are held at the largest n asked for so
     far: a smaller ask reads them, a larger one rebuilds them. The tree
@@ -350,7 +350,7 @@ def suite_closure(
     )
 
 
-# Every suite takes (max_n, inputs); `inputs` is the run's SuiteInputs,
+# Every suite takes (max_n, inputs); `inputs` is its unit's SuiteInputs,
 # whose J's and gamma lines thm1 and thm2 read, and whose tree profiles
 # lemma5, theorem13 and corollary15 read.
 SUITES = {
@@ -385,31 +385,49 @@ ENUMERATION_SUITES = {"dumont", "lemma5", "theorem13", "corollary15", "lemma9"}
 SEEDED_SUITES = ("closure",)
 
 
-# `verify all` runs these suites in a process made with os.fork while the
-# caller runs the others (routes, viennot-symmetry, lemma9). The groups are
-# split by measured cost: in process, best of 7, this group took 472 ms and
-# the caller's 474 ms (Python 3.11.7, 2 cores; scripts/suite_timings.py
-# prints both sums and the gap between them). Suites that share an input
-# stay in one group, so one build serves them all: thm1 and thm2 share
-# J_0 .. J_121 and the gamma lines, and lemma5, theorem13 and corollary15
-# the tree profiles of T_0 .. T_8.
-FORKED_SUITES = (
-    "dumont", "thm1", "thm2", "lemma5", "theorem13", "corollary15", "closure",
+# `verify all` runs its suites in units, split between two processes. The
+# suites of a unit share one SuiteInputs: thm1 and thm2 one build of
+# J_0 .. J_121 and the gamma lines, lemma5, theorem13 and corollary15 the
+# tree profiles of T_0 .. T_8. Each unit's cost is in ms, in process (Python
+# 3.11.7, 2 cores; scripts/suite_timings.py). A stale cost costs balance only.
+UNITS = (
+    (265, ("dumont",)), (200, ("lemma9",)), (185, ("viennot-symmetry",)),
+    (115, ("thm1", "thm2")), (35, ("lemma5", "theorem13", "corollary15")),
+    (33, ("closure",)), (6, ("routes",)),
 )
+
+
+def unit_order() -> list:
+    """(cost in ms, suites) of every unit of `verify all`, longest first:
+    UNITS, then each suite that no unit names, alone, at cost 0."""
+    named = {name for _, unit in UNITS for name in unit}
+    unnamed = [(0, (key,)) for key in SUITES if key not in named]
+    return sorted(UNITS, key=lambda entry: -entry[0]) + unnamed
+
+
+def split_units() -> tuple:
+    """(the forked process's units, the caller's) for `verify all`: longest
+    first, each unit goes to the process with less cost so far, the forked
+    one on a tie, so each process runs the same suites on every run."""
+    loads, split = [0, 0], ([], [])
+    for cost, unit in unit_order():
+        side = loads.index(min(loads))
+        loads[side] += cost
+        split[side].append(unit)
+    return split
 
 
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list:
     """Run one suite (or every suite for "all"); returns SuiteResult list,
-    in SUITES order. The suites run in one process share one SuiteInputs.
-    "all" runs FORKED_SUITES in a forked process and the rest in the
-    caller; a run of one suite never forks."""
+    in SUITES order. A run of one suite never forks. "all" runs every
+    suite at its default range, so it takes no max_n; it runs the units
+    of split_units in a forked process and in the caller."""
     if name == "all":
-        forked = [key for key in SUITES if key in FORKED_SUITES]
-        own = [key for key in SUITES if key not in FORKED_SUITES]
-        if hasattr(os, "fork"):
-            results = _fork_join(forked, own, seed)
-        else:
-            results = {**_run_group(forked, seed), **_run_group(own, seed)}
+        if max_n is not None:
+            raise ValueError('"all" takes no max_n')
+        forked, own = split_units()
+        results = (_fork_join(forked, own, seed) if hasattr(os, "fork")
+                   else _run_units(forked + own, seed))
         return [results[key] for key in SUITES]
     if name not in SUITES:
         raise KeyError(name)
@@ -423,22 +441,27 @@ def _run(name: str, max_n: int | None, seed: int, inputs: SuiteInputs) -> SuiteR
     return SUITES[name](effective, inputs)
 
 
-def _run_group(names: list, seed: int) -> dict:
-    """{name: SuiteResult} for the named suites, each at its own range."""
-    inputs = SuiteInputs()
-    return {name: _run(name, None, seed, inputs) for name in names}
+def _run_units(units: list, seed: int) -> dict:
+    """{name: SuiteResult} for the suites of `units`, each at its own
+    range; the suites of a unit share one fresh SuiteInputs."""
+    results = {}
+    for unit in units:
+        inputs = SuiteInputs()
+        for name in unit:
+            results[name] = _run(name, None, seed, inputs)
+    return results
 
 
 def _fork_join(forked: list, own: list, seed: int) -> dict:
-    """Run the `forked` group in a child made with os.fork and the `own`
-    group here; returns the results of both.
+    """Run the `forked` units in a child made with os.fork and the `own`
+    units here; returns the results of both.
 
-    The child pickles its results, or the exception its group raised, into
-    a pipe and ends in os._exit on every path, so it never unwinds into the
-    caller's frames. An exception from the child is raised here, as a
-    RuntimeError naming its type when it does not come back as itself. The
-    child is reaped before this returns or raises; if the caller's group
-    fails or is interrupted, the child is killed first."""
+    The child pickles its results, or the exception one of its units
+    raised, into a pipe and ends in os._exit on every path, so it never
+    unwinds into the caller's frames. An exception from the child is
+    raised here, as a RuntimeError naming its type when it does not come
+    back as itself. The child is reaped before this returns or raises; if
+    a unit fails or is interrupted here, the child is killed first."""
     import pickle
     import signal
 
@@ -451,7 +474,7 @@ def _fork_join(forked: list, own: list, seed: int) -> dict:
         try:
             os.close(read_fd)
             try:
-                payload = pickle.dumps(("ok", _run_group(forked, seed)))
+                payload = pickle.dumps(("ok", _run_units(forked, seed)))
             except BaseException as exc:  # sent to the caller, never re-raised here
                 payload = pickle.dumps(("error", _encode_error(exc)))
             with open(write_fd, "wb") as pipe:
@@ -464,7 +487,7 @@ def _fork_join(forked: list, own: list, seed: int) -> dict:
     try:
         os.close(write_fd)
         with open(read_fd, "rb") as pipe:
-            results = _run_group(own, seed)
+            results = _run_units(own, seed)
             data = pipe.read()
         status = os.waitpid(pid, 0)[1]
     finally:

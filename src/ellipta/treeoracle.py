@@ -435,17 +435,6 @@ class OrbitCheck(NamedTuple):
     matching_preserved: bool
 
 
-def pair_parities(parents) -> tuple:
-    """(even pair indices, odd pair indices), 1-based, for the matching."""
-    children = children_table(parents)
-    classes = _pair_classes(parents, children, _matching(parents, children))
-    indexed = list(enumerate(classes, start=1))
-    return (
-        tuple(k for k, c in indexed if c & 1),
-        tuple(k for k, c in indexed if not c & 1),
-    )
-
-
 def _orbit_check(start, pairs, before, flipped_odd, image, children) -> OrbitCheck:
     """Transport check of `image` (with its children table) against the
     ascent-free tree `start`, whose matching is `pairs` and statistics

@@ -9,8 +9,11 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 
-def _fail(how: str):
-    """Fail the way a suite might, in the process running it."""
+def _fail(how):
+    """Fail the way a suite might, in the process running it; an exception
+    instance is raised as it is."""
+    if isinstance(how, BaseException):
+        raise how
     if how == "ValueError":
         raise ValueError("fake suite failed")
     if how == "SystemExit":
@@ -29,12 +32,20 @@ def _fail(how: str):
 @pytest.fixture
 def fake_suites(monkeypatch):
     """Replace every suite by a cheap fake whose result names, in its scope,
-    the pid of the process that ran it. Returns `fail(name, how)`, which
-    makes one fake fail by one of the ways `_fail` knows."""
+    the pid of the process that ran it. Returns `fail(child=None,
+    caller=None)`, after which each fake fails by the way given for the
+    process it runs in, the forked child or the caller (an exception, or a
+    way `_fail` knows), and passes in a process given none. So a failure
+    happens only in the process it is given for, whichever suites
+    `suites.split_units` gives that process."""
     from ellipta import suites
 
-    def fake(name, how=None):
+    caller_pid = os.getpid()
+    hows = {"child": None, "caller": None}
+
+    def fake(name):
         def suite(max_n, inputs=None, seed=0):
+            how = hows["caller" if os.getpid() == caller_pid else "child"]
             if how is not None:
                 _fail(how)
             return suites.SuiteResult(
@@ -46,7 +57,7 @@ def fake_suites(monkeypatch):
     for name in list(suites.SUITES):
         monkeypatch.setitem(suites.SUITES, name, fake(name))
 
-    def fail(name, how):
-        monkeypatch.setitem(suites.SUITES, name, fake(name, how))
+    def fail(child=None, caller=None):
+        hows.update(child=child, caller=caller)
 
     return fail

@@ -337,7 +337,7 @@ def test_verify_warns_on_large_enumeration_range(capsys, monkeypatch):
 
 @pytest.mark.parametrize("how", ["ValueError", "SystemExit", "KeyboardInterrupt", "os._exit"])
 def test_verify_all_fails_in_one_line_when_the_forked_group_fails(capsys, fake_suites, how):
-    fake_suites("dumont", how)
+    fake_suites(child=how)
     code, out, err = run(capsys, "verify", "all")
     assert code == 1
     assert out == ""
@@ -470,7 +470,8 @@ def test_cache_hit_is_served_without_a_parse(tmp_path, capsys, monkeypatch,
     want = {
         "json": el.triangle_to_jsonl(tri),
         "csv": el.triangle_to_csv(tri),
-        "text": "".join("(%d,%d,%d) %d\n" % e for e in el.triangle_entries(tri)),
+        "text": "".join("(%d,%d,%d) %d\n" % (n, i, j, tri[n][i, j])
+                        for n in sorted(tri) for i, j in sorted(tri[n])),
     }[fmt]
 
     def no_parse(text):
@@ -943,7 +944,7 @@ COMMAND_MODULES = [
      ["cli", "elliptic", "exactpoly", "grammarcalc"]),
     (("compute", "decompose", "--n", "9"), ["cli", "elliptic", "exactpoly", "gammakit"]),
     # suites imports every module it dispatches to, so `verify all` has
-    # loaded all that its forked process runs before it forks
+    # loaded all that either of its processes runs before it forks
     (("verify", "thm1", "--max-n", "3"), ALL_MODULES),
     (("--help",), ["cli"]),
     (("verify", "--help"), ALL_MODULES),

@@ -54,22 +54,32 @@ def test_certify_timings_hold():
 
 
 def test_suite_timings_pass_and_name_both_groups():
+    from ellipta import suites
+
     out = run_script("suite_timings.py", "4")
     assert out.endswith("every suite passes\n")
-    assert "dumont(4) forked:" in out and "viennot-symmetry(4) caller:" in out
-    assert "forked group:" in out and "caller group:" in out
+    assert "dumont(4):" in out and "viennot-symmetry(4):" in out
     assert out.count("  PASS\n") == 10
-    # the critical path is the larger group sum, and the gap is measured
-    # against it
-    sums = {g: float(ms) for g, ms in
-            re.findall(r"^(forked|caller) group: +([0-9.]+) ms$", out, re.M)}
-    ((slow, gap, pct, fast),) = re.findall(
-        r"^critical path: (\w+) group, ([0-9.]+) ms \(([0-9.]+)%\)"
-        r" over the (\w+) group$", out, re.M)
-    assert {slow, fast} == set(sums) and sums[slow] >= sums[fast] - 0.1
-    # the printed sums are rounded to 0.1 ms
-    assert abs(float(gap) - (sums[slow] - sums[fast])) <= 0.15
-    assert abs(float(pct) - 100 * float(gap) / sums[slow]) <= 0.1 + 10 / sums[slow]
+    # one sum per unit, longest listed cost first, then the total; sums are
+    # printed rounded to 0.1 ms
+    suite_ms = {name: float(ms) for name, ms in
+                re.findall(r"^ *([\w-]+)\(4\): +([0-9.]+) ms  PASS$", out, re.M)}
+    lines = re.findall(r"^unit (.+): +([0-9.]+) ms \(listed (\d+) ms\)$", out, re.M)
+    assert [(int(cost), tuple(unit.split(", "))) for unit, _, cost in lines] == (
+        suites.unit_order())
+    units = [(unit.split(", "), float(ms)) for unit, ms, _ in lines]
+    for unit, ms in units:
+        assert abs(ms - sum(suite_ms[name] for name in unit)) <= 0.05 * (len(unit) + 1)
+    (total,) = re.findall(r"^total: +([0-9.]+) ms$", out, re.M)
+    assert abs(float(total) - sum(ms for _, ms in units)) <= 0.05 * (len(units) + 1)
+    # a unit that took longer than the one listed before it is named
+    named = re.findall(r"^out of order: (.+) took longer than (.+)$", out, re.M)
+    for (before, before_ms), (unit, ms) in zip(units, units[1:]):
+        pair = (", ".join(unit), ", ".join(before))
+        if ms > before_ms + 0.1:
+            assert pair in named
+        elif ms < before_ms - 0.1:
+            assert pair not in named
 
 
 @pytest.mark.slow

@@ -40,6 +40,10 @@ def test_run_all_covers_every_suite():
 def test_unknown_suite_raises():
     with pytest.raises(KeyError):
         suites.run_suite("nope")
+    # "all" runs every suite at its default range, so a max_n is refused,
+    # not ignored
+    with pytest.raises(ValueError, match="takes no max_n"):
+        suites.run_suite("all", max_n=3)
 
 
 def test_defaults_mirror_module_caps():
@@ -336,12 +340,30 @@ def test_each_tree_suite_run_alone_folds_its_own_trees(capsys, monkeypatch, name
 
 
 def test_suites_that_share_an_input_run_in_one_process():
-    # thm1 and thm2 share the J's and the gamma lines; lemma5, theorem13
-    # and corollary15 share the tree profiles
-    forked = set(suites.FORKED_SUITES)
-    assert forked <= set(suites.SUITES)
+    # a unit runs in one process on one SuiteInputs. thm1 and thm2 share
+    # the J's and the gamma lines; lemma5, theorem13 and corollary15 share
+    # the tree profiles
+    named = [name for _, unit in suites.UNITS for name in unit]
+    assert set(named) <= set(suites.SUITES)
+    assert len(named) == len(set(named))
     for sharing in ({"thm1", "thm2"}, {"lemma5", "theorem13", "corollary15"}):
-        assert sharing <= forked or not sharing & forked, sharing
+        assert any(sharing <= set(unit) for _, unit in suites.UNITS), sharing
+
+
+def test_split_units_deals_every_suite_once_longest_first():
+    # the split depends on UNITS alone: the same on every call, each suite
+    # in one process, and each process given work
+    forked, own = suites.split_units()
+    assert (forked, own) == suites.split_units()
+    assert forked and own
+    assert sorted(name for unit in forked + own for name in unit) == sorted(suites.SUITES)
+    # longest first, each unit to the lighter process: the listed loads
+    # differ by at most the largest listed cost
+    costs = [ms for ms, _ in suites.unit_order()]
+    assert costs == sorted(costs, reverse=True)
+    cost = {unit: ms for ms, unit in suites.unit_order()}
+    loads = [sum(cost[unit] for unit in side) for side in (forked, own)]
+    assert abs(loads[0] - loads[1]) <= max(cost.values())
 
 
 def _assert_no_child_left():
@@ -354,10 +376,26 @@ def test_run_all_merges_both_processes_in_suites_order(fake_suites):
     _assert_no_child_left()
     assert [r.name for r in results] == list(suites.SUITES)
     pids = {r.name: r.scope for r in results}
-    forked = {pids[name] for name in suites.FORKED_SUITES}
-    own = {pids[name] for name in suites.SUITES if name not in suites.FORKED_SUITES}
+    forked, own = ({pids[name] for unit in side for name in unit}
+                   for side in suites.split_units())
     assert own == {f"pid {os.getpid()}"}
     assert len(forked) == 1 and forked != own
+
+
+def test_a_suite_in_no_unit_runs_under_all_in_suites_order(fake_suites, monkeypatch):
+    # a new suite needs a default range but no edit to UNITS
+    def suite(max_n, inputs=None, seed=0):
+        return suites.SuiteResult("new", f"n <= {max_n}", (suites.Check("new", True),))
+
+    items = list(suites.SUITES.items())
+    with_new = dict(items[:3] + [("new", suite)] + items[3:])
+    monkeypatch.setattr(suites, "SUITES", with_new)
+    monkeypatch.setitem(suites.SUITE_DEFAULT_RANGE, "new", 5)
+    assert any(("new",) in side for side in suites.split_units())
+    results = suites.run_suite("all")
+    _assert_no_child_left()
+    assert [r.name for r in results] == list(with_new)
+    assert results[3] == suites.SuiteResult("new", "n <= 5", (suites.Check("new", True),))
 
 
 def test_a_single_suite_never_forks(fake_suites):
@@ -367,6 +405,7 @@ def test_a_single_suite_never_forks(fake_suites):
 
 
 def test_run_all_runs_both_groups_here_without_fork(fake_suites, monkeypatch):
+    # every unit runs here
     monkeypatch.delattr(os, "fork")
     results = suites.run_suite("all")
     assert [r.name for r in results] == list(suites.SUITES)
@@ -381,7 +420,7 @@ def test_run_all_runs_both_groups_here_without_fork(fake_suites, monkeypatch):
      "forked suite process exited with status 3 and sent no result"),
 ])
 def test_a_failure_in_the_forked_group_raises_here(fake_suites, how, raised, message):
-    fake_suites("dumont", how)
+    fake_suites(child=how)
     with pytest.raises(raised) as info:
         suites.run_suite("all")
     assert str(info.value) == message
@@ -395,11 +434,8 @@ class _TwoArgError(Exception):
         super().__init__(f"{a} and {b}")
 
 
-def test_an_exception_that_does_not_unpickle_comes_back_by_name(fake_suites, monkeypatch):
-    def suite(max_n, inputs=None, seed=0):
-        raise _TwoArgError("this", "that")
-
-    monkeypatch.setitem(suites.SUITES, "closure", suite)
+def test_an_exception_that_does_not_unpickle_comes_back_by_name(fake_suites):
+    fake_suites(child=_TwoArgError("this", "that"))
     with pytest.raises(RuntimeError, match="^forked suite raised _TwoArgError: this and that$"):
         suites.run_suite("all")
     _assert_no_child_left()
@@ -407,12 +443,11 @@ def test_an_exception_that_does_not_unpickle_comes_back_by_name(fake_suites, mon
 
 @pytest.mark.parametrize("how", ["ValueError", "KeyboardInterrupt"])
 def test_a_failure_here_kills_the_forked_group(fake_suites, how):
-    # the forked group would run for a minute; the caller's own failure
-    # must not wait for it
+    # the child would run for a minute; the caller's own failure must not
+    # wait for it
     import time
 
-    fake_suites("dumont", "hang")
-    fake_suites("lemma9", how)
+    fake_suites(child="hang", caller=how)
     start = time.monotonic()
     with pytest.raises(ValueError if how == "ValueError" else KeyboardInterrupt):
         suites.run_suite("all")

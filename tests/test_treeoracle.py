@@ -18,7 +18,6 @@ from ellipta.treeoracle import (
     g2_distribution,
     gamma_row_from_theta,
     p_bruteforce,
-    pair_parities,
     phi_apply,
     phi_orbit_check,
     phi_subset,
@@ -409,7 +408,6 @@ PUBLIC_TREE_CALLS = {
     "children_table": children_table,
     "tree_matching": tree_matching,
     "tree_stats": tree_stats,
-    "pair_parities": pair_parities,
     "phi_apply": lambda p: phi_apply(p, ((0, 1),), 1),
     "phi_subset": lambda p: phi_subset(p, ((0, 1),), ()),
     "phi_orbit_check": lambda p: phi_orbit_check(p, ()),
@@ -437,6 +435,19 @@ def test_pair_index_rejected_with_its_value(call, parents):
                 phi_subset(parents, matching, {1, k})
             else:
                 phi_orbit_check(parents, {1, k})
+
+
+def pair_parities(parents) -> tuple:
+    """(even pair indices, odd pair indices), 1-based, for the matching: a
+    pair is odd or even with the number of children of its two vertices
+    outside the pair."""
+    children = children_table(parents)
+    odd = [(len(children[a]) + len(children[b]) - 1) & 1
+           for a, b in tree_matching(parents)]
+    return (
+        tuple(k for k, o in enumerate(odd, 1) if not o),
+        tuple(k for k, o in enumerate(odd, 1) if o),
+    )
 
 
 def test_pair_parities_count_the_pair_classes_exhaustive():

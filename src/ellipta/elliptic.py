@@ -5,11 +5,11 @@ expansion of sn(u,k) (odd n) or cn(u,k) (even n), as a polynomial in the
 modulus square x = k^2; J_0 = 1 by convention. Five independent routes
 compute the same sequence:
 
-  operator    read slices of the triangle s_{n,i,j} extracted from iterates
-              of the product-rule derivative operator on {x, y, z};
-  recurrence  build the same triangle from Dumont's entrywise recurrence and
-              read J_n = P_n(x, 0) or P_n(0, x) off one line of rows n
-              and n - 1, requiring agreement;
+  operator    read the triangle s_{n,i,j} off iterates of the product-rule
+              derivative operator on {x, y, z};
+  recurrence  build the same triangle from Dumont's entrywise recurrence;
+              both routes read J_n = P_n(x, 0) or P_n(0, x) off one line
+              of rows n and n - 1, requiring agreement;
   viennot     binomial convolution of earlier J's with their reversals;
   series      integrate the defining differential system for sn, cn, dn as
               truncated exponential series: binomial convolutions, no
@@ -288,27 +288,27 @@ def j_from_p(n: int, triangle: dict) -> UniPoly:
     return a
 
 
-def j_operator(n_max: int) -> tuple:
-    """J_n as the j = 0 (even n) or i = 0 (odd n) line of each s row."""
-    if n_max < 0:
-        raise ValueError("n_max must be at least 0")
-    js = [UNI_ONE]
-    for n, row in islice(s_rows_operator(), n_max):
-        line = ((k, 0) if n % 2 == 0 else (0, k) for k in range(n // 2 + 1))
-        js.append(uni(row.get(ij, 0) for ij in line))
-    return tuple(js)
-
-
-def j_recurrence(n_max: int) -> tuple:
-    """J_n from rows n - 1 and n of s, the only two rows kept."""
+def _j_from_rows(rows, n_max: int) -> tuple:
+    """J_0 .. J_n_max by `j_from_p` on rows n - 1 and n of a stream of s
+    rows, the only two rows kept."""
     if n_max < 0:
         raise ValueError("n_max must be at least 0")
     js = [UNI_ONE]
     prev: dict = {}
-    for n, row in islice(s_rows_recurrence(), n_max):
+    for n, row in islice(rows, n_max):
         js.append(j_from_p(n, {n - 1: prev, n: row}))
         prev = row
     return tuple(js)
+
+
+def j_operator(n_max: int) -> tuple:
+    """J_n off the s rows read from the operator iterates."""
+    return _j_from_rows(s_rows_operator(), n_max)
+
+
+def j_recurrence(n_max: int) -> tuple:
+    """J_n off the s rows of Dumont's recurrence."""
+    return _j_from_rows(s_rows_recurrence(), n_max)
 
 
 def j_viennot(n_max: int) -> tuple:

@@ -446,16 +446,6 @@ class MultiPoly:
         """Terms sorted lexicographically by exponent vector."""
         return sorted(self.terms.items())
 
-    def total_degree(self):
-        """Largest total degree among terms, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def to_json(self) -> dict:
         return {
             "vars": list(self.vars),
@@ -463,13 +453,6 @@ class MultiPoly:
                 {"exp": list(e), "coeff": str(c)} for e, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MultiPoly":
-        return cls(
-            obj["vars"],
-            [(tuple(t["exp"]), int(t["coeff"])) for t in obj["terms"]],
-        )
 
     def to_text(self) -> str:
         if not self.terms:

@@ -389,7 +389,8 @@ SEEDED_SUITES = ("closure",)
 # suites of a unit share one SuiteInputs: thm1 and thm2 one build of
 # J_0 .. J_121 and the gamma lines, lemma5, theorem13 and corollary15 the
 # tree profiles of T_0 .. T_8. Each unit's cost is in ms, in process (Python
-# 3.11.7, 2 cores; scripts/suite_timings.py). A stale cost costs balance only.
+# 3.11.7, 2 cores; `scripts/timings.py suites`). A stale cost costs balance
+# only.
 UNITS = (
     (265, ("dumont",)), (200, ("lemma9",)), (185, ("viennot-symmetry",)),
     (115, ("thm1", "thm2")), (35, ("lemma5", "theorem13", "corollary15")),

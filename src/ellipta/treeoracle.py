@@ -47,15 +47,11 @@ import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from .elliptic import gamma_bounds
+from .elliptic import P_VARS, gamma_bounds
 from .exactpoly import MultiPoly
 
 DEFAULT_PERM_CAP = 9
 DEFAULT_TREE_CAP = 9
-
-P_VARS = ("p", "q")
-G1_VARS = ("x", "a", "b", "c")
-G2_VARS = ("x", "a", "b", "c", "g", "h")
 
 
 class CapExceededError(ValueError):
@@ -292,24 +288,26 @@ def _fold_trees(n: int, keyfn, cap: int, profiles=None) -> Counter:
 
 def g2_distribution(n: int, cap: int = DEFAULT_TREE_CAP, profiles=None) -> MultiPoly:
     """Sum over T_n of x^singleton c^zerop a^des_o b^asc_o g^des_e h^asc_e,
-    over the alphabet (x, a, b, c, g, h)."""
+    over G2's alphabet (x, a, b, c, g, h)."""
+    from .grammarcalc import G2
 
     def key(st):
         return st.singleton, st.des_o, st.asc_o, st.zerop, st.des_e, st.asc_e
 
     counts = _fold_trees(n, key, cap, profiles)
-    return MultiPoly(G2_VARS, dict(counts))
+    return MultiPoly(G2.variables, dict(counts))
 
 
 def g1_distribution(n: int, cap: int = DEFAULT_TREE_CAP) -> MultiPoly:
-    """Sum over T_n of x^singleton c^evenp a^des_o b^asc_o, over the
-    alphabet (x, a, b, c)."""
+    """Sum over T_n of x^singleton c^evenp a^des_o b^asc_o, over
+    G1's alphabet (x, a, b, c)."""
+    from .grammarcalc import G1
 
     def key(st):
         return st.singleton, st.des_o, st.asc_o, st.evenp
 
     counts = _fold_trees(n, key, cap)
-    return MultiPoly(G1_VARS, dict(counts))
+    return MultiPoly(G1.variables, dict(counts))
 
 
 def theta_table(n: int, cap: int = DEFAULT_TREE_CAP, profiles=None) -> dict:

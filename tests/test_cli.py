@@ -943,6 +943,9 @@ COMMAND_MODULES = [
     (("compute", "j", "--n", "30", "--route", "operator"),
      ["cli", "elliptic", "exactpoly", "grammarcalc"]),
     (("compute", "decompose", "--n", "9"), ["cli", "elliptic", "exactpoly", "gammakit"]),
+    # the tree oracles load grammarcalc only for the grammar alphabets
+    (("compute", "s", "--n", "5", "--route", "trees"),
+     ["cli", "elliptic", "exactpoly", "treeoracle"]),
     # suites imports every module it dispatches to, so `verify all` has
     # loaded all that either of its processes runs before it forks
     (("verify", "thm1", "--max-n", "3"), ALL_MODULES),

@@ -35,9 +35,11 @@ from .exactpoly import (
     DegreeExceedsCenterError,
     FormalSeries,
     MultiPoly,
+    SharedSums,
     UNI_ONE,
     UNI_ZERO,
     UniPoly,
+    mul_count,
     uni,
     uni_add,
     uni_addmul_into,
@@ -313,20 +315,24 @@ def j_recurrence(n_max: int) -> tuple:
 
 def j_viennot(n_max: int) -> tuple:
     """Binomial convolutions building each J from earlier ones and the
-    reversals x^i J_{2i}(1/x)."""
+    reversals x^i J_{2i}(1/x). Each J's sum is a step of a `SharedSums`,
+    so its large steps are shared with a forked peer."""
     if n_max < 0:
         raise ValueError("n_max must be at least 0")
     js = [UNI_ONE]
     revs = [UNI_ONE]  # revs[i] = x^i J_{2i}(1/x), built once per even J
-    for n in range(1, n_max + 1):
-        # J_n sums C(n-1, 2i) J_{n-1-2i} revs[i] over 2i <= n - 1
-        acc: list = []
-        for i in range((n + 1) // 2):
-            term = uni_mul(js[n - 1 - 2 * i], revs[i])
-            uni_addmul_into(acc, term, comb(n - 1, 2 * i))
-        js.append(uni(acc))
-        if n % 2 == 0:
-            revs.append(uni_reverse(js[n], n // 2))
+    with SharedSums() as shared:
+        for n in range(1, n_max + 1):
+            # J_n sums C(n-1, 2i) J_{n-1-2i} revs[i] over 2i <= n - 1
+            mults = mul_count(js[n - 1 :: -2], revs)
+            acc: list = []
+            for i in shared.mine(range((n + 1) // 2), mults):
+                term = uni_mul(js[n - 1 - 2 * i], revs[i])
+                uni_addmul_into(acc, term, comb(n - 1, 2 * i))
+            (acc,) = shared.combine(acc)
+            js.append(uni(acc))
+            if n % 2 == 0:
+                revs.append(uni_reverse(js[n], n // 2))
     return tuple(js)
 
 
@@ -415,17 +421,34 @@ def _elliptic_egf(order: int) -> tuple:
     starting from sn = u, cn = dn = 1, in exponential normalization: entry m
     of each returned list is m! times the coefficient of u^m. There the
     derivative is an index shift and the product a binomial convolution, so
-    every step is an exact integer sum with no division."""
+    every step is an exact integer sum with no division.
+
+    Step m's three convolutions read entries 0 .. m only, so they are one
+    step of a `SharedSums`: a large step is shared with a forked peer in
+    one exchange."""
     if order < 1:
         raise ValueError("order must be at least 1")
     sn = [UNI_ZERO] * (order + 1)
     cn = [UNI_ZERO] * (order + 1)
     dn = [UNI_ZERO] * (order + 1)
     cn[0] = dn[0] = UNI_ONE
-    for m in range(order):
-        sn[m + 1] = _binomial_convolution(cn, dn, m)
-        cn[m + 1] = uni_neg(_binomial_convolution(sn, dn, m))
-        dn[m + 1] = uni_shift(uni_neg(_binomial_convolution(sn, cn, m)), 1)
+    factors = ((cn, dn), (sn, dn), (sn, cn))  # of sn', cn' and dn'
+    with SharedSums() as shared:
+        for m in range(order):
+            mults = sum(mul_count(a[: m + 1], b[m::-1]) for a, b in factors)
+            # a product can be nonzero only for i of m's parity; those
+            # terms come first, so that each process takes half of them
+            terms = [*range(m % 2, m + 1, 2), *range(1 - m % 2, m + 1, 2)]
+            mine = shared.mine(terms, mults)
+            sums = ([], [], [])
+            for acc, (a, b) in zip(sums, factors):
+                for i in mine:
+                    if a[i] and b[m - i]:
+                        uni_addmul_into(acc, uni_mul(a[i], b[m - i]), comb(m, i))
+            sn_d, cn_d, dn_d = shared.combine(*sums)
+            sn[m + 1] = uni(sn_d)
+            cn[m + 1] = uni_neg(uni(cn_d))
+            dn[m + 1] = uni_shift(uni_neg(uni(dn_d)), 1)
     return sn, cn, dn
 
 
@@ -747,25 +770,34 @@ def _bi_gamma_chain(gvecs, weight, count: int):
     centers n and n-1: reversals swap each earlier certificate's roles, the
     a-part landing in the new b and the x-shifted b-part landing one gamma
     index up in the new a.
+
+    The two gamma sums of each f_{n+1} are one step of a `SharedSums`, so
+    a large step is shared with a forked peer. Every step runs before the
+    first item is yielded: a peer never leaves this function.
     """
     from .gammakit import GammaVector, SymDecomp
 
     alphas: list = [None]  # alphas[i], betas[i]: the certificate of f_i
     betas: list = [None]
+    with SharedSums() as shared:
+        for n in range(count):
+            seeds = gvecs[n - 1 :: -1]
+            mults = mul_count(seeds, alphas[1:]) + mul_count(seeds, betas[1:])
+            a_vec = [0] * (n // 2 + 1)
+            b_vec = [0] * ((n + 1) // 2)
+            for i in shared.mine(range(1, n + 1), mults):
+                w = weight(n, i)
+                if w:
+                    gv = gvecs[n - i]
+                    uni_addmul_into(a_vec, uni_mul(gv, betas[i]), w, 1)
+                    uni_addmul_into(b_vec, uni_mul(gv, alphas[i]), w)
+            a_vec, b_vec = shared.combine(a_vec, b_vec)
+            uni_addmul_into(a_vec, gvecs[n], weight(n, 0))
+            alphas.append(tuple(a_vec))
+            betas.append(tuple(b_vec))
     for n in range(count):
-        a_vec = [0] * (n // 2 + 1)
-        b_vec = [0] * ((n + 1) // 2)
-        uni_addmul_into(a_vec, gvecs[n], weight(n, 0))
-        for i in range(1, n + 1):
-            w = weight(n, i)
-            if w:
-                gv = gvecs[n - i]
-                uni_addmul_into(a_vec, uni_mul(gv, betas[i]), w, 1)
-                uni_addmul_into(b_vec, uni_mul(gv, alphas[i]), w)
-        ga = GammaVector(n, tuple(a_vec))
-        gb = GammaVector(n - 1, tuple(b_vec))
-        alphas.append(ga.gammas)
-        betas.append(gb.gammas)
+        ga = GammaVector(n, alphas[n + 1])
+        gb = GammaVector(n - 1, betas[n + 1])
         yield ga, gb, SymDecomp(a=ga.to_poly(), b=gb.to_poly(), n=n)
 
 

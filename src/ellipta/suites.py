@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import os
 import random
-import sys
 from typing import NamedTuple
 
 from . import elliptic as el
 from . import gammakit as gk
-from . import grammarcalc as gc
-from . import treeoracle as to
 from .exactpoly import MultiPoly, uni_to_text
+
+# treeoracle and grammarcalc are imported by the suites that run them, so
+# a suite that runs neither loads neither; `run_suite("all")` loads both
+# before it forks.
 
 
 class Check(NamedTuple):
@@ -67,6 +68,8 @@ class SuiteInputs:
     def tree_profiles(self, n: int) -> dict:
         """`to.tree_profiles(n)`: the Counter of the records of T_n, which
         the tree distributions are key maps over."""
+        from . import treeoracle as to
+
         if n not in self._profiles:
             self._profiles[n] = to.tree_profiles(n, cap=max(n, to.DEFAULT_TREE_CAP))
         return self._profiles[n]
@@ -122,6 +125,8 @@ def suite_routes(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
 
 def suite_dumont(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Permutation brute force equals the triangle-backed P_n."""
+    from . import treeoracle as to
+
     _check_range(max_n)
     tri = el.s_triangle_recurrence(max_n)
     checks = []
@@ -211,6 +216,9 @@ def suite_thm2(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
 
 def suite_lemma5(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Tree-statistics distribution equals the six-letter grammar iterate."""
+    from . import grammarcalc as gc
+    from . import treeoracle as to
+
     _check_range(max_n)
     inputs = inputs or SuiteInputs()
     seed_x = gc.G2.seed("x")
@@ -231,6 +239,8 @@ def suite_lemma5(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
 
 def suite_theorem13(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Singleton/even-pair statistics on trees reproduce the s triangle."""
+    from . import treeoracle as to
+
     _check_range(max_n)
     inputs = inputs or SuiteInputs()
     tri = el.s_triangle_recurrence(max_n)
@@ -245,6 +255,9 @@ def suite_theorem13(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResul
 def suite_corollary15(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Theta counts assemble the four-letter iterate and match the gamma
     triangle through the index change."""
+    from . import grammarcalc as gc
+    from . import treeoracle as to
+
     _check_range(max_n)
     inputs = inputs or SuiteInputs()
     gtri = el.gamma_triangle_recurrence(max_n)
@@ -283,6 +296,8 @@ def suite_corollary15(max_n: int, inputs: SuiteInputs | None = None) -> SuiteRes
 def suite_lemma9(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     """Pair involutions (Lemma 9): the five checks of
     `treeoracle.lemma9_defects` for each n."""
+    from . import treeoracle as to
+
     _check_range(max_n)
     names = ("involutions", "commutation", "matching preserved",
              "statistic transport", "orbit partition")
@@ -426,6 +441,8 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list:
     if name == "all":
         if max_n is not None:
             raise ValueError('"all" takes no max_n')
+        from . import grammarcalc, treeoracle  # noqa: F401  (once, before the fork)
+
         forked, own = split_units()
         results = (_fork_join(forked, own, seed) if hasattr(os, "fork")
                    else _run_units(forked + own, seed))
@@ -454,54 +471,39 @@ def _run_units(units: list, seed: int) -> dict:
 
 
 def _fork_join(forked: list, own: list, seed: int) -> dict:
-    """Run the `forked` units in a child made with os.fork and the `own`
-    units here; returns the results of both.
+    """Run the `forked` units in an `exactpoly.Peer` and the `own` units
+    here; returns the results of both.
 
-    The child pickles its results, or the exception one of its units
-    raised, into a pipe and ends in os._exit on every path, so it never
-    unwinds into the caller's frames. An exception from the child is
+    The peer pickles its results, or the exception one of its units
+    raised, to this process and ends in os._exit on every path, so it
+    never unwinds into the caller's frames. An exception from the peer is
     raised here, as a RuntimeError naming its type when it does not come
-    back as itself. The child is reaped before this returns or raises; if
-    a unit fails or is interrupted here, the child is killed first."""
-    import pickle
-    import signal
+    back as itself. The peer is reaped before this returns or raises; if
+    a unit fails or is interrupted here, the peer is killed first. While
+    both run, neither process splits a sum with a peer of its own. When
+    the fork fails, every unit runs here."""
+    from .exactpoly import Peer, PeerExited
 
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = pickle.dumps(("ok", _run_units(forked, seed)))
-            except BaseException as exc:  # sent to the caller, never re-raised here
-                payload = pickle.dumps(("error", _encode_error(exc)))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-
-    status = None
+    sent = False
     try:
-        os.close(write_fd)
-        with open(read_fd, "rb") as pipe:
-            results = _run_units(own, seed)
-            data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-    finally:
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code or not data:
+        with Peer() as peer:
+            if not peer.fork():
+                return _run_units(forked + own, seed)
+            if peer.is_peer:
+                try:
+                    message = "ok", _run_units(forked, seed)
+                except BaseException as exc:  # sent to the caller, never re-raised here
+                    message = "error", _encode_error(exc)
+                peer.send(message)
+            else:
+                results = _run_units(own, seed)
+                kind, value = peer.receive()
+                sent = True
+    except PeerExited as exc:
         raise RuntimeError(
-            f"forked suite process exited with status {code}"
-            + ("" if data else " and sent no result")
-        )
-    kind, value = pickle.loads(data)
+            f"forked suite process exited with status {exc.status}"
+            + ("" if sent else " and sent no result")
+        ) from None
     if kind == "error":
         raise _decode_error(*value)
     return {**value, **results}

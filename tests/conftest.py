@@ -61,3 +61,18 @@ def fake_suites(monkeypatch):
         hows.update(child=child, caller=caller)
 
     return fail
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that have called os.fork, as a list that each process holds
+    its own copy of from the fork on."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        made.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made

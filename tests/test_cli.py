@@ -946,11 +946,14 @@ COMMAND_MODULES = [
     # the tree oracles load grammarcalc only for the grammar alphabets
     (("compute", "s", "--n", "5", "--route", "trees"),
      ["cli", "elliptic", "exactpoly", "treeoracle"]),
-    # suites imports every module it dispatches to, so `verify all` has
-    # loaded all that either of its processes runs before it forks
-    (("verify", "thm1", "--max-n", "3"), ALL_MODULES),
+    # a suite loads treeoracle and grammarcalc only when it runs them
+    (("verify", "thm1", "--max-n", "3"),
+     ["cli", "elliptic", "exactpoly", "gammakit", "suites"]),
+    # `verify all` loads all that either of its processes runs before it
+    # forks
+    (("verify", "all"), ALL_MODULES),
     (("--help",), ["cli"]),
-    (("verify", "--help"), ALL_MODULES),
+    (("verify", "--help"), ["cli", "elliptic", "exactpoly", "gammakit", "suites"]),
 ]
 
 

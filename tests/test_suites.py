@@ -371,9 +371,10 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_run_all_merges_both_processes_in_suites_order(fake_suites):
+def test_run_all_merges_both_processes_in_suites_order(fake_suites, forks):
     results = suites.run_suite("all")
     _assert_no_child_left()
+    assert forks == [os.getpid()]
     assert [r.name for r in results] == list(suites.SUITES)
     pids = {r.name: r.scope for r in results}
     forked, own = ({pids[name] for unit in side for name in unit}

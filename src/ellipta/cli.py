@@ -134,7 +134,7 @@ def _leaf(commands, argv, name: str, about=None, formats=(), cap=False):
     if formats:
         leaf.add_argument("--format", choices=formats, default="json")
     if cap:
-        from .treeoracle import DEFAULT_TREE_CAP
+        from .elliptic import DEFAULT_TREE_CAP
 
         leaf.add_argument("--cap", type=int, default=None,
                           help="raise the tree enumeration cap "
@@ -247,7 +247,7 @@ def _enum_cap(args, route: str, parser):
             parser.error(f"--cap: route {route} enumerates no trees")
         return None
     if args.cap is None:
-        from .treeoracle import DEFAULT_TREE_CAP
+        from .elliptic import DEFAULT_TREE_CAP
 
         return DEFAULT_TREE_CAP
     if args.cap > 10:

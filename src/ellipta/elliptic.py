@@ -60,6 +60,7 @@ if TYPE_CHECKING:
 P_VARS = ("p", "q")
 S_VARS = ("p", "q", "r")
 T_VARS = ("x", "y")
+DEFAULT_TREE_CAP = 9  # treeoracle's default cap, kept here for the CLI's --cap help
 
 
 class TriangleDefectError(ValueError):

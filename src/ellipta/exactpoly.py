@@ -173,26 +173,60 @@ def can_pair() -> bool:
 
 class PeerExited(RuntimeError):
     """The forked peer ended before it sent what the caller waited for, or
-    with a nonzero exit status."""
+    with a nonzero exit status, and sent no exception."""
 
     def __init__(self, status: int):
         super().__init__(f"forked peer exited with status {status}")
         self.status = status
 
 
+class _Raised(NamedTuple):
+    """An exception raised in the peer, as the peer sends it: pickled, if
+    it is an Exception that pickles, and as a RuntimeError that names its
+    type, which the caller gets when the first does not unpickle."""
+
+    blob: bytes | None
+    named: RuntimeError
+
+    @classmethod
+    def of(cls, exc: BaseException) -> _Raised:
+        import pickle
+
+        name, message = type(exc).__name__, str(exc)
+        named = RuntimeError(f"forked peer raised {name}" + (message and f": {message}"))
+        try:
+            blob = pickle.dumps(exc) if isinstance(exc, Exception) else None
+        except Exception:  # an exception that does not pickle goes by name
+            blob = None
+        return cls(blob, named)
+
+    def exception(self) -> Exception:
+        import pickle
+
+        if self.blob is not None:
+            try:
+                return pickle.loads(self.blob)
+            except Exception:  # an exception class that does not unpickle
+                pass
+        return self.named
+
+
 class Peer:
     """This process and, after `fork`, a forked copy of it (the peer),
     joined by one pipe each way; `send` pickles an object to the other
-    process and `receive` takes the next one.
+    process and `receive` takes the next one. `fork`, the package's one
+    fork, forks only when `can_pair()`.
 
     Use it as a context manager around the code that both run. The peer
     never leaves the block: it ends in os._exit there, status 0 when the
-    block finishes and 1 when it raises. The caller reaps the peer as it
-    leaves the block, killing it first when the block raises. A peer
-    that has ended makes `receive` or `send` raise PeerExited, and so
-    does a nonzero exit status found on leaving the block. Until the
-    block ends both processes are halves of a pair, so neither forks
-    another peer."""
+    block finishes and 1 when it raises, after sending the exception.
+    The caller's next `receive` raises it: as itself when it pickles,
+    else as a RuntimeError that names its type. A peer that ended without
+    sending one makes `receive` or `send` raise PeerExited. The caller
+    reaps the peer as it leaves the block, killing it first when the
+    block raises, and a nonzero exit status raises what `receive` would.
+    Until the block ends both processes are halves of a pair, so neither
+    forks another peer."""
 
     def __init__(self):
         self.is_peer = False
@@ -200,8 +234,10 @@ class Peer:
         self._status = None  # the peer's exit code, once reaped
 
     def fork(self) -> bool:
-        """Fork the peer; False, with no peer, when the fork fails."""
+        """Fork the peer if can_pair(); False, with no peer, if not or the fork fails."""
         global _paired
+        if not can_pair():
+            return False
         sys.stdout.flush()
         sys.stderr.flush()
         down, up = os.pipe(), os.pipe()  # caller to peer, peer to caller
@@ -230,7 +266,8 @@ class Peer:
         try:
             self._writer.write(len(data).to_bytes(8, "little") + data)
             self._writer.flush()
-        except BrokenPipeError:
+        except BrokenPipeError:  # the other process has ended
+            self.receive()  # raises what it sent before it ended, if anything
             raise self._gone() from None
 
     def receive(self):
@@ -241,7 +278,10 @@ class Peer:
         data = self._reader.read(size) if len(head) == 8 else b""
         if len(head) < 8 or len(data) < size:
             raise self._gone()
-        return pickle.loads(data)
+        obj = pickle.loads(data)
+        if isinstance(obj, _Raised):
+            raise obj.exception()
+        return obj
 
     def _gone(self) -> Exception:
         if self.is_peer:
@@ -261,20 +301,31 @@ class Peer:
         if self._pid is None:
             return False
         if self.is_peer:
-            os._exit(0 if exc_type is None else 1)
+            try:
+                if exc_type is not None:
+                    self.send(_Raised.of(exc))
+            finally:
+                os._exit(0 if exc_type is None else 1)
         _paired = False
-        self._reader.close()
         try:
             self._writer.close()
         except BrokenPipeError:  # the peer has ended; reaped below
             pass
-        if self._status is None and exc_type is not None:
-            import signal
+        try:
+            if exc_type is None:  # read to the peer's end: its exception, if it raised
+                try:
+                    while True:
+                        self.receive()
+                except PeerExited as ended:
+                    if ended.status:
+                        raise
+            elif self._status is None:
+                import signal
 
-            os.kill(self._pid, signal.SIGKILL)
-        status = self._reap()
-        if status and exc_type is None:
-            raise PeerExited(status)
+                os.kill(self._pid, signal.SIGKILL)
+        finally:
+            self._reap()
+            self._reader.close()
         return False
 
 
@@ -284,10 +335,10 @@ class SharedSums(Peer):
     process computes, and `combine(*sums)` turns this process's partial
     sums (dense coefficient lists) into the step's sums.
 
-    A step of at least SPLIT_MULTS coefficient multiplications is split
-    when `can_pair()`: the first such step forks the peer, each process
-    takes every other term, and the two partial sums cross the pipes once,
-    so both processes end the step with the same sums. Any other step runs
+    The first step of at least SPLIT_MULTS coefficient multiplications
+    calls `fork`; if it forks, each such step is split: each process takes
+    every other term, and the two partial sums cross the pipes once, so
+    both processes end the step with the same sums. Any other step runs
     whole in each process. The split depends only on the steps' sizes and
     the CPUs, and integer sums do not depend on the order of their terms,
     so a split leaves every result as it is alone."""
@@ -300,8 +351,7 @@ class SharedSums(Peer):
     def mine(self, terms, mults: int):
         if mults >= SPLIT_MULTS and not self._tried:
             self._tried = True
-            if can_pair():
-                self.fork()
+            self.fork()
         self._split = self._pid is not None and mults >= SPLIT_MULTS
         return terms[self.is_peer :: 2] if self._split else terms
 

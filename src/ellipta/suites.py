@@ -7,7 +7,6 @@ a sweep never aborts early and never truncates silently.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import NamedTuple
 
@@ -437,15 +436,14 @@ def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list:
     """Run one suite (or every suite for "all"); returns SuiteResult list,
     in SUITES order. A run of one suite never forks. "all" runs every
     suite at its default range, so it takes no max_n; it runs the units
-    of split_units in a forked process and in the caller."""
+    of split_units in two processes where `exactpoly.Peer` may fork, and
+    all of them here where it may not."""
     if name == "all":
         if max_n is not None:
             raise ValueError('"all" takes no max_n')
         from . import grammarcalc, treeoracle  # noqa: F401  (once, before the fork)
 
-        forked, own = split_units()
-        results = (_fork_join(forked, own, seed) if hasattr(os, "fork")
-                   else _run_units(forked + own, seed))
+        results = _fork_join(*split_units(), seed)
         return [results[key] for key in SUITES]
     if name not in SUITES:
         raise KeyError(name)
@@ -471,66 +469,17 @@ def _run_units(units: list, seed: int) -> dict:
 
 
 def _fork_join(forked: list, own: list, seed: int) -> dict:
-    """Run the `forked` units in an `exactpoly.Peer` and the `own` units
-    here; returns the results of both.
+    """Run the `forked` units in the peer of an `exactpoly.Peer` and the
+    `own` units here, or every unit here when the Peer does not fork;
+    returns the results of both. The peer sends its results; a failure
+    there is raised here, as `Peer` raises it."""
+    from .exactpoly import Peer
 
-    The peer pickles its results, or the exception one of its units
-    raised, to this process and ends in os._exit on every path, so it
-    never unwinds into the caller's frames. An exception from the peer is
-    raised here, as a RuntimeError naming its type when it does not come
-    back as itself. The peer is reaped before this returns or raises; if
-    a unit fails or is interrupted here, the peer is killed first. While
-    both run, neither process splits a sum with a peer of its own. When
-    the fork fails, every unit runs here."""
-    from .exactpoly import Peer, PeerExited
-
-    sent = False
-    try:
-        with Peer() as peer:
-            if not peer.fork():
-                return _run_units(forked + own, seed)
-            if peer.is_peer:
-                try:
-                    message = "ok", _run_units(forked, seed)
-                except BaseException as exc:  # sent to the caller, never re-raised here
-                    message = "error", _encode_error(exc)
-                peer.send(message)
-            else:
-                results = _run_units(own, seed)
-                kind, value = peer.receive()
-                sent = True
-    except PeerExited as exc:
-        raise RuntimeError(
-            f"forked suite process exited with status {exc.status}"
-            + ("" if sent else " and sent no result")
-        ) from None
-    if kind == "error":
-        raise _decode_error(*value)
-    return {**value, **results}
-
-
-def _encode_error(exc: BaseException) -> tuple:
-    """(type name, message, pickled exception or None) for the caller;
-    only an Exception is sent as itself."""
-    import pickle
-
-    blob = None
-    if isinstance(exc, Exception):
-        try:
-            blob = pickle.dumps(exc)
-        except Exception:  # an exception that does not pickle goes by name
-            pass
-    return type(exc).__name__, str(exc), blob
-
-
-def _decode_error(name: str, message: str, blob) -> Exception:
-    import pickle
-
-    if blob is not None:
-        try:
-            return pickle.loads(blob)
-        except Exception:  # an exception class that does not unpickle
-            pass
-    return RuntimeError(
-        f"forked suite raised {name}" + (f": {message}" if message else "")
-    )
+    with Peer() as peer:
+        if not peer.fork():
+            return _run_units(forked + own, seed)
+        if peer.is_peer:
+            peer.send(_run_units(forked, seed))
+        else:
+            results = _run_units(own, seed)
+            return {**peer.receive(), **results}

@@ -47,11 +47,10 @@ import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from .elliptic import P_VARS, gamma_bounds
+from .elliptic import DEFAULT_TREE_CAP, P_VARS, gamma_bounds
 from .exactpoly import MultiPoly
 
 DEFAULT_PERM_CAP = 9
-DEFAULT_TREE_CAP = 9
 
 
 class CapExceededError(ValueError):

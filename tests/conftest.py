@@ -76,3 +76,10 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return made
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """This process, and a peer forked from it, may run on two CPUs, so
+    `exactpoly.Peer` may fork whatever CPUs the run is pinned to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -336,7 +336,8 @@ def test_verify_warns_on_large_enumeration_range(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("how", ["ValueError", "SystemExit", "KeyboardInterrupt", "os._exit"])
-def test_verify_all_fails_in_one_line_when_the_forked_group_fails(capsys, fake_suites, how):
+def test_verify_all_fails_in_one_line_when_the_forked_group_fails(capsys, fake_suites,
+                                                                 two_cpus, how):
     fake_suites(child=how)
     code, out, err = run(capsys, "verify", "all")
     assert code == 1
@@ -943,6 +944,9 @@ COMMAND_MODULES = [
     (("compute", "j", "--n", "30", "--route", "operator"),
      ["cli", "elliptic", "exactpoly", "grammarcalc"]),
     (("compute", "decompose", "--n", "9"), ["cli", "elliptic", "exactpoly", "gammakit"]),
+    # a triangle's --cap help names the tree cap without loading treeoracle
+    (("compute", "s", "--n", "5"), ["cli", "elliptic", "exactpoly"]),
+    (("compute", "gamma", "--n", "5"), ["cli", "elliptic", "exactpoly"]),
     # the tree oracles load grammarcalc only for the grammar alphabets
     (("compute", "s", "--n", "5", "--route", "trees"),
      ["cli", "elliptic", "exactpoly", "treeoracle"]),

@@ -1,8 +1,9 @@
 """The sums that j_viennot, the series route and the bi-gamma chain share
 with a forked peer (`exactpoly.SharedSums`): a split leaves every result as
-it is alone, the split happens only where it may, and no peer outlives its
-call. `taskset -c 0 python -m pytest tests/test_shared_sums.py` runs them on
-one CPU, through the real affinity call."""
+it is alone, the split happens only where it may, a failure in the peer is
+raised in the caller, and no peer outlives its call. `taskset -c 0 python
+-m pytest tests/test_shared_sums.py` runs them on one CPU, through the real
+affinity call."""
 
 import os
 
@@ -19,11 +20,6 @@ ROUTES = {
     "series": (el.j_series, 72),
     "chain": (el.j_even_decompositions, 40),
 }
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def _assert_no_child_left():
@@ -75,6 +71,22 @@ def test_a_peer_that_dies_raises_here_naming_its_status(monkeypatch, two_cpus):
 
     monkeypatch.setattr(el, "uni_mul", mul)
     with pytest.raises(RuntimeError, match="^forked peer exited with status 3$"):
+        el.j_viennot(ROUTES["viennot"][1])
+    _assert_no_child_left()
+    assert ep.can_pair()  # the pair is over
+
+
+def test_an_exception_in_the_peer_is_raised_here_as_itself(monkeypatch, two_cpus):
+    caller = os.getpid()
+    real_mul = el.uni_mul
+
+    def mul(f, g):
+        if os.getpid() != caller:
+            raise ValueError("failed in the peer")
+        return real_mul(f, g)
+
+    monkeypatch.setattr(el, "uni_mul", mul)
+    with pytest.raises(ValueError, match="^failed in the peer$"):
         el.j_viennot(ROUTES["viennot"][1])
     _assert_no_child_left()
     assert ep.can_pair()  # the pair is over

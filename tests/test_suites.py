@@ -1,6 +1,7 @@
 import ast
 import inspect
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -371,7 +372,7 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_run_all_merges_both_processes_in_suites_order(fake_suites, forks):
+def test_run_all_merges_both_processes_in_suites_order(fake_suites, forks, two_cpus):
     results = suites.run_suite("all")
     _assert_no_child_left()
     assert forks == [os.getpid()]
@@ -413,18 +414,34 @@ def test_run_all_runs_both_groups_here_without_fork(fake_suites, monkeypatch):
     assert {r.scope for r in results} == {f"pid {os.getpid()}"}
 
 
+def test_verify_all_on_one_cpu_forks_nothing_and_prints_the_same(capsys, monkeypatch,
+                                                                  forks):
+    # under `taskset -c 0` too, where the real affinity call gives one CPU
+    from ellipta.cli import main
+
+    runs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        forks.clear()
+        assert main(["verify", "all"]) == 0
+        runs.append((list(forks), capsys.readouterr().out))
+    (two_forks, two_out), (one_forks, one_out) = runs
+    assert (two_forks, one_forks) == ([os.getpid()], [])
+    assert one_out == two_out and two_out.endswith("suite closure: PASS (100 checks)\n")
+
+
 @pytest.mark.parametrize("how, raised, message", [
     ("ValueError", ValueError, "fake suite failed"),
-    ("SystemExit", RuntimeError, "forked suite raised SystemExit: 4"),
-    ("KeyboardInterrupt", RuntimeError, "forked suite raised KeyboardInterrupt"),
-    ("os._exit", RuntimeError,
-     "forked suite process exited with status 3 and sent no result"),
+    ("SystemExit", RuntimeError, "forked peer raised SystemExit: 4"),
+    ("KeyboardInterrupt", RuntimeError, "forked peer raised KeyboardInterrupt"),
+    ("os._exit", RuntimeError, "forked peer exited with status 3"),
 ])
-def test_a_failure_in_the_forked_group_raises_here(fake_suites, how, raised, message):
+def test_a_failure_in_the_forked_group_raises_here(fake_suites, forks, two_cpus, how,
+                                                   raised, message):
     fake_suites(child=how)
-    with pytest.raises(raised) as info:
+    with pytest.raises(raised, match=f"^{re.escape(message)}$"):
         suites.run_suite("all")
-    assert str(info.value) == message
+    assert forks == [os.getpid()]
     _assert_no_child_left()
 
 
@@ -435,15 +452,15 @@ class _TwoArgError(Exception):
         super().__init__(f"{a} and {b}")
 
 
-def test_an_exception_that_does_not_unpickle_comes_back_by_name(fake_suites):
+def test_an_exception_that_does_not_unpickle_comes_back_by_name(fake_suites, two_cpus):
     fake_suites(child=_TwoArgError("this", "that"))
-    with pytest.raises(RuntimeError, match="^forked suite raised _TwoArgError: this and that$"):
+    with pytest.raises(RuntimeError, match="^forked peer raised _TwoArgError: this and that$"):
         suites.run_suite("all")
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("how", ["ValueError", "KeyboardInterrupt"])
-def test_a_failure_here_kills_the_forked_group(fake_suites, how):
+def test_a_failure_here_kills_the_forked_group(fake_suites, forks, two_cpus, how):
     # the child would run for a minute; the caller's own failure must not
     # wait for it
     import time
@@ -453,6 +470,7 @@ def test_a_failure_here_kills_the_forked_group(fake_suites, how):
     with pytest.raises(ValueError if how == "ValueError" else KeyboardInterrupt):
         suites.run_suite("all")
     assert time.monotonic() - start < 30
+    assert forks == [os.getpid()]
     _assert_no_child_left()
 
 

@@ -16,12 +16,13 @@ Usage: python scripts/timings.py {routes,certify,oracle,suites} [n]
            and suite_lemma9(n - 1); each must agree with the s and gamma
            recurrences and, for g2_distribution, with the grammar G2.
            The library's default enumeration caps bound n.
-  suites   each unit of `verify all` in process, longest listed cost first,
-           every suite at its default range or at n if that is smaller; the
-           suites of a unit share one SuiteInputs, as they do there. Each
-           unit's sum is printed next to its cost in `suites.UNITS`, and a
-           unit that took longer than the one listed before it is named:
-           a hint to update those costs.
+  suites   each unit of `verify all` in process, in the order they are
+           dealt to its two processes (`suites.unit_order()`: longest listed
+           cost first), every suite at its default range or at n if that is
+           smaller; the suites of a unit share one SuiteInputs, as they do
+           there. Each unit's sum is printed next to its cost in
+           `suites.UNITS`, and a unit that took longer than the one listed
+           before it is named: a hint to update those costs.
 
 The script ends with one verdict line and exits 0 when every check holds,
 1 when one fails, and 2 on a usage error, before anything is timed.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from itertools import count, islice
 from math import comb, factorial
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exactpoly import (
@@ -39,7 +40,6 @@ from .exactpoly import (
     UNI_ONE,
     UNI_ZERO,
     UniPoly,
-    mul_count,
     uni,
     uni_add,
     uni_addmul_into,
@@ -325,9 +325,9 @@ def j_viennot(n_max: int) -> tuple:
     with SharedSums() as shared:
         for n in range(1, n_max + 1):
             # J_n sums C(n-1, 2i) J_{n-1-2i} revs[i] over 2i <= n - 1
-            mults = mul_count(js[n - 1 :: -2], revs)
+            costs = list(map(mul, map(len, js[n - 1 :: -2]), map(len, revs)))
             acc: list = []
-            for i in shared.mine(range((n + 1) // 2), mults):
+            for i in shared.mine(costs):
                 term = uni_mul(js[n - 1 - 2 * i], revs[i])
                 uni_addmul_into(acc, term, comb(n - 1, 2 * i))
             (acc,) = shared.combine(acc)
@@ -407,14 +407,14 @@ class EllipticSeries(NamedTuple):
     dn: FormalSeries
 
 
-def _binomial_convolution(a: list, b: list, m: int) -> UniPoly:
-    """Coefficient m of the product of two exponential generating functions:
-    the sum over i of C(m, i) a_i b_(m-i)."""
+def _binomial_convolution(a: list, b: list, m: int, terms) -> list:
+    """The sum over i in `terms` of C(m, i) a_i b_(m-i), as a dense list; over
+    i = 0 .. m, coefficient m of a product of exponential generating functions."""
     acc: list = []
-    for i in range(m + 1):
+    for i in terms:
         if a[i] and b[m - i]:
             uni_addmul_into(acc, uni_mul(a[i], b[m - i]), comb(m, i))
-    return uni(acc)
+    return acc
 
 
 def _elliptic_egf(order: int) -> tuple:
@@ -425,8 +425,8 @@ def _elliptic_egf(order: int) -> tuple:
     every step is an exact integer sum with no division.
 
     Step m's three convolutions read entries 0 .. m only, so they are one
-    step of a `SharedSums`: a large step is shared with a forked peer in
-    one exchange."""
+    step of a `SharedSums`, shared with a forked peer once large; a zero
+    product costs 0, so each process gets half of the others."""
     if order < 1:
         raise ValueError("order must be at least 1")
     sn = [UNI_ZERO] * (order + 1)
@@ -436,16 +436,10 @@ def _elliptic_egf(order: int) -> tuple:
     factors = ((cn, dn), (sn, dn), (sn, cn))  # of sn', cn' and dn'
     with SharedSums() as shared:
         for m in range(order):
-            mults = sum(mul_count(a[: m + 1], b[m::-1]) for a, b in factors)
-            # a product can be nonzero only for i of m's parity; those
-            # terms come first, so that each process takes half of them
-            terms = [*range(m % 2, m + 1, 2), *range(1 - m % 2, m + 1, 2)]
-            mine = shared.mine(terms, mults)
-            sums = ([], [], [])
-            for acc, (a, b) in zip(sums, factors):
-                for i in mine:
-                    if a[i] and b[m - i]:
-                        uni_addmul_into(acc, uni_mul(a[i], b[m - i]), comb(m, i))
+            costs = [sum(len(a[i]) * len(b[m - i]) for a, b in factors)
+                     for i in range(m + 1)]
+            mine = shared.mine(costs)
+            sums = [_binomial_convolution(a, b, m, mine) for a, b in factors]
             sn_d, cn_d, dn_d = shared.combine(*sums)
             sn[m + 1] = uni(sn_d)
             cn[m + 1] = uni_neg(uni(cn_d))
@@ -471,12 +465,16 @@ def elliptic_series(order: int) -> EllipticSeries:
 
 
 def j_series(n_max: int) -> tuple:
-    """Read J_n off the exponential coefficients of the integrated series:
-    strip the sign (-1)^(n//2), and cross-check the dn expansion against the
-    reversal of the even J's."""
+    """J_0 .. J_n_max read off the integrated series (`_j_from_egf`)."""
     if n_max < 0:
         raise ValueError("n_max must be at least 0")
-    sn, cn, dn = _elliptic_egf(max(1, n_max))
+    return _j_from_egf(*_elliptic_egf(max(1, n_max)))[: n_max + 1]
+
+
+def _j_from_egf(sn, cn, dn) -> tuple:
+    """J_0 .. J_order off the series' exponential coefficients: strip the sign
+    (-1)^(n//2), and cross-check dn against the reversals of the even J's."""
+    n_max = len(sn) - 1
     for m in range(len(sn)):
         if m % 2 == 0 and sn[m]:
             raise SeriesIntegrationError(f"sn has an even-order term u^{m}")
@@ -516,13 +514,13 @@ def series_identity_checks(order: int) -> SeriesIdentityReport:
     pyth = modulus = True
     for m in range(order + 1):
         one = UNI_ONE if m == 0 else UNI_ZERO
-        sn2 = _binomial_convolution(sn, sn, m)
-        pyth = pyth and uni_add(sn2, _binomial_convolution(cn, cn, m)) == one
-        modulus = modulus and (
-            uni_add(_binomial_convolution(dn, dn, m), uni_shift(sn2, 1)) == one
+        sn2, cn2, dn2 = (
+            uni(_binomial_convolution(f, f, m, range(m + 1))) for f in (sn, cn, dn)
         )
+        pyth = pyth and uni_add(sn2, cn2) == one
+        modulus = modulus and uni_add(dn2, uni_shift(sn2, 1)) == one
     try:
-        j_series(order)
+        _j_from_egf(sn, cn, dn)
         dn_rev = True
     except SeriesIntegrationError:
         dn_rev = False
@@ -782,11 +780,12 @@ def _bi_gamma_chain(gvecs, weight, count: int):
     betas: list = [None]
     with SharedSums() as shared:
         for n in range(count):
-            seeds = gvecs[n - 1 :: -1]
-            mults = mul_count(seeds, alphas[1:]) + mul_count(seeds, betas[1:])
+            costs = [len(gvecs[n - i]) * (len(alphas[i]) + len(betas[i]))
+                     for i in range(1, n + 1)]
             a_vec = [0] * (n // 2 + 1)
             b_vec = [0] * ((n + 1) // 2)
-            for i in shared.mine(range(1, n + 1), mults):
+            for k in shared.mine(costs):
+                i = k + 1
                 w = weight(n, i)
                 if w:
                     gv = gvecs[n - i]

@@ -12,13 +12,15 @@ than zero.
 
 All values are immutable: tuples, or instances never mutated after
 construction.
+
+Peer pairs this process with a forked copy; SharedSums shares sums of
+products with that peer, and `deal` is the one rule that splits work in two.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from operator import mul
 from typing import NamedTuple
 
 UniPoly = tuple  # tuple of int coefficients, lowest exponent first
@@ -138,18 +140,12 @@ def uni_mul(f: UniPoly, g: UniPoly) -> UniPoly:
     return uni(out)
 
 
-def mul_count(fs, gs) -> int:
-    """len(f) * len(g) summed over the pairs of fs and gs: the coefficient
-    multiplications of their uni_mul's, zero coefficients included."""
-    return sum(map(mul, map(len, fs), map(len, gs)))
-
-
 # ---------------------------------------------------------------------------
 # sums of products shared with a forked peer
 
 
 # A step of a shared sum is split only when its products make at least
-# this many coefficient multiplications (`mul_count`).
+# this many coefficient multiplications: len(f) * len(g) for each uni_mul.
 # Measured in process (Python 3.11.7, 2 cores): a multiplication of
 # J-sized coefficients costs 120-220 ns, so the first split steps take
 # about 0.5 ms alone; splitting one saves half of that for one exchange of
@@ -329,31 +325,43 @@ class Peer:
         return False
 
 
+def deal(costs) -> tuple:
+    """(the peer's indices, the caller's) of `costs`: in order, each index
+    goes to the process with less cost so far, the peer on a tie. Costs
+    listed largest first leave loads that differ by at most the largest."""
+    loads, hands = [0, 0], ([], [])
+    for i, cost in enumerate(costs):
+        side = loads[1] < loads[0]
+        loads[side] += cost
+        hands[side].append(i)
+    return hands
+
+
 class SharedSums(Peer):
     """A step-by-step sum of products, shared with a forked peer once its
-    steps grow large. Each step, `mine(terms, mults)` gives the terms this
-    process computes, and `combine(*sums)` turns this process's partial
-    sums (dense coefficient lists) into the step's sums.
+    steps grow large. Each step, `mine(costs)` takes each term's cost,
+    len(f) * len(g) of its products, and gives the indices of the terms this
+    process computes; `combine(*sums)` turns its partial sums (dense
+    coefficient lists) into the step's sums.
 
-    The first step of at least SPLIT_MULTS coefficient multiplications
-    calls `fork`; if it forks, each such step is split: each process takes
-    every other term, and the two partial sums cross the pipes once, so
-    both processes end the step with the same sums. Any other step runs
-    whole in each process. The split depends only on the steps' sizes and
-    the CPUs, and integer sums do not depend on the order of their terms,
-    so a split leaves every result as it is alone."""
+    The first step whose costs reach SPLIT_MULTS calls `fork`. If it forks,
+    each such step is split as `deal` deals its costs, and the two partial
+    sums cross the pipes once; any other step runs whole in each process.
+    Integer sums do not depend on the order of their terms, so a split
+    leaves every result as it is alone."""
 
     def __init__(self):
         super().__init__()
         self._tried = False  # whether a large step has asked for a peer
         self._split = False  # whether the current step is split
 
-    def mine(self, terms, mults: int):
-        if mults >= SPLIT_MULTS and not self._tried:
+    def mine(self, costs):
+        large = sum(costs) >= SPLIT_MULTS
+        if large and not self._tried:
             self._tried = True
             self.fork()
-        self._split = self._pid is not None and mults >= SPLIT_MULTS
-        return terms[self.is_peer :: 2] if self._split else terms
+        self._split = self._pid is not None and large
+        return deal(costs)[not self.is_peer] if self._split else range(len(costs))
 
     def combine(self, *sums) -> tuple:
         if not self._split:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import elliptic as el
 from . import gammakit as gk
-from .exactpoly import MultiPoly, uni_to_text
+from .exactpoly import MultiPoly, Peer, deal, uni_to_text
 
 # treeoracle and grammarcalc are imported by the suites that run them, so
 # a suite that runs neither loads neither; `run_suite("all")` loads both
@@ -403,8 +403,8 @@ SEEDED_SUITES = ("closure",)
 # suites of a unit share one SuiteInputs: thm1 and thm2 one build of
 # J_0 .. J_121 and the gamma lines, lemma5, theorem13 and corollary15 the
 # tree profiles of T_0 .. T_8. Each unit's cost is in ms, in process (Python
-# 3.11.7, 2 cores; `scripts/timings.py suites`). A stale cost costs balance
-# only.
+# 3.11.7, 2 cores; `scripts/timings.py suites`), longest first, as they
+# are dealt. A stale cost costs balance only.
 UNITS = (
     (265, ("dumont",)), (200, ("lemma9",)), (185, ("viennot-symmetry",)),
     (115, ("thm1", "thm2")), (35, ("lemma5", "theorem13", "corollary15")),
@@ -413,23 +413,18 @@ UNITS = (
 
 
 def unit_order() -> list:
-    """(cost in ms, suites) of every unit of `verify all`, longest first:
+    """(cost in ms, suites) of every unit of `verify all`, in dealing order:
     UNITS, then each suite that no unit names, alone, at cost 0."""
     named = {name for _, unit in UNITS for name in unit}
-    unnamed = [(0, (key,)) for key in SUITES if key not in named]
-    return sorted(UNITS, key=lambda entry: -entry[0]) + unnamed
+    return [*UNITS, *((0, (key,)) for key in SUITES if key not in named)]
 
 
 def split_units() -> tuple:
-    """(the forked process's units, the caller's) for `verify all`: longest
-    first, each unit goes to the process with less cost so far, the forked
-    one on a tie, so each process runs the same suites on every run."""
-    loads, split = [0, 0], ([], [])
-    for cost, unit in unit_order():
-        side = loads.index(min(loads))
-        loads[side] += cost
-        split[side].append(unit)
-    return split
+    """(the forked process's units, the caller's) for `verify all`, as
+    `exactpoly.deal` deals them by cost, so each process runs the same
+    suites on every run."""
+    order = unit_order()
+    return tuple([order[i][1] for i in hand] for hand in deal(c for c, _ in order))
 
 
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list:
@@ -473,8 +468,6 @@ def _fork_join(forked: list, own: list, seed: int) -> dict:
     `own` units here, or every unit here when the Peer does not fork;
     returns the results of both. The peer sends its results; a failure
     there is raised here, as `Peer` raises it."""
-    from .exactpoly import Peer
-
     with Peer() as peer:
         if not peer.fork():
             return _run_units(forked + own, seed)

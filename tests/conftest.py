@@ -37,7 +37,7 @@ def fake_suites(monkeypatch):
     process it runs in, the forked child or the caller (an exception, or a
     way `_fail` knows), and passes in a process given none. So a failure
     happens only in the process it is given for, whichever suites
-    `suites.split_units` gives that process."""
+    `exactpoly.deal` gives that process through `suites.split_units`."""
     from ellipta import suites
 
     caller_pid = os.getpid()

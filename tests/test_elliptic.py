@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -477,6 +478,19 @@ def test_series_identities_detect_a_perturbed_coefficient(monkeypatch):
     assert rep.modulus  # sn and dn are untouched
 
 
+def test_series_identities_integrate_the_series_once(monkeypatch):
+    calls = []
+    real = el._elliptic_egf
+
+    def egf(order):
+        calls.append(order)
+        return real(order)
+
+    monkeypatch.setattr(el, "_elliptic_egf", egf)
+    assert el.series_identity_checks(12).all_ok()
+    assert calls == [12]
+
+
 def test_series_dn_matches_reversed_even_j():
     es = el.elliptic_series(12)
     js = el.j_series(12)
@@ -835,16 +849,34 @@ def test_closure_reproduces_even_j_construction(gamma_tri):
 
 
 def test_closure_rejects_bad_seeds():
-    with pytest.raises(ValueError):
-        el.bi_gamma_closure([gk.GammaVector(0, (0,))], {}, 1)
-    with pytest.raises(ValueError):
-        el.bi_gamma_closure(
-            [gk.GammaVector(1, (1,))], {}, 1
-        )  # center mismatch for degree 0
-    with pytest.raises(ValueError):
-        el.bi_gamma_closure(
-            [gk.GammaVector(0, (1,))], {(0, 0): -1}, 1
-        )
+    one, x = gk.GammaVector(0, (1,)), gk.GammaVector(1, (1,))
+    for seeds, weights, n_max, message in [
+        ([gk.GammaVector(0, (0,))], {}, 1, "seed vector 0 has degree below 0"),
+        ([x], {}, 1, "seed vector 0 has center 1"),
+        ([one], {(0, 0): -1}, 1, "negative weight at (0, 0)"),
+        ([one], {}, 2, "need seed vectors for degrees 0 .. 1"),
+        ([one, x, gk.GammaVector(2, (1, -1))], {}, 3,
+         "seed vector 2 has a negative entry"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            el.bi_gamma_closure(seeds, weights, n_max)
+
+
+def test_closure_cross_checks_each_certificate_against_the_direct_sum(monkeypatch):
+    real = el._bi_gamma_chain
+
+    def chain(gvecs, weight, count):
+        for n, (ga, gb, dec) in enumerate(real(gvecs, weight, count)):
+            if n == 2:  # f_3 assembled twice over
+                dec = dec._replace(a=uni_scale(dec.a, 2), b=uni_scale(dec.b, 2))
+            yield ga, gb, dec
+
+    monkeypatch.setattr(el, "_bi_gamma_chain", chain)
+    gammas = [gk.GammaVector(d, (1,) + (0,) * (d // 2)) for d in range(4)]
+    weights = {(n, i): 1 for n in range(4) for i in range(n + 1)}
+    with pytest.raises(el.RouteDisagreementError,
+                       match="^certificate assembly of f_3 disagrees with direct sum$"):
+        el.bi_gamma_closure(gammas, weights, 4)
 
 
 # ---------------------------------------------------------------------------

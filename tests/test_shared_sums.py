@@ -22,6 +22,13 @@ ROUTES = {
 }
 
 
+def test_deal_gives_each_cost_to_the_lighter_process_the_peer_on_a_tie():
+    assert ep.deal([]) == ([], [])
+    assert ep.deal([3, 3, 2, 1, 1]) == ([0, 2], [1, 3, 4])
+    # a zero cost changes no load
+    assert ep.deal([0, 4, 0, 3, 0]) == ([0, 1], [2, 3, 4])
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -120,4 +127,44 @@ def test_inside_verify_all_no_sum_is_split(monkeypatch, forks, two_cpus):
     results = suites.run_suite("all")
     assert forks == [os.getpid()]
     assert {r.scope for r in results} == {"forks 1"}
+    _assert_no_child_left()
+
+
+def test_a_peer_that_exits_nonzero_after_the_last_exchange_raises_here(two_cpus):
+    # the caller waits for nothing more, yet reads the peer's status
+    with pytest.raises(ep.PeerExited, match="^forked peer exited with status 5$"):
+        with ep.Peer() as peer:
+            assert peer.fork()
+            if peer.is_peer:
+                peer.send("done")
+                os._exit(5)
+            assert peer.receive() == "done"
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("raises, error, message", [
+    (False, ep.PeerExited, "forked peer exited with status 0"),
+    (True, ValueError, "failed in the peer"),
+], ids=["ended", "raised"])
+def test_a_send_to_a_peer_that_has_ended_raises_what_it_left(monkeypatch, two_cpus,
+                                                             raises, error, message):
+    peers = []
+    real_fork = os.fork
+
+    def fork():
+        peers.append(real_fork())
+        return peers[-1]
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(error, match=f"^{message}$"):
+        with ep.Peer() as peer:
+            assert peer.fork()
+            if peer.is_peer:
+                if raises:
+                    raise ValueError("failed in the peer")
+            else:
+                # the peer has ended, and its end of the pipe is closed, but
+                # it is not reaped yet
+                os.waitid(os.P_PID, peers[0], os.WEXITED | os.WNOWAIT)
+                peer.send("too late")
     _assert_no_child_left()

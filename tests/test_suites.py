@@ -83,6 +83,50 @@ def test_routes_suite_names_the_first_disagreeing_coefficient(monkeypatch):
     )]
 
 
+def test_routes_suite_names_a_route_of_the_wrong_shape(monkeypatch):
+    def series(n_max):
+        js = list(el.j_series(n_max))
+        js[5] = (1, 14, 1, 1)  # J_5 is 1 + 14x + x^2
+        return tuple(js)
+
+    monkeypatch.setitem(el.J_ROUTES, "series", series)
+    (result,) = suites.run_suite("routes", max_n=6)
+    assert [(c.label, c.detail) for c in result.checks if not c.ok] == [
+        ("series route shape", "route series: deg J_5 is 3, expected 2"),
+        ("route agreement", "J_5 coefficient of x^3: {'operator': 0, 'recurrence': 0, "
+                            "'viennot': 0, 'series': 1, 'fraction': 0}"),
+    ]
+
+
+@pytest.mark.parametrize("fault, detail", [
+    ("raises", "seed vector 1 has a negative entry"),
+    ("not increasing", "f_2 not alternatingly increasing"),
+    ("negative gamma", "certificate mismatch at f_2"),
+    ("other decomposition", "certificate mismatch at f_2"),
+])
+def test_closure_suite_names_each_kind_of_failure(monkeypatch, fault, detail):
+    real = el.bi_gamma_closure
+
+    def closure(gammas, weights, n_max):
+        if fault == "raises":
+            raise ValueError(detail)
+        items = real(gammas, weights, n_max)
+        item = items[2]
+        if fault == "not increasing":
+            item = item._replace(alternatingly_increasing=False)
+        elif fault == "negative gamma":
+            item = item._replace(gamma_a=gk.GammaVector(1, (-1,)))
+        else:
+            dec = item.decomposition
+            item = item._replace(decomposition=dec._replace(a=(*dec.a, 1)))
+        return items[:2] + [item] + items[3:]
+
+    monkeypatch.setattr(el, "bi_gamma_closure", closure)
+    (result,) = suites.run_suite("closure", max_n=3)
+    assert len(result.checks) == suites.CLOSURE_INSTANCES
+    assert {(c.ok, c.detail) for c in result.checks} == {(False, detail)}
+
+
 # row 4 of the s triangle: (0,0) 1, (0,1) 14, (0,2) 1, (1,0) 4, (1,1) 4
 @pytest.mark.parametrize("changed, missing, detail", [
     ((0, 1), (1, 0), "(4, 0, 1): trees 15 vs triangle 14"),
@@ -349,6 +393,17 @@ def test_suites_that_share_an_input_run_in_one_process():
     assert len(named) == len(set(named))
     for sharing in ({"thm1", "thm2"}, {"lemma5", "theorem13", "corollary15"}):
         assert any(sharing <= set(unit) for _, unit in suites.UNITS), sharing
+
+
+def test_units_are_listed_longest_first_and_dealt_in_that_order():
+    costs = [ms for ms, _ in suites.UNITS]
+    assert costs == sorted(costs, reverse=True)
+    assert suites.unit_order()[: len(suites.UNITS)] == list(suites.UNITS)
+    assert suites.split_units() == (
+        [("dumont",), ("thm1", "thm2"), ("lemma5", "theorem13", "corollary15"),
+         ("routes",)],
+        [("lemma9",), ("viennot-symmetry",), ("closure",)],
+    )
 
 
 def test_split_units_deals_every_suite_once_longest_first():

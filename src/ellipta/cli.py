@@ -4,7 +4,7 @@ Three verbs: `compute` emits polynomials and triangles, `verify` replays the
 named cross-check suites, `cache` persists triangles as JSON-lines files.
 Stdout carries data; stderr carries logs and warnings. Exit codes: 0 on
 success, 1 on verification or I/O failure, 2 on usage errors (including
-exceeded enumeration caps).
+exceeded enumeration caps), 141 when stdout's reader closed it early.
 
 Identical invocations produce byte-identical output: every emitted
 collection is sorted, and randomized paths take an explicit --seed.
@@ -100,6 +100,9 @@ CACHE_TARGETS = tuple(CACHE_ROWS)
 # key, the sha256 of the file's bytes and its row count, space separated
 CACHE_KEY_SUFFIX = ".key"
 CACHE_BLOCK = 1 << 16  # the bytes a keyed read hashes or serves at a time
+# The status when stdout's reader closed it early: 128 + SIGPIPE (13), what
+# a shell reports for a command that SIGPIPE ended
+EXIT_BROKEN_PIPE = 141
 
 
 def _warn(msg: str):
@@ -417,10 +420,12 @@ def _serve_keyed(path: str, fmt: str, want):
     """Serve the cache file at path in format fmt, building no row, if its
     key file vouches for it: the key parses, names this code, counts at
     least `want` rows, and its digest is the sha256 of the bytes read now.
-    Hashes, then serves (see `_json_records_as`), block by block from one
-    descriptor. Returns None once the file is served; else, having written
-    nothing, the warning that says why the key does not vouch and the key's
-    row count if it parses and the file has that many lines, else None."""
+    Hashes, then serves, block by block from one descriptor: each block is
+    cut after its last whole record, converted as bytes (see
+    `_json_records_as`), decoded once and written as text. Returns None once
+    the file is served; else, having written nothing, the warning that says
+    why the key does not vouch and the key's row count if it parses and the
+    file has that many lines, else None."""
     import hashlib
 
     try:
@@ -449,30 +454,40 @@ def _serve_keyed(path: str, fmt: str, want):
                     rows if 0 < rows <= lines else None)
         if rows < (want or 0):
             return f"rebuild: file has {rows} rows, {want} requested", rows
+        convert = _json_records_as(fmt)
         fh.seek(0)
         rest = b""
         while block := fh.read(CACHE_BLOCK):
             block = rest + block
             cut = block.rfind(b"\n") + 1  # whole records only
-            text, rest = block[:cut].decode("ascii"), block[cut:]
-            if text and fmt != "json":
-                text = _json_records_as(fmt, text)
-            sys.stdout.write(text)
+            sys.stdout.write(convert(block[:cut]))
+            rest = block[cut:]
     return None
 
 
-def _json_records_as(fmt: str, text: str) -> str:
-    """Whole records of the json row format, rewritten in format fmt: each
-    literal piece of the json format is swapped for fmt's, the last piece of
-    a record and the first of the next as one."""
+def _json_records_as(fmt: str):
+    """The function that rewrites whole records of the json row format, as
+    bytes, into the text of format fmt. It is derived from ROW_FORMATS alone:
+    `drop` is every character of the json pieces that no piece of fmt uses;
+    a json piece from which deleting `drop` does not leave fmt's piece is
+    first replaced by it (csv replaces none, text two); then one translate
+    deletes `drop`. No piece of fmt holds a character of `drop`, and no
+    value does either: values are decimal integers, json pieces hold no
+    digit. Json records are only decoded, which loads no other module."""
+    if fmt == "json":
+        return partial(bytes.decode, encoding="ascii")
     from .elliptic import ROW_FORMATS
 
-    old, new = ROW_FORMATS["json"].split("%d"), ROW_FORMATS[fmt].split("%d")
-    text = text[len(old[0]):-len(old[-1])]
-    for piece, swap in [(old[-1] + old[0], new[-1] + new[0]),
-                        *zip(old[1:-1], new[1:-1])]:
-        text = text.replace(piece, swap)
-    return new[0] + text + new[-1]
+    old, new = (ROW_FORMATS[f].encode("ascii").split(b"%d") for f in ("json", fmt))
+    drop = bytes(set(b"".join(old)) - set(b"".join(new)))
+    swaps = [(o, w) for o, w in zip(old, new) if o.translate(None, drop) != w]
+
+    def convert(records: bytes) -> str:
+        for piece, swap in swaps:
+            records = records.replace(piece, swap)
+        return records.translate(None, drop).decode("ascii")
+
+    return convert
 
 
 def _replace(path: str, blocks):
@@ -569,12 +584,23 @@ def main(argv=None) -> int:
         if extra:
             args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.verb == "compute":
-            return _cmd_compute(args, args.leaf)
-        if args.verb == "verify":
-            return _cmd_verify(args, args.leaf)
-        return _cmd_cache(args, args.leaf)
+            code = _cmd_compute(args, args.leaf)
+        elif args.verb == "verify":
+            code = _cmd_verify(args, args.leaf)
+        else:
+            code = _cmd_cache(args, args.leaf)
+        sys.stdout.flush()  # a reader that stopped early is met here, not at exit
+        return code
     except SystemExit as exc:  # a usage error, from argparse or a handler
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:
+        # stdout's reader stopped early: end quietly, as a command that
+        # SIGPIPE ends, with the status a shell gives one. The output still
+        # buffered goes to the null device, so the flush at exit cannot fail
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

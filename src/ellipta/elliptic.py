@@ -125,20 +125,24 @@ def _stencil_rows(bounds_of, weight_of, scale: int, _depth_of=None):
     every upper bound, and every entry is checked, so an entry that leaks
     out of the support raises.
 
-    Row n is built one i-line at a time from the previous row's lines, and
-    each line is checked as a whole; a line that fails is rechecked cell by
-    cell, so the error names its first bad entry. Only the previous row's
-    lines are held. ``_depth_of(n)``, when given, is the last line built at
-    row n, for a caller that reads only the first lines of later rows."""
+    ``scale`` is a power of two (every caller passes 1 or 4), so cell j of
+    line i is divisible by scale^(i+j) exactly when its bits under the mask
+    scale^(i+j) - 1 are 0. Row n is built one i-line at a time from the
+    previous row's lines, and each line is checked as a whole: its minimum,
+    its cells outside the support and its masked cells; a line that fails
+    is rechecked cell by cell (by ``_check_entry``), so the error names its
+    first bad entry. Only the previous row's lines are held.
+    ``_depth_of(n)``, when given, is the last line built at row n, for a
+    caller that reads only the first lines of later rows."""
     prev = [[1]]
     yield 1, {(0, 0): 1}
-    powers = [1]  # scale ** k, for the divisibility of line cells
+    masks = [0]  # scale ** k - 1, for the divisibility of line cells
     for n in count(2):
         even = n % 2 == 0
         bounds = i_max, half, step = bounds_of(n)
         w0, wi, wj = weight_of(n)
-        while len(powers) <= half:
-            powers.append(powers[-1] * scale)
+        while len(masks) <= half:
+            masks.append((masks[-1] + 1) * scale - 1)
         n_lines = i_max + 2
         if _depth_of is not None:
             n_lines = min(n_lines, _depth_of(n) + 1)
@@ -172,7 +176,7 @@ def _stencil_rows(bounds_of, weight_of, scale: int, _depth_of=None):
                 or any(line[inside:])
                 or (
                     scale != 1
-                    and any(v % p for v, p in zip(line[:inside], powers[i:]))
+                    and any(v & m for v, m in zip(line[:inside], masks[i:]))
                 )
             ):
                 for j, v in enumerate(line):
@@ -952,7 +956,8 @@ CSV_HEADER = "n,i,j,value\n"
 def format_row(n: int, row: dict, fmt: str) -> str:
     """Row n in one of ROW_FORMATS, one line per entry, sorted by (i, j)."""
     line = ROW_FORMATS[fmt]
-    return "".join([line % (n, i, j, row[i, j]) for i, j in sorted(row)])
+    # the keys are unique, so the items sort in key order
+    return "".join([line % (n, i, j, c) for (i, j), c in sorted(row.items())])
 
 
 def triangle_to_jsonl(tri: dict) -> str:

@@ -726,6 +726,82 @@ def test_cache_hit_builds_no_row(tmp_path, capsys, monkeypatch, target, fmt):
         assert out == want
 
 
+def _keyed_file(tmp_path, capsys, target, rows):
+    """Write target's cache file of `rows` rows; return its bytes."""
+    assert run(capsys, "cache", "write", "--target", target, "--max-n", str(rows),
+               "--cache-dir", str(tmp_path))[0] == 0
+    return (tmp_path / f"{target}.jsonl").read_bytes()
+
+
+def _cut_records(data: bytes) -> bool:
+    """Whether the keyed read of data converts three blocks or more, and a
+    record straddles a block cut."""
+    from ellipta.cli import CACHE_BLOCK
+
+    cuts = range(CACHE_BLOCK, len(data), CACHE_BLOCK)
+    return len(data) >= 3 * CACHE_BLOCK and any(data[c - 1:c] != b"\n" for c in cuts)
+
+
+@pytest.mark.parametrize("target", ["s", "gamma", "t", "theta"])
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_keyed_read_across_block_cuts_equals_compute(tmp_path, capsys, target, fmt):
+    from ellipta import cli
+    from ellipta import elliptic as el
+
+    assert _cut_records(_keyed_file(tmp_path, capsys, target, 50))
+    if target in ("s", "gamma"):
+        want = run(capsys, "compute", target, "--max-n", "50", "--format", fmt)[1]
+    else:  # compute lists no rows of t, and theta's only by enumerating trees
+        want = (el.CSV_HEADER if fmt == "csv" else "") + "".join(
+            el.format_row(n, row, fmt) for n, row in islice(cli.CACHE_ROWS[target](), 50))
+    code, out, err = run(capsys, "cache", "read", "--target", target,
+                         "--format", fmt, "--cache-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out == want
+
+
+def test_keyed_read_converts_to_any_row_format(tmp_path, capsys, monkeypatch):
+    # a format none of the listed ones is: the conversion is derived from
+    # ROW_FORMATS, here deleting braces, quotes and names and replacing
+    # each comma piece by a tab
+    from ellipta import cli
+    from ellipta import elliptic as el
+
+    assert _cut_records(_keyed_file(tmp_path, capsys, "gamma", 50))
+    monkeypatch.setitem(el.ROW_FORMATS, "tsv", "%d\t%d\t%d\t%d\n")
+    monkeypatch.setattr(cli, "FORMATS", (*cli.FORMATS, "tsv"))
+    want = "".join(el.format_row(n, row, "tsv")
+                   for n, row in islice(cli.CACHE_ROWS["gamma"](), 50))
+    assert want.startswith("1\t0\t0\t1\n2\t0\t0\t1\n")
+    code, out, err = run(capsys, "cache", "read", "--target", "gamma",
+                         "--format", "tsv", "--cache-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out == want
+
+
+@pytest.mark.parametrize("argv, first", [
+    (("compute", "s", "--max-n", "60", "--format", "text"), b"(1,0,0) 1\n"),
+    (("cache", "read", "--target", "gamma", "--format", "csv"), b"n,i,j,value\n"),
+])
+def test_a_reader_that_stops_early_ends_the_command_quietly(
+        tmp_path, capsys, argv, first):
+    from ellipta.cli import EXIT_BROKEN_PIPE
+
+    if argv[0] == "cache":
+        argv += ("--cache-dir", str(tmp_path))
+        _keyed_file(tmp_path, capsys, "gamma", 60)
+    # both outputs are larger than a pipe holds: the command is still
+    # writing when its reader closes
+    with subprocess.Popen([sys.executable, "-m", "ellipta", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": SRC}) as proc:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert line == first
+    assert (proc.returncode, err) == (EXIT_BROKEN_PIPE, b"")
+
+
 def test_cache_file_edited_in_place_is_rebuilt_then_served_by_key(
         tmp_path, capsys, monkeypatch):
     cache_dir = str(tmp_path)

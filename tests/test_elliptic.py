@@ -626,6 +626,18 @@ def test_stencil_names_the_first_bad_cell(monkeypatch, build, weight, scale, err
     assert str(info.value) == error
 
 
+@pytest.mark.parametrize("build", [el.s_triangle_recurrence, el.gamma_triangle_recurrence,
+                                   el.t_triangle_recurrence, el.gamma_odd_lines])
+def test_stencil_rechecks_no_line_of_a_sound_triangle(monkeypatch, build):
+    # the line-wise check is exact: a sound triangle, whose cells include
+    # odd ones and ones with the bit 4^(i+j) set, sends no line to the
+    # cell-by-cell recheck
+    rechecked = []
+    monkeypatch.setattr(el, "_check_entry", lambda *entry: rechecked.append(entry))
+    build(60)
+    assert rechecked == []
+
+
 def test_gamma_711_value(gamma_tri):
     assert gamma_tri[7][(1, 1)] == 16 * 78
 

@@ -601,10 +601,7 @@ def main(argv=None) -> int:
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
         return EXIT_BROKEN_PIPE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else: one line, no traceback

@@ -716,7 +716,7 @@ def gamma_operator_expansion(gamma_tri: dict, n: int) -> MultiPoly:
         raise ValueError("n must be at least 1")
     vs = G1.variables
     apb = MultiPoly.variable(vs, "a") + MultiPoly.variable(vs, "b")
-    half = n // 2 if n % 2 == 0 else (n - 1) // 2
+    half = n // 2
     pow_cache = {}
     acc = MultiPoly.zero(vs)
     x_off, c_off = (1, 0) if n % 2 == 0 else (0, 1)

@@ -24,6 +24,7 @@ import sys
 from typing import NamedTuple
 
 UniPoly = tuple  # tuple of int coefficients, lowest exponent first
+UNI_VAR = "x"  # a UniPoly's variable, in its json and text forms
 
 MAX_EXPONENT = 2**63 - 1  # exponents must fit in a machine word
 
@@ -439,11 +440,11 @@ def binomial_poly(n: int) -> UniPoly:
     return tuple(comb(n, k) for k in range(n + 1))
 
 
-def uni_to_json(f: UniPoly, var: str = "x") -> dict:
-    return {"var": var, "coeffs": [str(c) for c in f] or ["0"]}
+def uni_to_json(f: UniPoly) -> dict:
+    return {"var": UNI_VAR, "coeffs": [str(c) for c in f] or ["0"]}
 
 
-def uni_to_text(f: UniPoly, var: str = "x") -> str:
+def uni_to_text(f: UniPoly) -> str:
     if not f:
         return "0"
     parts = []
@@ -455,7 +456,7 @@ def uni_to_text(f: UniPoly, var: str = "x") -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else str(mag)
-            body = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
+            body = f"{head}{UNI_VAR}" if e == 1 else f"{head}{UNI_VAR}^{e}"
         parts.append((c < 0, body))
     return _join_signed(parts)
 

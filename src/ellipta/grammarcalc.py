@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import add
+from typing import NamedTuple
 
 from .exactpoly import (
     MAX_EXPONENT,
@@ -29,17 +30,13 @@ class GrammarParseError(ValueError):
     pass
 
 
-class Grammar:
+class Grammar(NamedTuple("Grammar", [("variables", tuple), ("rules", tuple)])):
     """Ordered alphabet plus one replacement rule per letter: `rules` holds
-    one MultiPoly per letter, aligned with `variables`.
+    one MultiPoly per letter, aligned with `variables`."""
 
-    An immutable record of those two fields, equal and hashed by them. It
-    also holds derive_once's tables, which are not fields, so it is a
-    slotted class rather than a NamedTuple."""
+    __slots__ = ()
 
-    __slots__ = ("variables", "rules", "_deltas", "_max_delta")
-
-    def __init__(self, variables: tuple, rules: tuple):
+    def __new__(cls, variables: tuple, rules: tuple):
         if len(rules) != len(variables):
             raise ValueError("need exactly one rule per letter")
         for rule in rules:
@@ -47,41 +44,12 @@ class Grammar:
                 raise AlphabetMismatchError(
                     f"rule alphabet {rule.vars} differs from {variables}"
                 )
-        # derive_once's tables, not fields: for letter k, the (delta, coeff)
-        # of every term of its rule, delta = rule exponent - e_k; and the
-        # largest component of any delta
-        deltas = tuple(
-            tuple(
-                (exp[:k] + (exp[k] - 1,) + exp[k + 1 :], c)
-                for exp, c in rule.terms.items()
-            )
-            for k, rule in enumerate(rules)
-        )
-        components = [x for ds in deltas for d, _ in ds for x in d]
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_deltas", deltas)
-        object.__setattr__(self, "_max_delta", max(components, default=0))
+        return super().__new__(cls, variables, rules)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Grammar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Grammar is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.variables, self.rules) == (other.variables, other.rules)
-
-    def __hash__(self):
-        return hash((self.variables, self.rules))
-
-    def __repr__(self):
-        return f"Grammar(variables={self.variables!r}, rules={self.rules!r})"
-
-    def __reduce__(self):
-        return Grammar, (self.variables, self.rules)
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__'s checks, and so is _replace
+        return cls(*iterable)
 
     @classmethod
     def from_dict(cls, variables, rules: dict) -> "Grammar":
@@ -102,23 +70,31 @@ class Grammar:
 def derive_once(grammar: Grammar, f: MultiPoly) -> MultiPoly:
     """One application of the grammar's formal derivative to f.
 
-    Each output key is an operand key plus one of the grammar's deltas for
-    letter k, added only where the operand's exponent of k is at least 1.
-    So every output exponent is at least 0 and at most the largest operand
-    exponent plus the largest delta component. When that sum is at most
-    MAX_EXPONENT, the keys are built here and need no re-check
-    (``MultiPoly._trusted``); otherwise the public constructor checks them
-    and raises ExponentOverflowError for any that is out of range."""
+    For letter k, each term of rule k gives a delta, its exponent minus e_k.
+    Each output key is an operand key plus one of letter k's deltas, added
+    only where the operand's exponent of k is at least 1. So every output
+    exponent is at least 0 and at most the largest operand exponent plus the
+    largest delta component. When that sum is at most MAX_EXPONENT, the keys
+    are built here and need no re-check (``MultiPoly._trusted``); otherwise
+    the public constructor checks them and raises ExponentOverflowError for
+    any that is out of range."""
     if f.vars != grammar.variables:
         raise AlphabetMismatchError(
             f"operand alphabet {f.vars} differs from {grammar.variables}"
         )
+    deltas = [
+        [
+            (exp[:k] + (exp[k] - 1,) + exp[k + 1 :], c)
+            for exp, c in rule.terms.items()
+        ]
+        for k, rule in enumerate(grammar.rules)
+    ]
+    max_delta = max((x for ds in deltas for d, _ in ds for x in d), default=0)
     top = max(chain.from_iterable(f.terms), default=0)
-    if top + grammar._max_delta <= MAX_EXPONENT:
+    if top + max_delta <= MAX_EXPONENT:
         build = MultiPoly._trusted
     else:
         build = MultiPoly
-    deltas = grammar._deltas
     acc: dict = {}
     get = acc.get
     for exps, c in f.terms.items():

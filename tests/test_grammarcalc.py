@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -95,6 +96,42 @@ def test_derive_once_matches_reference_on_random_grammars(width):
             got = derive_once(grammar, f)
             assert got == _reference_derivative(grammar, f)
             assert all(got.terms.values())
+
+
+def test_derive_once_follows_replaced_rules():
+    # x -> y, y -> z, z -> x in place of the product rules
+    cyclic = G_SD._replace(rules=tuple(G_SD.seed(v) for v in "yzx"))
+    assert cyclic.variables == G_SD.variables
+    rng = random.Random(7)
+    for _ in range(20):
+        f = _random_multipoly(rng, G_SD.variables)
+        assert derive_once(cyclic, f) == _reference_derivative(cyclic, f)
+    xy = MultiPoly(G_SD.variables, {(1, 1, 0): 1})
+    assert derive_once(cyclic, xy) == MultiPoly(
+        G_SD.variables, {(0, 2, 0): 1, (1, 0, 1): 1}
+    )
+
+
+def test_derive_once_bounds_exponents_by_replaced_rules():
+    # x -> x^3 raises x's exponent by 2, where x -> yz lowers it by 1
+    x_cubed = MultiPoly.monomial(G_SD.variables, (3, 0, 0))
+    cubic = G_SD._replace(rules=(x_cubed, *G_SD.rules[1:]))
+    f = MultiPoly(G_SD.variables, {(MAX_EXPONENT - 1, 0, 0): 1})
+    assert derive_once(G_SD, f) == MultiPoly(
+        G_SD.variables, {(MAX_EXPONENT - 2, 1, 1): MAX_EXPONENT - 1}
+    )
+    with pytest.raises(ExponentOverflowError, match=str(MAX_EXPONENT + 1)):
+        derive_once(cubic, f)
+
+
+def test_rebuilt_and_unpickled_grammars_derive_as_the_original():
+    rng = random.Random(5)
+    fs = [_random_multipoly(rng, G2.variables) for _ in range(10)]
+    for copy in (pickle.loads(pickle.dumps(G2)), Grammar(*G2)):
+        assert copy == G2 and copy is not G2
+        for f in fs:
+            assert derive_once(copy, f) == derive_once(G2, f)
+        assert iterate(copy, X2, 12) == iterate(G2, X2, 12)
 
 
 def test_derive_once_raises_on_exponent_overflow():

@@ -48,6 +48,11 @@ def invocations():
         yield ["compute", "j", "--n", "120", "--format", fmt]
     yield ["compute", "decompose", "--n", "100"]
     yield ["compute", "decompose", "--n", "8", "--format", "text"]
+    # an odd n reads the other half of the fraction route
+    yield ["compute", "j", "--n", "121"]
+    yield ["compute", "j", "--n", "121", "--route", "fraction"]
+    yield ["compute", "decompose", "--n", "101"]
+    yield ["compute", "decompose", "--n", "7", "--format", "text"]
     yield ["compute", "closure", "--max-n", "4", "--format", "text"]
     # every item's gamma_a, gamma_b and decomposition
     yield ["compute", "closure", "--max-n", "12", "--seed", "5"]

@@ -8,7 +8,8 @@ Usage: python scripts/timings.py {routes,certify,oracle,suites} [n]
            overhead rather than bigint work); each route's shape must hold
            and the routes must agree.
   certify  the builders behind `verify thm1` and `verify thm2` at n
-           (default 80, as in the certify benchmark): j_fraction(2n + 1),
+           (default 80, as in the certify benchmark): j_fraction_odd(n),
+           the J's that thm1 reads, j_fraction_even(n), those of thm2,
            gamma_odd_lines(2n + 1) and j_even_decompositions(n - 1), then
            suite_thm1(n) and suite_thm2(n), which must pass.
   oracle   the brute-force oracles on trees of size n and permutations of
@@ -72,7 +73,8 @@ def routes(n: int) -> list:
 
 
 def certify(n: int) -> list:
-    timed(f"j_fraction({2 * n + 1})", el.j_fraction, 2 * n + 1)
+    timed(f"j_fraction_odd({n})", el.j_fraction_odd, n)
+    timed(f"j_fraction_even({n})", el.j_fraction_even, n)
     lines, _ = timed(f"gamma_odd_lines({2 * n + 1})", el.gamma_odd_lines, 2 * n + 1)
     timed(f"j_even_decompositions({n - 1})", el.j_even_decompositions, n - 1, lines)
     return [

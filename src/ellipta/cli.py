@@ -321,7 +321,7 @@ def _cmd_compute(args, parser) -> int:
 
     fmt = args.format
     if args.target == "j":
-        _emit_unipoly(el.j_sequence(args.n, args.route)[args.n], fmt)
+        _emit_unipoly(el.j_poly(args.n, args.route), fmt)
     elif args.target == "p":
         n, row = next(ROW_SOURCES["s", args.route](args.n, None))
         _emit_multipoly(el.p_poly(n, {n: row}), fmt)
@@ -330,7 +330,7 @@ def _cmd_compute(args, parser) -> int:
     elif args.target == "decompose":
         from .gammakit import analyze
 
-        f = el.j_sequence(args.n)[args.n]
+        f = el.j_poly(args.n)
         center = max(0, (args.n - 1) // 2)
         report = analyze(f, center)
         if fmt == "text":

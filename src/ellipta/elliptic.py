@@ -368,27 +368,48 @@ def _path_sums(steps: int, down: list, level: list | None) -> list:
     return ends
 
 
+def j_fraction_even(m_max: int) -> tuple:
+    """J_0, J_2, ..., J_{2 m_max} as the Dyck paths of cn's Stieltjes
+    continued fraction (Flajolet, Discrete Math. 32, 1980): J_{2m} sums
+    the paths of length 2m, a down step from height h weighing h^2, times
+    x for even h."""
+    if m_max < 0:
+        raise ValueError("m_max must be at least 0")
+    ends = _path_sums(2 * m_max, [(h * h, 1 - h % 2) for h in range(m_max + 1)], None)
+    return tuple(map(uni, ends[::2]))
+
+
+def j_fraction_odd(m_max: int) -> tuple:
+    """J_1, J_3, ..., J_{2 m_max + 1} as the Motzkin paths of sn's Jacobi
+    continued fraction: J_{2m+1} sums the paths of length m, a level step
+    at height h weighing (2h+1)^2 (1 + x) and a down step from h weighing
+    (2h-1)(2h)^2(2h+1) x. It shares no path with `j_fraction_even`."""
+    if m_max < 0:
+        raise ValueError("m_max must be at least 0")
+    ends = _path_sums(
+        m_max,
+        [((2 * h - 1) * (2 * h) ** 2 * (2 * h + 1), 1) for h in range(m_max + 1)],
+        [(2 * h + 1) ** 2 for h in range(m_max + 1)],
+    )
+    return tuple(map(uni, ends))
+
+
+def _fraction_half(n: int) -> tuple:
+    """(the half of the fraction route that builds J_n, J_n's index in it):
+    J_n is half(m_max)[n // 2] for every m_max >= n // 2."""
+    return (j_fraction_odd if n % 2 else j_fraction_even), n // 2
+
+
 def j_fraction(n_max: int) -> tuple:
-    """J_n as weighted lattice paths, read off the Stieltjes-Rogers
-    continued fractions of cn and sn (Flajolet, Discrete Math. 32, 1980).
-    J_{2m} sums the Dyck paths of length 2m, a down step from height h
-    weighing h^2, times x for even h; J_{2m+1} sums the Motzkin paths of
-    length m, a level step at h weighing (2h+1)^2 (1 + x) and a down step
-    from h weighing (2h-1)(2h)^2(2h+1) x. Every weight is an integer times
-    1, x or 1 + x, so no two polynomials are multiplied."""
+    """J_n as weighted lattice paths, read off the continued fractions of
+    cn and sn: the interleave of `j_fraction_even` and `j_fraction_odd`,
+    each run once, to the last index of its parity. Every weight is an
+    integer times 1, x or 1 + x, so no two polynomials are multiplied."""
     if n_max < 0:
         raise ValueError("n_max must be at least 0")
-    half, odd_steps = n_max // 2, (n_max - 1) // 2
-    dyck = _path_sums(2 * half, [(h * h, 1 - h % 2) for h in range(half + 1)], None)
-    motzkin = _path_sums(
-        odd_steps,
-        [((2 * h - 1) * (2 * h) ** 2 * (2 * h + 1), 1) for h in range(odd_steps + 1)],
-        [(2 * h + 1) ** 2 for h in range(odd_steps + 1)],
-    )
-    js = [UNI_ONE]
-    for n in range(1, n_max + 1):
-        js.append(uni(motzkin[n // 2] if n % 2 else dyck[n]))
-    return tuple(js)
+    last = dict(map(_fraction_half, range(n_max + 1)))  # half -> its last index
+    built = {half: half(m) for half, m in last.items()}
+    return tuple(built[half][m] for half, m in map(_fraction_half, range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +572,18 @@ def j_sequence(n_max: int, route: str = J_DEFAULT_ROUTE) -> tuple:
     if route not in J_ROUTES:
         raise ValueError(f"unknown route {route!r}")
     return J_ROUTES[route](n_max)
+
+
+def j_poly(n: int, route: str = J_DEFAULT_ROUTE) -> UniPoly:
+    """J_n alone. The fraction route runs only the path program of n's
+    parity; every other route builds each J from the ones before it, so
+    J_n is the last of j_sequence(n, route)."""
+    if n < 0:
+        raise ValueError("n must be at least 0")
+    if route != "fraction":
+        return j_sequence(n, route)[n]
+    half, m = _fraction_half(n)
+    return half(m)[m]
 
 
 def first_route_mismatch(seqs: dict):

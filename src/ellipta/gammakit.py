@@ -19,13 +19,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactpoly import (
+    UNI_ZERO,
     DegreeExceedsCenterError,
     InexactDivisionError,
     UniPoly,
     binomial_poly,
     uni,
     uni_add,
-    uni_addmul_into,
     uni_coeff,
     uni_degree,
     uni_div_one_minus_x,
@@ -82,10 +82,18 @@ class GammaVector(NamedTuple("GammaVector", [("center", int), ("gammas", tuple)]
         return all(g >= 0 for g in self.gammas)
 
     def to_poly(self) -> UniPoly:
-        acc: list = []
-        for k, g in enumerate(self.gammas):
-            if g:
-                uni_addmul_into(acc, binomial_poly(self.center - 2 * k), g, k)
+        # Horner's rule in (1 + x)^2: after step k, acc is
+        # sum_{j <= k} g_j x^j (1 + x)^(2k - 2j); one more factor 1 + x
+        # makes the basis x^k (1 + x)^(center - 2k) of an odd center
+        if not self.gammas:
+            return UNI_ZERO
+        acc = [self.gammas[0]]
+        for k, g in enumerate(self.gammas[1:], 1):
+            acc = [a + 2 * b + c
+                   for a, b, c in zip([*acc, 0, 0], [0, *acc, 0], [0, 0, *acc])]
+            acc[k] += g
+        if self.center % 2:
+            acc = [a + b for a, b in zip([*acc, 0], [0, *acc])]
         return uni(acc)
 
     def to_json(self) -> dict:

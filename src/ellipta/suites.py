@@ -40,22 +40,24 @@ class SuiteInputs:
     the suites of one unit of `verify all`, or used by one run of one
     suite. It dies with them, so no run reads what another built.
 
-    The J's and the gamma lines are held at the largest n asked for so
-    far: a smaller ask reads them, a larger one rebuilds them. The tree
-    profiles are held for each n asked for."""
+    Each half of the fraction route and the gamma lines are held at the
+    largest m or n asked for so far: a smaller ask reads them, a larger
+    one rebuilds them. The tree profiles are held for each n asked for."""
 
     def __init__(self):
-        self._js = None
+        self._halves = {}  # half -> half(m) at the largest m asked for
         self._lines = (0, None)  # (n_max, gamma_odd_lines(n_max))
         self._profiles = {}  # n -> tree_profiles(n)
 
-    def js(self, n_max: int) -> tuple:
-        """J_0 .. J_n_max (or further) by the continued-fraction paths,
-        which share no code with the gamma stencil or the bi-gamma chain
-        that build the certificates checked against them."""
-        if self._js is None or len(self._js) <= n_max:
-            self._js = el.j_fraction(n_max)
-        return self._js
+    def half(self, build, m_max: int) -> tuple:
+        """build(m_max) (or further), for build `el.j_fraction_even` or
+        `el.j_fraction_odd`: the J's of one parity by the continued-fraction
+        paths, which share no code with the gamma stencil or the bi-gamma
+        chain that build the certificates checked against them."""
+        held = self._halves.get(build)
+        if held is None or len(held) <= m_max:
+            self._halves[build] = held = build(m_max)
+        return held
 
     def gamma_lines(self, n_max: int) -> dict:
         """`el.gamma_odd_lines` to n_max (or further)."""
@@ -164,11 +166,11 @@ def suite_thm1(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     _check_range(max_n)
     inputs = inputs or SuiteInputs()
     lines = inputs.gamma_lines(2 * max_n + 1)
-    js = inputs.js(2 * max_n + 1)
+    odd = inputs.half(el.j_fraction_odd, max_n)
     checks = []
     for n in range(max_n + 1):
         cert = el.j_odd_gamma(n, lines)
-        f = js[2 * n + 1]
+        f = odd[n]  # J_{2n+1}
         ok = cert.is_nonnegative() and cert.to_poly() == f
         ok = ok and gk.is_unimodal(f) and gk.is_symmetric(f, n)
         checks.append(
@@ -187,11 +189,11 @@ def suite_thm2(max_n: int, inputs: SuiteInputs | None = None) -> SuiteResult:
     _check_range(max_n)
     m_max = max_n - 1
     inputs = inputs or SuiteInputs()
-    js = inputs.js(2 * max_n)
+    even = inputs.half(el.j_fraction_even, max_n)
     decs = el.j_even_decompositions(m_max, inputs.gamma_lines(2 * m_max + 1))
-    checks = [Check("J_0 trivially certified", js[0] == (1,))]
+    checks = [Check("J_0 trivially certified", even[0] == (1,))]
     for m in range(m_max + 1):
-        f = js[2 * m + 2]
+        f = even[m + 1]  # J_{2m+2}
         d = decs[m]
         sd = gk.sym_decompose(f, m)
         ok = (
@@ -400,11 +402,12 @@ SEEDED_SUITES = ("closure",)
 
 
 # `verify all` runs its suites in units, split between two processes. The
-# suites of a unit share one SuiteInputs: thm1 and thm2 one build of
-# J_0 .. J_121 and the gamma lines, lemma5, theorem13 and corollary15 the
-# tree profiles of T_0 .. T_8. Each unit's cost is in ms, in process (Python
-# 3.11.7, 2 cores; `scripts/timings.py suites`), longest first, as they
-# are dealt. A stale cost costs balance only.
+# suites of a unit share one SuiteInputs: thm1 and thm2 the gamma lines
+# (thm1 reads the odd half of the fraction route, thm2 the even half),
+# lemma5, theorem13 and corollary15 the tree profiles of T_0 .. T_8. Each
+# unit's cost is in ms, in process (Python 3.11.7, 2 cores;
+# `scripts/timings.py suites`), longest first, as they are dealt. A stale
+# cost costs balance only.
 UNITS = (
     (265, ("dumont",)), (200, ("lemma9",)), (185, ("viennot-symmetry",)),
     (115, ("thm1", "thm2")), (35, ("lemma5", "theorem13", "corollary15")),

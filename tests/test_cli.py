@@ -43,6 +43,33 @@ def test_compute_j_routes_agree(capsys, route):
     assert out == "1 + 135x + 135x^2 + x^3\n"
 
 
+@pytest.mark.parametrize("argv, built", [
+    (("j", "--n", "8"), [("j_fraction_even", 4)]),
+    (("j", "--n", "7", "--route", "fraction"), [("j_fraction_odd", 3)]),
+    (("decompose", "--n", "9"), [("j_fraction_odd", 4)]),
+    (("decompose", "--n", "0"), [("j_fraction_even", 0)]),
+])
+def test_compute_one_j_runs_one_path_program(capsys, monkeypatch, argv, built):
+    # a single J on the fraction route runs the half of its parity alone,
+    # and only to its own index
+    from ellipta import elliptic as el
+
+    asked = []
+
+    def recording(name):
+        real = getattr(el, name)
+
+        def half(m_max):
+            asked.append((name, m_max))
+            return real(m_max)
+        return half
+
+    for name in ("j_fraction_even", "j_fraction_odd"):
+        monkeypatch.setattr(el, name, recording(name))
+    assert run(capsys, "compute", *argv)[0] == 0
+    assert asked == built
+
+
 def test_compute_decompose_json(capsys):
     code, out, _ = run(capsys, "compute", "decompose", "--n", "8")
     assert code == 0

@@ -217,6 +217,37 @@ def test_j_fraction_equals_viennot_through_60_and_at_the_smallest_n():
     assert el.j_fraction(2) == (UNI_ONE, UNI_ONE, UNI_ONE)
 
 
+def test_j_fraction_interleaves_its_two_halves_through_60():
+    for n_max in range(61):
+        even = el.j_fraction_even(n_max // 2)
+        odd = el.j_fraction_odd((n_max - 1) // 2) if n_max else ()
+        assert len(even) + len(odd) == n_max + 1
+        assert el.j_fraction(n_max)[0::2] == even, n_max
+        assert el.j_fraction(n_max)[1::2] == odd, n_max
+
+
+@pytest.mark.parametrize("half", [el.j_fraction_even, el.j_fraction_odd])
+def test_each_fraction_half_rejects_a_negative_m_max(half):
+    with pytest.raises(ValueError, match="^m_max must be at least 0$"):
+        half(-1)
+    assert half(0) == (UNI_ONE,)
+
+
+@pytest.mark.parametrize("route", list(el.J_ROUTES))
+def test_j_poly_is_the_last_j_of_its_sequence_through_24(route):
+    js = el.j_sequence(24, route)
+    assert [el.j_poly(n, route) for n in range(25)] == list(js)
+    with pytest.raises(ValueError, match="^n must be at least 0$"):
+        el.j_poly(-1, route)
+
+
+@pytest.mark.slow
+def test_j_poly_at_400_and_401_reads_the_fraction_sequence():
+    js = el.j_fraction(401)
+    assert el.j_poly(400) == js[400]
+    assert el.j_poly(401) == js[401]
+
+
 def test_route_agreement_through_24(s_rec, s_op):
     routes = ("operator", "recurrence", "viennot", "series")
     seqs = {r: el.j_sequence(24, r) for r in routes}
@@ -307,10 +338,23 @@ def test_j_fraction_shares_no_code_with_the_gamma_chain_or_stencil():
     assert {f for f in names if f.startswith("elliptic.")} == {
         "elliptic.j_sequence",
         "elliptic.j_fraction",
+        "elliptic._fraction_half",
+        "elliptic.j_fraction_even",
+        "elliptic.j_fraction_odd",
         "elliptic._path_sums",
     }
     assert el._bi_gamma_chain.__code__ not in calls
     assert el._stencil_rows.__code__ not in calls
+    # thm1 and thm2 each build one half alone
+    for half in (el.j_fraction_even, el.j_fraction_odd):
+        calls = _ellipta_calls(half, 6)
+        names = {_call_name(c).split(".<locals>.")[0] for c in calls}
+        assert {f for f in names if f.startswith("elliptic.")} == {
+            f"elliptic.{half.__name__}",
+            "elliptic._path_sums",
+        }
+        assert el._bi_gamma_chain.__code__ not in calls
+        assert el._stencil_rows.__code__ not in calls
 
 
 def test_first_route_mismatch_reports_smallest_index():

@@ -8,6 +8,7 @@ from ellipta.exactpoly import (
     DegreeExceedsCenterError,
     UNI_ONE,
     UNI_ZERO,
+    binomial_poly,
     uni,
     uni_add,
     uni_degree,
@@ -58,6 +59,21 @@ def test_gamma_expand_rejects_asymmetric():
 def test_gamma_reconstruction_identity():
     for f, n in (((1, 2, 1), 2), (J5, 2), (J7, 3), (UNI_ZERO, 5)):
         assert gamma_expand(f, n).to_poly() == f
+
+
+def test_to_poly_equals_the_binomial_row_sum_on_random_vectors():
+    # the definition: sum_k g_k x^k (1 + x)^(center - 2k), by binomial rows
+    rng = random.Random(3)
+    centers = [-1, 0, 1, 2, 7, 8, *(rng.randrange(30) for _ in range(200))]
+    for center in centers:
+        entries = 0 if center < 0 else center // 2 + 1
+        gammas = tuple(rng.choice((0, 0, rng.randint(-10**20, 10**20)))
+                       for _ in range(entries))
+        acc = [0] * (center + 1)
+        for k, g in enumerate(gammas):
+            for t, b in enumerate(binomial_poly(center - 2 * k)):
+                acc[k + t] += g * b
+        assert GammaVector(center, gammas).to_poly() == uni(acc), (center, gammas)
 
 
 gamma_vectors = st.lists(st.integers(-30, 30), min_size=1, max_size=6)

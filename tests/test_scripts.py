@@ -40,8 +40,9 @@ def load_timings():
 
 @pytest.mark.parametrize("section, n, labels", [
     ("routes", "12", ("operator", "recurrence", "viennot", "series", "fraction")),
-    ("certify", "6", ("j_fraction(13)", "gamma_odd_lines(13)",
-                      "j_even_decompositions(5)", "suite_thm1(6)", "suite_thm2(6)")),
+    ("certify", "6", ("j_fraction_odd(6)", "j_fraction_even(6)",
+                      "gamma_odd_lines(13)", "j_even_decompositions(5)",
+                      "suite_thm1(6)", "suite_thm2(6)")),
     ("oracle", "5", ("g2_distribution(5)", "s_from_trees(5)", "theta_table(5)",
                      "p_bruteforce(6)", "suite_lemma9(4)")),
     ("suites", "4", ("dumont(4)", "viennot-symmetry(4)", "thm1(4)", "routes(4)")),

@@ -163,19 +163,24 @@ def test_certificate_suites_pass_through_150(name):
 
 @pytest.mark.parametrize("max_n, largest", [(1, 2), (2, 4), (6, 12)])
 def test_thm2_builds_no_j_it_does_not_read(monkeypatch, max_n, largest):
-    from ellipta import elliptic as el
-
-    asked = []
-    real = el.j_fraction
-
-    def recording(n_max):
-        asked.append(n_max)
-        return real(n_max)
-
-    monkeypatch.setattr(el, "j_fraction", recording)
+    # thm2 reads J_0, J_2 .. J_largest: the even half to largest / 2, once
+    even_asked = _recording(monkeypatch, "j_fraction_even")
+    odd_asked = _recording(monkeypatch, "j_fraction_odd")
     (result,) = suites.run_suite("thm2", max_n=max_n)
     assert result.ok
-    assert asked == [largest]
+    assert even_asked == [largest // 2]
+    assert odd_asked == []
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 6])
+def test_thm1_builds_no_j_it_does_not_read(monkeypatch, max_n):
+    # thm1 reads J_1, J_3 .. J_{2 max_n + 1}: the odd half to max_n, once
+    even_asked = _recording(monkeypatch, "j_fraction_even")
+    odd_asked = _recording(monkeypatch, "j_fraction_odd")
+    (result,) = suites.run_suite("thm1", max_n=max_n)
+    assert result.ok
+    assert odd_asked == [max_n]
+    assert even_asked == []
 
 
 @pytest.mark.parametrize("build, below, message", [
@@ -201,7 +206,10 @@ FIRST_N = {
     "elliptic.j_even_decomposition": 0,
     "elliptic.j_even_decompositions": 0,
     "elliptic.j_fraction": 0,
+    "elliptic.j_fraction_even": 0,
+    "elliptic.j_fraction_odd": 0,
     "elliptic.j_operator": 0,
+    "elliptic.j_poly": 0,
     "elliptic.j_recurrence": 0,
     "elliptic.j_sequence": 0,
     "elliptic.j_series": 0,
@@ -342,14 +350,17 @@ def _recording_to_file(monkeypatch, name, path, module=None):
 
 
 def test_run_all_builds_each_shared_input_once(monkeypatch, tmp_path):
-    # thm1 asks for J_0 .. J_121 first and thm2 reads that build;
-    # viennot-symmetry builds its own Viennot J's. The routes suite reaches
-    # both routes through J_ROUTES, which the patches do not touch. Only
-    # corollary15 builds full gamma rows. lemma5 folds T_0 .. T_8, and
-    # theorem13 and corollary15 read those folds.
+    # thm1 builds the odd half of the fraction route to m = 60 (J_121) and
+    # thm2 the even half to m = 60 (J_120), once each; the routes suite
+    # runs the whole fraction route to n = 24, which builds each half once
+    # more, to 12 and 11. viennot-symmetry builds its own Viennot J's. The
+    # routes suite reaches Viennot through J_ROUTES, which the patch does
+    # not touch. Only corollary15 builds full gamma rows. lemma5 folds
+    # T_0 .. T_8, and theorem13 and corollary15 read those folds.
     from ellipta import treeoracle as to
 
-    js_asked = _recording_to_file(monkeypatch, "j_fraction", tmp_path / "js")
+    even_asked = _recording_to_file(monkeypatch, "j_fraction_even", tmp_path / "even")
+    odd_asked = _recording_to_file(monkeypatch, "j_fraction_odd", tmp_path / "odd")
     profiles_asked = _recording_to_file(
         monkeypatch, "tree_profiles", tmp_path / "profiles", to
     )
@@ -359,7 +370,9 @@ def test_run_all_builds_each_shared_input_once(monkeypatch, tmp_path):
     )
     results = suites.run_suite("all")
     assert all(r.ok for r in results)
-    assert js_asked() == [121]
+    # the two processes append in either order
+    assert sorted(even_asked()) == [12, 60]
+    assert sorted(odd_asked()) == [11, 60]
     assert viennot_asked() == [121]
     assert gamma_asked() == [8]
     assert profiles_asked() == list(range(9))
@@ -530,23 +543,28 @@ def test_a_failure_here_kills_the_forked_group(fake_suites, forks, two_cpus, how
 
 
 def test_shared_inputs_do_not_outlive_a_run(monkeypatch):
-    js_asked = _recording(monkeypatch, "j_fraction")
+    odd_asked = _recording(monkeypatch, "j_fraction_odd")
     lines_asked = _recording(monkeypatch, "gamma_odd_lines")
     for _ in range(2):
         (result,) = suites.run_suite("thm1", max_n=3)
         assert result.ok
-    assert js_asked == [7, 7]
+    assert odd_asked == [3, 3]
     assert lines_asked == [7, 7]
 
 
 def test_suite_inputs_rebuild_only_for_a_larger_n(monkeypatch):
-    js_asked = _recording(monkeypatch, "j_fraction")
+    even_asked = _recording(monkeypatch, "j_fraction_even")
+    odd_asked = _recording(monkeypatch, "j_fraction_odd")
     lines_asked = _recording(monkeypatch, "gamma_odd_lines")
     inputs = suites.SuiteInputs()
     for n in (5, 3, 9, 9):
-        assert len(inputs.js(n)) > n
+        assert len(inputs.half(el.j_fraction_odd, n)) > n
         assert max(inputs.gamma_lines(n)) >= n - 1
-    assert js_asked == lines_asked == [5, 9]
+    # each half is held on its own: the odd build does not serve the even
+    for n in (2, 7, 4):
+        assert len(inputs.half(el.j_fraction_even, n)) > n
+    assert odd_asked == lines_asked == [5, 9]
+    assert even_asked == [2, 7]
 
 
 @pytest.mark.parametrize("name", ["thm1", "thm2"])
